@@ -31,6 +31,14 @@ func main() {
 	showVersion := buildinfo.Flag()
 	flag.Parse()
 	buildinfo.Handle("amppot", *showVersion)
+	if *scale < 1 {
+		fmt.Fprintf(os.Stderr, "amppot: bad -scale %d: population divisor must be at least 1\n", *scale)
+		os.Exit(2)
+	}
+	if *sensors < 0 {
+		fmt.Fprintf(os.Stderr, "amppot: bad -sensors %d: fleet size must be at least 0\n", *sensors)
+		os.Exit(2)
+	}
 
 	cfg := ntpddos.QuickConfig()
 	cfg.Scale = *scale

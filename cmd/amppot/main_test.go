@@ -1,0 +1,19 @@
+package main
+
+import (
+	"testing"
+
+	"ntpddos/internal/clitest"
+)
+
+func TestMain(m *testing.M) { clitest.Main(m, main) }
+
+func TestRejectsBadScale(t *testing.T) {
+	for _, scale := range []string{"0", "-4"} {
+		clitest.ExpectUsageError(t, "-scale", "-scale", scale)
+	}
+}
+
+func TestRejectsNegativeSensors(t *testing.T) {
+	clitest.ExpectUsageError(t, "-sensors", "-sensors", "-3")
+}

@@ -24,6 +24,10 @@ func main() {
 	showVersion := buildinfo.Flag()
 	flag.Parse()
 	buildinfo.Handle("darknetwatch", *showVersion)
+	if *scale < 1 {
+		fmt.Fprintf(os.Stderr, "darknetwatch: bad -scale %d: population divisor must be at least 1\n", *scale)
+		os.Exit(2)
+	}
 
 	cfg := scenario.TestConfig()
 	cfg.Scale = *scale

@@ -67,6 +67,9 @@ func main() {
 	)
 	flag.Parse()
 	buildinfo.Handle("ntpserved", *showVersion)
+	if *scale < 1 {
+		fatalf("bad -scale %d: population divisor must be at least 1", *scale)
+	}
 
 	base := ntpddos.DefaultConfig()
 	base.Scale = *scale

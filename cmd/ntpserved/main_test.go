@@ -17,9 +17,18 @@ import (
 	"time"
 
 	"ntpddos"
+	"ntpddos/internal/clitest"
 	"ntpddos/internal/serve"
 	"ntpddos/internal/sweep"
 )
+
+func TestMain(m *testing.M) { clitest.Main(m, main) }
+
+func TestRejectsBadScale(t *testing.T) {
+	for _, scale := range []string{"0", "-3"} {
+		clitest.ExpectUsageError(t, "-scale", "-q", "-addr", "127.0.0.1:0", "-scale", scale)
+	}
+}
 
 // binPath is the daemon binary built once per test run.
 var (

@@ -9,6 +9,7 @@
 //	ntpsim -csv -experiment table4 > ports.csv
 //	ntpsim -scale 2000         # faster, coarser world
 //	ntpsim -loss 0.1 -sample 16 -detect   # chaos run: lossy fabric, sampled NetFlow
+//	ntpsim -quick -cpuprofile cpu.pprof   # then: go tool pprof -top cpu.pprof
 package main
 
 import (
@@ -23,6 +24,7 @@ import (
 	"ntpddos/internal/buildinfo"
 	"ntpddos/internal/detect"
 	"ntpddos/internal/metrics"
+	"ntpddos/internal/profiling"
 )
 
 func main() {
@@ -47,8 +49,13 @@ func main() {
 		timeattack  = flag.Float64("timeattack", 0, "time-integrity attack share in [0,1] (requires -timesync)")
 	)
 	showVersion := buildinfo.Flag()
+	prof := profiling.Flags()
 	flag.Parse()
 	buildinfo.Handle("ntpsim", *showVersion)
+	if *scale < 1 {
+		fmt.Fprintf(os.Stderr, "ntpsim: bad -scale %d: population divisor must be at least 1\n", *scale)
+		os.Exit(2)
+	}
 
 	cfg := ntpddos.DefaultConfig()
 	if *quick {
@@ -88,6 +95,12 @@ func main() {
 		dcfg := detect.DefaultConfig()
 		cfg.Detector = &dcfg
 	}
+	stopProfiles, err := prof.Start()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "ntpsim: profiling: %v\n", err)
+		os.Exit(2)
+	}
+	defer stopProfiles()
 
 	if *metricsAddr != "" {
 		reg := metrics.NewRegistry()

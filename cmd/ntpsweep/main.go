@@ -19,6 +19,7 @@
 //	ntpsweep -seeds 1-4 -end 2014-02-01         # truncated window (fast)
 //	ntpsweep -seeds 1-4 -out manifest.json      # manifest to a file
 //	ntpsweep -seeds 1-4 -csv                    # per-job CSV on stdout
+//	ntpsweep -seeds 1-4 -cpuprofile cpu.pprof   # then: go tool pprof -top cpu.pprof
 //
 // The group-summary table and per-job timing go to stderr; the manifest
 // (canonical JSON, or CSV with -csv) goes to stdout or -out. SIGINT or
@@ -42,6 +43,7 @@ import (
 	"ntpddos"
 	"ntpddos/internal/buildinfo"
 	"ntpddos/internal/metrics"
+	"ntpddos/internal/profiling"
 	"ntpddos/internal/sweep"
 )
 
@@ -75,9 +77,13 @@ func main() {
 		quiet       = flag.Bool("q", false, "suppress per-job progress lines")
 		metricsAddr = flag.String("metrics-addr", "", "serve Prometheus /metrics and /healthz on this address during the sweep (e.g. :9091)")
 		showVersion = buildinfo.Flag()
+		prof        = profiling.Flags()
 	)
 	flag.Parse()
 	buildinfo.Handle("ntpsweep", *showVersion)
+	if *scale < 1 {
+		fatalf("bad -scale %d: population divisor must be at least 1", *scale)
+	}
 
 	spec, err := buildSpec(specFlags{
 		name: *name, seeds: *seedSpec, scales: *scaleSpec, end: *endSpec,
@@ -97,6 +103,10 @@ func main() {
 		fatalf("%v", err)
 	}
 	jobs := grid.Jobs()
+	stopProfiles, err := prof.Start()
+	if err != nil {
+		fatalf("profiling: %v", err)
+	}
 
 	opt := sweep.Options{Workers: *workers}
 	if !*quiet {
@@ -124,6 +134,7 @@ func main() {
 	fmt.Fprintf(os.Stderr, "ntpsweep: %d jobs (%s)\n", len(jobs), gridShape(grid))
 	start := time.Now()
 	manifest, err := ntpddos.SweepContext(ctx, jobs, opt)
+	stopProfiles()
 	canceled := errors.Is(err, ntpddos.ErrSweepCanceled)
 	if err != nil && !canceled {
 		fatalf("%v", err)

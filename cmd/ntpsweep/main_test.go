@@ -1,10 +1,21 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 
+	"ntpddos/internal/clitest"
 	"ntpddos/internal/scenario"
 )
+
+func TestMain(m *testing.M) { clitest.Main(m, main) }
+
+func TestRejectsBadScale(t *testing.T) {
+	for _, scale := range []string{"0", "-3"} {
+		clitest.ExpectUsageError(t, "-scale", "-q", "-scale", scale)
+	}
+}
 
 func TestParseInts(t *testing.T) {
 	got, err := parseInts("2000, 4000")
@@ -99,6 +110,21 @@ func TestBuildSpecMatchesFlags(t *testing.T) {
 		}
 		if _, err := spec.Grid(base); err == nil {
 			t.Fatalf("spec from %+v accepted at compile, want error", bad)
+		}
+	}
+}
+
+func TestProfileFlagsWriteProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	code, out := clitest.Run(t, "-q", "-seeds", "1", "-scale", "4000", "-end", "2014-01-17",
+		"-out", filepath.Join(dir, "manifest.json"), "-cpuprofile", cpu, "-memprofile", mem)
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, out)
+	}
+	for _, path := range []string{cpu, mem} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("%s: %v, want a non-empty profile", path, err)
 		}
 	}
 }

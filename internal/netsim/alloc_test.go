@@ -10,7 +10,7 @@ import (
 )
 
 // TestFabricDeliveryAllocBudget is the regression wall for the pooled packet
-// plane: once the datagram, event, and batch-item pools are warm, pushing a
+// plane: once the train, event, and batch-item pools are warm, pushing a
 // packet through send→schedule→coalesce→deliver→release must cost at most
 // one allocation per delivered datagram (the budget absorbs amortized map
 // and pool-slice growth; the steady state is zero).
@@ -43,6 +43,45 @@ func TestFabricDeliveryAllocBudget(t *testing.T) {
 	}
 	if delivered <= warm {
 		t.Fatal("measurement loop delivered nothing")
+	}
+
+	// A 100-payload train (a full monlist reply) costs at most one
+	// allocation per warm train, observed and delivered payload by payload,
+	// whether the destination is dark or answers.
+	for _, registered := range []bool{false, true} {
+		name := "train-dark"
+		if registered {
+			name = "train-registered"
+		}
+		t.Run(name, func(t *testing.T) {
+			var clock vtime.Clock
+			sched := vtime.NewScheduler(&clock)
+			nw := New(sched, nil)
+			observed, handled := 0, 0
+			nw.AddTap(tapFunc(func(_ *packet.Datagram, _ time.Time) { observed++ }))
+			if registered {
+				nw.Register(dst, HostFunc(func(_ *Network, _ *packet.Datagram, _ time.Time) { handled++ }))
+			}
+			hdr := packet.NewDatagram(src, 123, dst, 80, nil)
+			payloads := make([][]byte, 100)
+			for i := range payloads {
+				payloads[i] = make([]byte, 440)
+			}
+			run := func() {
+				nw.SendTrain(src, hdr, payloads)
+				sched.Drain()
+			}
+			run()
+			if avg := testing.AllocsPerRun(50, run); avg > 1 {
+				t.Errorf("a 100-payload train costs %.2f allocs, budget is 1", avg)
+			}
+			if observed%100 != 0 || observed == 0 || (registered && handled != observed) {
+				t.Fatalf("observed %d, handled %d payloads: want whole trains, each payload handled once", observed, handled)
+			}
+			if nw.tapView.Payload != nil || nw.deliverView.Payload != nil {
+				t.Fatal("a tap or delivery view retains a train's payload buffer")
+			}
+		})
 	}
 }
 

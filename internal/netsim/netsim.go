@@ -9,6 +9,13 @@
 // telemetry aggregator are all taps), and packets destined to unregistered
 // addresses simply vanish after the taps have seen them — which is exactly
 // what a darknet is.
+//
+// The fabric's unit of work is a train: one header and N payloads, the shape
+// of a fragmented reply such as a 100-packet monlist table. A train resolves
+// its path (spoof policy, hops, latency, link faults) once and occupies one
+// scheduler item, yet stays exactly the sequence of one-payload sends it
+// replaces: each payload is counted, observed by every tap, and handed to
+// the destination host on its own, in send order.
 package netsim
 
 import (
@@ -63,12 +70,13 @@ type Stats struct {
 // Network is the fabric. It is single-threaded and driven entirely by the
 // scheduler, keeping the simulation deterministic.
 //
-// Datagram ownership: SendFrom copies the caller's datagram (header fields
-// and payload bytes) into a pooled in-flight copy, so senders may reuse
-// their datagram and payload buffers the moment SendFrom returns. The
-// in-flight copy is released back to the pool right after delivery: hosts
-// and taps must not retain the *Datagram or its payload past
-// HandlePacket/Observe — copy what must outlive the call.
+// Datagram ownership: SendTrain (and SendFrom, a one-payload train) copies
+// the caller's header and payload bytes into a pooled train, so senders may
+// reuse their datagram and payload buffers the moment the call returns.
+// Taps and hosts are shown a fabric-owned datagram that is re-pointed at the
+// next payload once Observe/HandlePacket returns, and the train is recycled
+// once delivered: hosts and taps must not retain the *Datagram or its
+// payload past the call — copy what must outlive it.
 type Network struct {
 	sched  *vtime.Scheduler
 	policy SpoofPolicy
@@ -81,9 +89,17 @@ type Network struct {
 	m        *Metrics
 	impair   *impairState // nil unless SetImpairment armed a nonzero config
 
-	// dgPool is the free list of in-flight datagram copies. Single-threaded
-	// like everything else on the fabric, so a plain slice beats sync.Pool.
-	dgPool []*packet.Datagram
+	// trains holds idle in-flight trains by buffer size class (train.go).
+	// Single-threaded like everything else on the fabric, so plain slices
+	// beat sync.Pool.
+	trains [trainClasses][]*train
+
+	// tapView and deliverView are the datagrams taps and hosts are shown:
+	// each is re-pointed at one payload of a train per call and cleared
+	// afterwards, so neither pins a train's buffer. They are distinct
+	// because a host's HandlePacket may send, which observes.
+	tapView     packet.Datagram
+	deliverView packet.Datagram
 
 	// sendScratch backs the SendUDP/SendSpoofed convenience wrappers: since
 	// SendFrom copies the datagram before returning, one reusable struct
@@ -233,147 +249,177 @@ func PathLatency(src, dst netaddr.Addr) time.Duration {
 }
 
 // SendFrom injects a datagram into the fabric from a host whose true
-// address is origin. If the datagram's IP source differs from origin, the
-// spoof policy decides whether the packet leaves the source network at all.
-// It returns false when the packet was dropped at the source.
+// address is origin: a one-payload train (see SendTrain).
 func (n *Network) SendFrom(origin netaddr.Addr, dg *packet.Datagram) bool {
-	rep := dg.Rep
+	return n.SendTrain(origin, dg, [][]byte{dg.Payload})
+}
+
+// SendTrain injects a train from a host whose true address is origin: one
+// datagram per payload, all sharing hdr's addressing, TTL and Rep (hdr's own
+// Payload is ignored). A train is exactly the sequence of one-payload sends
+// it replaces — every payload is counted, observed and delivered on its own,
+// in order — but the path is resolved once, the payloads are copied into one
+// pooled buffer, and the train occupies one scheduler item.
+//
+// If the IP source differs from origin, the spoof policy decides whether the
+// train leaves the source network at all. SendTrain returns false when the
+// train was dropped at the source or expired in transit (or has no
+// payloads); faults injected in transit still return true.
+func (n *Network) SendTrain(origin netaddr.Addr, hdr *packet.Datagram, payloads [][]byte) bool {
+	k := int64(len(payloads))
+	if k == 0 {
+		return false
+	}
+	rep := hdr.Rep
 	if rep <= 0 {
 		rep = 1
 	}
-	if dg.IP.Src != origin && !n.policy(origin, dg.IP.Src) {
-		n.stats.DroppedSpoof += rep
+	if hdr.IP.Src != origin && !n.policy(origin, hdr.IP.Src) {
+		n.stats.DroppedSpoof += rep * k
 		if n.m != nil {
-			n.m.DroppedSpoof.Add(rep)
-			n.m.dropSpoof.Add(rep)
+			n.m.DroppedSpoof.Add(rep * k)
+			n.m.dropSpoof.Add(rep * k)
 		}
 		return false
 	}
-	n.stats.Sent += rep
-	n.stats.BytesOnWire += int64(dg.OnWire()) * rep
+	size, wire := 0, int64(0)
+	for _, p := range payloads {
+		size += len(p)
+		wire += int64(packet.OnWireBytesForUDPPayload(len(p)))
+	}
+	n.stats.Sent += rep * k
+	n.stats.BytesOnWire += wire * rep
 	if n.m != nil {
-		n.m.Sent.Add(rep)
-		n.m.Bytes.Add(int64(dg.OnWire()) * rep)
+		n.m.Sent.Add(rep * k)
+		n.m.Bytes.Add(wire * rep)
 	}
 
 	// The path is computed from the true origin: TTL decay reveals the
 	// sender's distance regardless of the claimed source — the very signal
 	// the §7.2 TTL analysis exploits.
-	hops := PathHops(origin, dg.IP.Dst)
-	if int(dg.IP.TTL) <= hops {
+	dst := hdr.IP.Dst
+	hops := PathHops(origin, dst)
+	if int(hdr.IP.TTL) <= hops {
 		if n.m != nil {
-			n.m.Expired.Add(rep)
-			n.m.dropTTL.Add(rep)
+			n.m.Expired.Add(rep * k)
+			n.m.dropTTL.Add(rep * k)
 		}
 		return false // expired in transit
 	}
+	now := n.Now()
+	arrive := now.Add(PathLatency(origin, dst))
+	if n.impair != nil {
+		n.sendImpaired(origin, hdr, payloads, hops, rep, size, now, arrive)
+		return true
+	}
+	t := n.newTrain(hdr, hops, rep, size)
+	for _, p := range payloads {
+		t.add(p)
+	}
+	n.observe(t, 0, now)
+	n.sched.AtBatch(arrive, n, t)
+	return true
+}
 
-	dst := dg.IP.Dst
-	latency := PathLatency(origin, dst)
-	var dups int64
-	if st := n.impair; st != nil {
-		// Flap windows swallow the batch whole: the sender saw it leave, so
-		// this (and every in-transit fault below) still returns true.
-		if st.linkDown(origin, dst, n.Now()) {
-			n.stats.DroppedFlap += rep
-			if n.m != nil {
-				n.m.dropFlap.Add(rep)
-			}
-			return true
+// sendImpaired is SendTrain's transit stage under fault injection. The flap
+// window and per-link loss rate are properties of the path, decided once;
+// the loss, duplication and reorder draws stay per payload, in the order a
+// sequence of one-payload sends would make them, so the fault stream is the
+// same however the payloads were grouped. Survivors on the base path ride
+// one train; a reordered payload and every duplicate travel alone.
+func (n *Network) sendImpaired(origin netaddr.Addr, hdr *packet.Datagram, payloads [][]byte, hops int, rep int64, size int, now, arrive time.Time) {
+	st := n.impair
+	dst := hdr.IP.Dst
+	// Flap windows swallow the train whole: the sender saw it leave.
+	if st.linkDown(origin, dst, now) {
+		lost := rep * int64(len(payloads))
+		n.stats.DroppedFlap += lost
+		if n.m != nil {
+			n.m.dropFlap.Add(lost)
 		}
-		if lost := st.src.Binomial(rep, st.linkLoss(origin, dst)); lost > 0 {
+		return
+	}
+	loss := st.linkLoss(origin, dst)
+	var base *train
+	for _, p := range payloads {
+		r := rep
+		if lost := st.src.Binomial(r, loss); lost > 0 {
 			n.stats.DroppedLoss += lost
 			if n.m != nil {
 				n.m.dropLoss.Add(lost)
 			}
-			rep -= lost
-			if rep == 0 {
-				return true
+			r -= lost
+			if r == 0 {
+				continue
 			}
 		}
-		if dups = st.src.Binomial(rep, st.cfg.Dup); dups > 0 {
+		dups := st.src.Binomial(r, st.cfg.Dup)
+		if dups > 0 {
 			n.stats.Duplicated += dups
 			if n.m != nil {
 				n.m.Duplicated.Add(dups)
 			}
 		}
+		at := arrive
 		if st.cfg.Reorder > 0 && st.src.Bool(st.cfg.Reorder) {
-			latency += time.Duration(st.src.Int64N(int64(st.cfg.ReorderDelay))) + time.Millisecond
-			n.stats.Reordered += rep
+			at = at.Add(time.Duration(st.src.Int64N(int64(st.cfg.ReorderDelay))) + time.Millisecond)
+			n.stats.Reordered += r
 			if n.m != nil {
-				n.m.Reordered.Add(rep)
+				n.m.Reordered.Add(r)
 			}
+			t := n.newTrain(hdr, hops, r, len(p))
+			t.add(p)
+			n.observe(t, 0, now)
+			n.sched.AtBatch(at, n, t)
+		} else {
+			if base == nil {
+				base = n.newTrain(hdr, hops, rep, size)
+				n.sched.AtBatch(arrive, n, base)
+			}
+			base.addRep(p, r)
+			n.observe(base, len(base.ends)-1, now)
+		}
+		if dups > 0 {
+			// Duplicates are real wire packets: taps see them right after
+			// the original, and they arrive on their own (slower) schedule.
+			d := n.newTrain(hdr, hops, dups, len(p))
+			d.add(p)
+			n.observe(d, 0, now)
+			extra := time.Duration(st.src.Int64N(int64(100*time.Millisecond))) + time.Millisecond
+			n.sched.AtBatch(at.Add(extra), n, d)
 		}
 	}
+}
 
-	delivered := n.getDatagram(dg)
-	delivered.IP.TTL -= uint8(hops)
-	delivered.Rep = rep
-
-	for _, t := range n.taps {
-		t.Observe(delivered, n.Now())
+// observe shows payloads from..end of an in-flight train to every tap, one
+// payload at a time. Taps must not mutate the datagram, so the header is
+// set once for the whole run.
+func (n *Network) observe(t *train, from int, now time.Time) {
+	if len(n.taps) == 0 {
+		return
 	}
+	v := &n.tapView
+	*v = t.hdr
+	for i := from; i < len(t.ends); i++ {
+		v.Payload = t.payload(i)
+		v.Rep = t.rep(i)
+		for _, tap := range n.taps {
+			tap.Observe(v, now)
+		}
+	}
+	v.Payload = nil
 	if n.m != nil {
-		n.m.TapFanout.Add(int64(len(n.taps)))
+		n.m.TapFanout.Add(int64(len(n.taps) * (len(t.ends) - from)))
 	}
-	n.deliverAfter(delivered, latency)
-
-	if dups > 0 {
-		// Duplicates are real wire packets: taps see them, and they arrive
-		// on their own (slower) schedule. The copy gets its own pooled
-		// buffer — both copies are in flight (and released) independently.
-		dup := n.getDatagram(delivered)
-		dup.Rep = dups
-		for _, t := range n.taps {
-			t.Observe(dup, n.Now())
-		}
-		if n.m != nil {
-			n.m.TapFanout.Add(int64(len(n.taps)))
-		}
-		extra := time.Duration(n.impair.src.Int64N(int64(100*time.Millisecond))) + time.Millisecond
-		n.deliverAfter(dup, latency+extra)
-	}
-	return true
-}
-
-// getDatagram takes an in-flight copy off the free list (or allocates one)
-// and fills it from src: header fields by value, payload by byte copy into
-// the pooled buffer.
-func (n *Network) getDatagram(src *packet.Datagram) *packet.Datagram {
-	var cp *packet.Datagram
-	if k := len(n.dgPool); k > 0 {
-		cp = n.dgPool[k-1]
-		n.dgPool = n.dgPool[:k-1]
-	} else {
-		cp = &packet.Datagram{}
-	}
-	cp.IP = src.IP
-	cp.UDP = src.UDP
-	cp.Payload = append(cp.Payload[:0], src.Payload...)
-	cp.Rep = src.Rep
-	return cp
-}
-
-// releaseDatagram returns an in-flight copy to the free list, keeping its
-// payload buffer for reuse.
-func (n *Network) releaseDatagram(cp *packet.Datagram) {
-	cp.Payload = cp.Payload[:0]
-	n.dgPool = append(n.dgPool, cp)
-}
-
-// deliverAfter schedules an in-flight copy's arrival. Same-instant arrivals
-// coalesce into one scheduler event (the network is the batch sink), which
-// the scheduler guarantees is order-identical to one event per packet.
-func (n *Network) deliverAfter(cp *packet.Datagram, after time.Duration) {
-	n.sched.AtBatch(n.Now().Add(after), n, cp)
 }
 
 // RunBatch implements vtime.BatchSink: it delivers a batch of same-instant
-// in-flight datagrams — handed to the registered host, or counted dark when
-// nothing answers — releasing each copy back to the pool afterwards.
+// trains. A train to an unregistered address is counted dark in one step; a
+// registered host gets one HandlePacket per payload, in send order. Each
+// train returns to the pool once delivered.
 func (n *Network) RunBatch(now time.Time, items []any) {
 	// Same-instant batches are dominated by runs to one destination (trigger
-	// bursts, monlist fragments); memoize the last host lookup, invalidated
+	// bursts, reflected replies); memoize the last host lookup, invalidated
 	// whenever a handler re-binds an address mid-batch.
 	var (
 		haveLast bool
@@ -382,31 +428,39 @@ func (n *Network) RunBatch(now time.Time, items []any) {
 		lastOK   bool
 	)
 	gen := n.hostsGen
+	v := &n.deliverView
 	for _, item := range items {
-		cp := item.(*packet.Datagram)
-		count := cp.Rep
-		h, ok := lastHost, lastOK
-		if !haveLast || cp.IP.Dst != lastDst {
-			h, ok = n.hosts[cp.IP.Dst]
-			haveLast, lastDst, lastHost, lastOK = true, cp.IP.Dst, h, ok
+		t := item.(*train)
+		dst := t.hdr.IP.Dst
+		if !haveLast || dst != lastDst {
+			lastHost, lastOK = n.hosts[dst]
+			haveLast, lastDst = true, dst
 		}
-		if ok {
-			n.stats.Delivered += count
-			if n.m != nil {
-				n.m.Delivered.Add(count)
+		for i := range t.ends {
+			if !lastOK {
+				dark := t.repSum(i)
+				n.stats.Dark += dark
+				if n.m != nil {
+					n.m.Dark.Add(dark)
+				}
+				break
 			}
-			h.HandlePacket(n, cp, now)
+			*v = t.hdr
+			v.Payload = t.payload(i)
+			v.Rep = t.rep(i)
+			n.stats.Delivered += v.Rep
+			if n.m != nil {
+				n.m.Delivered.Add(v.Rep)
+			}
+			lastHost.HandlePacket(n, v, now)
 			if n.hostsGen != gen {
-				haveLast, gen = false, n.hostsGen
-			}
-		} else {
-			n.stats.Dark += count
-			if n.m != nil {
-				n.m.Dark.Add(count)
+				gen = n.hostsGen
+				lastHost, lastOK = n.hosts[dst]
 			}
 		}
-		n.releaseDatagram(cp)
+		n.freeTrain(t)
 	}
+	v.Payload = nil
 }
 
 // SendUDP is a convenience wrapper building and sending a datagram whose IP

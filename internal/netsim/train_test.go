@@ -1,0 +1,269 @@
+package netsim
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+	"time"
+
+	"ntpddos/internal/metrics"
+	"ntpddos/internal/netaddr"
+	"ntpddos/internal/packet"
+	"ntpddos/internal/rng"
+	"ntpddos/internal/vtime"
+)
+
+// trainCase is one fabric configuration the differential test replays.
+type trainCase struct {
+	name     string
+	deny     bool // BCP38 everywhere: spoofed trains never leave the source
+	spoof    bool // claim a victim's address instead of the origin's
+	ttl      uint8
+	register bool // bind a recording host at the destination
+	rebind   bool // the host re-binds, then unbinds, the destination mid-train
+	impair   Impairment
+}
+
+// trainFabric is one side of the differential test: a fabric, its metrics
+// registry and fault stream, and one log of every tap and host event.
+type trainFabric struct {
+	sched  *vtime.Scheduler
+	net    *Network
+	reg    *metrics.Registry
+	faults *rng.Source
+	log    []string
+	sends  []bool
+}
+
+var (
+	trainOrigin = netaddr.MustParseAddr("198.51.100.7")
+	trainVictim = netaddr.MustParseAddr("203.0.113.9")
+	trainDst    = netaddr.MustParseAddr("192.0.2.33")
+)
+
+func newTrainFabric(tc trainCase) *trainFabric {
+	var clock vtime.Clock
+	f := &trainFabric{sched: vtime.NewScheduler(&clock), reg: metrics.NewRegistry()}
+	var policy SpoofPolicy
+	if tc.deny {
+		policy = func(_, _ netaddr.Addr) bool { return false }
+	}
+	f.net = New(f.sched, policy)
+	f.net.SetMetrics(NewMetrics(f.reg))
+	f.faults = rng.New(42).Fork("faults")
+	f.net.SetImpairment(tc.impair, f.faults)
+	f.net.AddTap(tapFunc(func(dg *packet.Datagram, now time.Time) { f.record("tap", dg, now) }))
+	if !tc.register {
+		return f
+	}
+	if !tc.rebind {
+		f.net.Register(trainDst, HostFunc(func(_ *Network, dg *packet.Datagram, now time.Time) {
+			f.record("host", dg, now)
+		}))
+		return f
+	}
+	// The first host re-binds the address on its second packet; the second
+	// host unbinds it on its second, so the rest of the train goes dark.
+	calls := 0
+	second := HostFunc(func(nw *Network, dg *packet.Datagram, now time.Time) {
+		f.record("host2", dg, now)
+		if calls++; calls == 4 {
+			nw.Unregister(trainDst)
+		}
+	})
+	f.net.Register(trainDst, HostFunc(func(nw *Network, dg *packet.Datagram, now time.Time) {
+		f.record("host1", dg, now)
+		if calls++; calls == 2 {
+			nw.Register(trainDst, second)
+		}
+	}))
+	return f
+}
+
+func (f *trainFabric) record(who string, dg *packet.Datagram, now time.Time) {
+	f.log = append(f.log, fmt.Sprintf("%s %+v %+v rep=%d %x @%d",
+		who, dg.IP, dg.UDP, dg.Rep, dg.Payload, now.Sub(vtime.Epoch)))
+}
+
+// trainPlan is the traffic both fabrics carry: trains of 1 to 9 payloads of
+// varied sizes at spread-out instants, alternating Rep 1 and Rep 40 so the
+// Rep-weighted fault draws take both paths.
+func trainPlan(tc trainCase, send func(hdr *packet.Datagram, payloads [][]byte)) func(*trainFabric) {
+	return func(f *trainFabric) {
+		for i := 0; i < 12; i++ {
+			i := i
+			at := vtime.Epoch.Add(time.Duration(i)*7*time.Second + time.Duration(i%3)*time.Millisecond)
+			f.sched.At(at, func(time.Time) {
+				hdr := &packet.Datagram{
+					IP:  packet.IPv4{TTL: tc.ttl, Protocol: packet.ProtocolUDP, Src: trainOrigin, Dst: trainDst},
+					UDP: packet.UDP{SrcPort: 123, DstPort: 80},
+					Rep: int64(1 + 39*(i%2)),
+				}
+				if tc.spoof {
+					hdr.IP.Src = trainVictim
+				}
+				payloads := make([][]byte, 1+i%9)
+				for j := range payloads {
+					payloads[j] = []byte(strings.Repeat(string(rune('a'+j)), 8+13*j+i))
+				}
+				send(hdr, payloads)
+				// Copy-on-send: the sender may scribble on its buffers at once.
+				for _, p := range payloads {
+					for k := range p {
+						p[k] = 'X'
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestTrainMatchesOnePayloadSends is the differential wall for the train
+// path: a k-payload SendTrain and k one-payload sends of the same datagrams,
+// into two fabrics fed the same fault stream, must be indistinguishable —
+// the same tap and host event sequence, the same Stats and metric counters,
+// the same send results and the same fault-stream state afterwards.
+func TestTrainMatchesOnePayloadSends(t *testing.T) {
+	allFaults := Impairment{Loss: 0.3, Dup: 0.4, Reorder: 0.5, ReorderDelay: 50 * time.Millisecond,
+		FlapRate: 0.3, FlapPeriod: 10 * time.Second}
+	cases := []trainCase{
+		{name: "dark", ttl: TTLLinux},
+		{name: "registered", ttl: TTLLinux, register: true},
+		{name: "spoof-blocked", ttl: TTLWindows, deny: true, spoof: true, register: true},
+		{name: "spoof-allowed", ttl: TTLWindows, spoof: true, register: true},
+		{name: "ttl-expired", ttl: 3, register: true},
+		{name: "rebind-mid-train", ttl: TTLLinux, register: true, rebind: true},
+		{name: "impaired-dark", ttl: TTLLinux, impair: allFaults},
+		{name: "impaired-registered", ttl: TTLLinux, register: true, impair: allFaults},
+		{name: "impaired-rebind", ttl: TTLLinux, register: true, rebind: true, impair: allFaults},
+		{name: "loss-only", ttl: TTLLinux, register: true, impair: Impairment{Loss: 0.5}},
+		{name: "dup-only", ttl: TTLLinux, register: true, impair: Impairment{Dup: 0.5}},
+		{name: "reorder-only", ttl: TTLLinux, register: true, impair: Impairment{Reorder: 0.5}},
+		{name: "flap-only", ttl: TTLLinux, register: true, impair: Impairment{FlapRate: 0.5, FlapPeriod: 10 * time.Second}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			trains, singles := newTrainFabric(tc), newTrainFabric(tc)
+			trainPlan(tc, func(hdr *packet.Datagram, payloads [][]byte) {
+				trains.sends = append(trains.sends, trains.net.SendTrain(trainOrigin, hdr, payloads))
+			})(trains)
+			trainPlan(tc, func(hdr *packet.Datagram, payloads [][]byte) {
+				for i, p := range payloads {
+					dg := *hdr
+					dg.Payload = p
+					ok := singles.net.SendFrom(trainOrigin, &dg)
+					if i == 0 {
+						singles.sends = append(singles.sends, ok)
+					} else if ok != singles.sends[len(singles.sends)-1] {
+						t.Fatalf("one-payload sends of one train disagree on the result")
+					}
+				}
+			})(singles)
+			trains.sched.Drain()
+			singles.sched.Drain()
+
+			st := trains.net.Stats()
+			if st == (Stats{}) {
+				t.Fatal("no fabric activity: the case exercises nothing")
+			}
+			if tc.impair == allFaults && (st.DroppedLoss == 0 || st.Duplicated == 0 || st.Reordered == 0 || st.DroppedFlap == 0) {
+				t.Fatalf("not every fault fired: %+v", st)
+			}
+			if tc.rebind && (st.Dark == 0 || !strings.Contains(strings.Join(trains.log, "\n"), "host2")) {
+				t.Fatalf("re-bind case never reached the second host and then dark space: %+v", st)
+			}
+			if d := firstDiff(trains.log, singles.log); d != "" {
+				t.Errorf("event sequences differ: %s", d)
+			}
+			if fmt.Sprint(trains.sends) != fmt.Sprint(singles.sends) {
+				t.Errorf("send results: trains %v, singles %v", trains.sends, singles.sends)
+			}
+			if a, b := trains.net.Stats(), singles.net.Stats(); a != b {
+				t.Errorf("stats: trains %+v, singles %+v", a, b)
+			}
+			if a, b := exposition(t, trains.reg), exposition(t, singles.reg); a != b {
+				t.Errorf("metrics differ:\ntrains:\n%s\nsingles:\n%s", a, b)
+			}
+			if a, b := trains.faults.Uint64(), singles.faults.Uint64(); a != b {
+				t.Errorf("fault stream diverged: next draw %d vs %d", a, b)
+			}
+		})
+	}
+}
+
+func firstDiff(a, b []string) string {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if a[i] != b[i] {
+			return fmt.Sprintf("event %d:\n  trains  %s\n  singles %s", i, a[i], b[i])
+		}
+	}
+	if len(a) != len(b) {
+		return fmt.Sprintf("trains logged %d events, singles %d", len(a), len(b))
+	}
+	return ""
+}
+
+func exposition(t *testing.T, reg *metrics.Registry) string {
+	t.Helper()
+	var b strings.Builder
+	if err := reg.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+// TestTrainHandlerAppendDoesNotClobberNextPayload guards the capped payload
+// views: a host that appends to the payload it was handed must reallocate,
+// not overwrite the next payload of the same train in the shared buffer.
+func TestTrainHandlerAppendDoesNotClobberNextPayload(t *testing.T) {
+	net, sched := newNet(nil)
+	var got []string
+	net.Register(trainDst, HostFunc(func(_ *Network, dg *packet.Datagram, _ time.Time) {
+		got = append(got, string(dg.Payload))
+		dg.Payload = append(dg.Payload, "!!!!"...)
+	}))
+	hdr := packet.NewDatagram(trainOrigin, 1, trainDst, 2, nil)
+	net.SendTrain(trainOrigin, hdr, [][]byte{[]byte("one"), []byte("two"), []byte("three")})
+	sched.Drain()
+	if strings.Join(got, ",") != "one,two,three" {
+		t.Fatalf("host saw %q", got)
+	}
+}
+
+// TestEmptyTrainSendsNothing pins the degenerate case: no payloads, no
+// datagrams, no counters, and a false result.
+func TestEmptyTrainSendsNothing(t *testing.T) {
+	net, sched := newNet(nil)
+	if net.SendTrain(trainOrigin, packet.NewDatagram(trainOrigin, 1, trainDst, 2, nil), nil) {
+		t.Fatal("empty train reported as sent")
+	}
+	if sched.Pending() != 0 || net.Stats() != (Stats{}) {
+		t.Fatalf("empty train left pending=%d stats=%+v", sched.Pending(), net.Stats())
+	}
+}
+
+// TestTrainRebindReachesNewHostMidTrain pins delivery against re-binds made
+// by the handler itself: the payload after a Register goes to the new host,
+// and the payloads after an Unregister are counted dark.
+func TestTrainRebindReachesNewHostMidTrain(t *testing.T) {
+	net, sched := newNet(nil)
+	var got []string
+	second := HostFunc(func(nw *Network, dg *packet.Datagram, _ time.Time) {
+		got = append(got, "second:"+string(dg.Payload))
+		nw.Unregister(trainDst)
+	})
+	net.Register(trainDst, HostFunc(func(nw *Network, dg *packet.Datagram, _ time.Time) {
+		got = append(got, "first:"+string(dg.Payload))
+		nw.Register(trainDst, second)
+	}))
+	hdr := packet.NewDatagram(trainOrigin, 1, trainDst, 2, nil)
+	hdr.Rep = 3
+	net.SendTrain(trainOrigin, hdr, [][]byte{[]byte("a"), []byte("b"), []byte("c"), []byte("d")})
+	sched.Drain()
+	if strings.Join(got, ",") != "first:a,second:b" {
+		t.Fatalf("hosts saw %q, want first:a then second:b", got)
+	}
+	if s := net.Stats(); s.Delivered != 6 || s.Dark != 6 {
+		t.Fatalf("delivered %d dark %d, want 6 and 6 (Rep 3)", s.Delivered, s.Dark)
+	}
+}

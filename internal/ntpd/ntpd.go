@@ -161,9 +161,9 @@ type Server struct {
 	cacheAt    time.Time
 	cacheFrags [][]byte
 
-	// Scratch state for the zero-alloc reply path. SendFrom copies the
-	// datagram and payload into the fabric's pool before returning, so one
-	// reusable datagram and one payload buffer serve every reply, and the
+	// Scratch state for the zero-alloc reply path. SendTrain copies the
+	// header and payloads into the fabric's pool before returning, so one
+	// reusable header and one payload buffer serve every reply, and the
 	// readvar response fragments are encoded once (the sequence field is
 	// patched in place per query — it is the only per-query wire state).
 	out      packet.Datagram
@@ -444,8 +444,9 @@ func (s *Server) Respond(payload []byte, src netaddr.Addr, srcPort uint16, now t
 	}
 }
 
-// monlistCounter and mode6Counter are nil-safe accessors so the Respond path
-// can thread a per-flavour packet counter without guarding every call site.
+// monlistCounter and mode6Counter are nil-safe accessors so the Respond and
+// fabric paths can count per-flavour packets without guarding every call
+// site.
 func (m *Metrics) monlistCounter() *metrics.Counter {
 	if m == nil {
 		return nil
@@ -545,26 +546,30 @@ func (s *Server) handleMode7(nw *netsim.Network, dg *packet.Datagram, now time.T
 			s.startMegaReplay(nw, dg, m.Request)
 		}
 	case ntp.ReqPeerList:
-		for _, frag := range ntp.BuildPeerListResponse(s.peerEntries(), s.cfg.Implementation) {
-			if s.send(nw, dg.IP.Src, dg.UDP.SrcPort, frag, dg.Rep) {
-				s.BytesSent += int64(s.out.OnWire()) * dg.Rep
-				if m := s.cfg.Metrics; m != nil {
-					m.BytesSent.Add(int64(s.out.OnWire()) * dg.Rep)
-				}
-			}
-		}
+		s.send(nw, dg.IP.Src, dg.UDP.SrcPort, ntp.BuildPeerListResponse(s.peerEntries(), s.cfg.Implementation), dg.Rep)
 	}
 }
 
-// send builds a reply in the server's scratch datagram and hands it to the
-// fabric. The scratch is reusable the moment SendFrom returns: the fabric
-// copies both header and payload into its own pooled datagram.
-func (s *Server) send(nw *netsim.Network, dst netaddr.Addr, dstPort uint16, payload []byte, rep int64) bool {
+// send hands a reply's payloads to the fabric as one train, addressed from
+// the server's scratch header, and counts the on-wire bytes of what left.
+// It returns the Rep-weighted number of datagrams sent. Header and payloads
+// are reusable the moment it returns: the fabric copies both.
+func (s *Server) send(nw *netsim.Network, dst netaddr.Addr, dstPort uint16, payloads [][]byte, rep int64) int64 {
 	s.out.IP = packet.IPv4{TTL: s.cfg.Profile.TTL, Protocol: packet.ProtocolUDP, Src: s.cfg.Addr, Dst: dst}
 	s.out.UDP = packet.UDP{SrcPort: ntp.Port, DstPort: dstPort}
-	s.out.Payload = payload
 	s.out.Rep = rep
-	return nw.SendFrom(s.cfg.Addr, &s.out)
+	if !nw.SendTrain(s.cfg.Addr, &s.out, payloads) {
+		return 0
+	}
+	var wire int64
+	for _, p := range payloads {
+		wire += int64(packet.OnWireBytesForUDPPayload(len(p)))
+	}
+	s.BytesSent += wire * rep
+	if m := s.cfg.Metrics; m != nil {
+		m.BytesSent.Add(wire * rep)
+	}
+	return int64(len(payloads)) * rep
 }
 
 // peerEntries renders the configured upstream associations.
@@ -582,17 +587,9 @@ func (s *Server) peerEntries() []ntp.PeerEntry {
 // datagrams and recycles them after HandlePacket returns, so nothing here
 // may outlive the call holding one.
 func (s *Server) sendMonlist(nw *netsim.Network, victim netaddr.Addr, victimPort uint16, rep int64, reqCode uint8, now time.Time) {
-	fragments := s.monlistFragments(reqCode, rep, now)
-	for _, frag := range fragments {
-		if s.send(nw, victim, victimPort, frag, rep) {
-			s.MonlistSent += rep
-			s.BytesSent += int64(s.out.OnWire()) * rep
-			if m := s.cfg.Metrics; m != nil {
-				m.MonlistSent.Add(rep)
-				m.BytesSent.Add(int64(s.out.OnWire()) * rep)
-			}
-		}
-	}
+	sent := s.send(nw, victim, victimPort, s.monlistFragments(reqCode, rep, now), rep)
+	s.MonlistSent += sent
+	s.cfg.Metrics.monlistCounter().Add(sent)
 }
 
 // monlistFragments returns the encoded response via a staleness-tolerant
@@ -602,7 +599,7 @@ func (s *Server) sendMonlist(nw *netsim.Network, victim netaddr.Addr, victimPort
 // that the probe is "typically but not always" the topmost entry.
 //
 // The returned fragments are valid until the next rebuild (they reuse the
-// cache's buffers); the fabric copies them during SendFrom and the socket
+// cache's buffers); the fabric copies them during SendTrain and the socket
 // path writes them out before processing another packet, so neither caller
 // outlives them.
 func (s *Server) monlistFragments(reqCode uint8, rep int64, now time.Time) [][]byte {
@@ -669,14 +666,8 @@ func (s *Server) handleMode6(nw *netsim.Network, dg *packet.Datagram, now time.T
 	}
 	for _, frag := range s.varFrags {
 		binary.BigEndian.PutUint16(frag[2:], m.Sequence)
-		if s.send(nw, dg.IP.Src, dg.UDP.SrcPort, frag, dg.Rep) {
-			s.BytesSent += int64(s.out.OnWire()) * dg.Rep
-			if mm := s.cfg.Metrics; mm != nil {
-				mm.Mode6Sent.Add(dg.Rep)
-				mm.BytesSent.Add(int64(s.out.OnWire()) * dg.Rep)
-			}
-		}
 	}
+	s.cfg.Metrics.mode6Counter().Add(s.send(nw, dg.IP.Src, dg.UDP.SrcPort, s.varFrags, dg.Rep))
 }
 
 func (s *Server) refID() string {
@@ -688,10 +679,5 @@ func (s *Server) refID() string {
 
 // reply sends a unicast response back to the querying datagram's source.
 func (s *Server) reply(nw *netsim.Network, dg *packet.Datagram, payload []byte) {
-	if s.send(nw, dg.IP.Src, dg.UDP.SrcPort, payload, dg.Rep) {
-		s.BytesSent += int64(s.out.OnWire()) * dg.Rep
-		if m := s.cfg.Metrics; m != nil {
-			m.BytesSent.Add(int64(s.out.OnWire()) * dg.Rep)
-		}
-	}
+	s.send(nw, dg.IP.Src, dg.UDP.SrcPort, [][]byte{payload}, dg.Rep)
 }

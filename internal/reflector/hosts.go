@@ -89,13 +89,16 @@ func (n *SSDPNode) HandlePacket(nw *netsim.Network, dg *packet.Datagram, now tim
 		rep = 1
 	}
 	n.QueriesSeen += rep
-	for i := 0; i < n.Services; i++ {
-		out := packet.NewDatagram(n.Addr, SSDPPort, dg.IP.Src, dg.UDP.SrcPort,
-			ssdpResponse(n.Addr, i))
-		out.IP.TTL = MustLookup(SSDP).ResponseTTL
-		out.Rep = rep
-		if nw.SendFrom(n.Addr, out) {
-			n.BytesSent += int64(out.OnWire()) * rep
+	responses := make([][]byte, n.Services)
+	for i := range responses {
+		responses[i] = ssdpResponse(n.Addr, i)
+	}
+	out := packet.NewDatagram(n.Addr, SSDPPort, dg.IP.Src, dg.UDP.SrcPort, nil)
+	out.IP.TTL = MustLookup(SSDP).ResponseTTL
+	out.Rep = rep
+	if nw.SendTrain(n.Addr, out, responses) {
+		for _, r := range responses {
+			n.BytesSent += int64(packet.OnWireBytesForUDPPayload(len(r))) * rep
 		}
 	}
 }

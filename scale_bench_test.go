@@ -26,7 +26,7 @@ import (
 //
 // TestScaleWorldSmoke builds the ladder's 100k-host rung and simulates one
 // quiet month end-to-end: the large-population smoke the CI race job runs,
-// exercising the calendar queue, datagram pool recycling and batched
+// exercising the calendar queue, train pool recycling and batched
 // delivery at the population size the ladder benchmarks — under -race,
 // where a recycled-buffer aliasing bug would surface as a data race or a
 // corrupted digest long before the golden corpus caught it. Skipped in
