@@ -58,6 +58,9 @@ func (s *Simulation) Figure2() *Table {
 func (s *Simulation) Figure3() *Table {
 	t := &Table{ID: "fig3", Title: "NTP monlist amplifiers by aggregation level",
 		Headers: []string{"date", "ips", "/24s", "blocks", "asns", "merit", "frgp"}}
+	if s.noSurvey(t) {
+		return t
+	}
 	for i, a := range s.res.MonlistAnalyses {
 		set := s.res.MonlistPools[i]
 		site := s.res.SiteAmpCounts[i]
@@ -79,6 +82,9 @@ func (s *Simulation) Figure3() *Table {
 func (s *Simulation) Figure4a() *Table {
 	t := &Table{ID: "fig4a", Title: "On-wire bytes returned per single query",
 		Headers: []string{"kind", "date", "median", "p95", "max", "n"}}
+	if s.noSurvey(t) {
+		return t
+	}
 	add := func(kind string, analyses []*core.SampleAnalysis) {
 		boxes := core.BytesBoxplots(analyses)
 		for i, b := range boxes {
@@ -112,6 +118,9 @@ func (s *Simulation) Figure4c() *Table {
 func (s *Simulation) bafTable(id, title string, analyses []*core.SampleAnalysis, note string) *Table {
 	t := &Table{ID: id, Title: title,
 		Headers: []string{"date", "min", "q1", "median", "q3", "max", "n"}}
+	if s.noSurvey(t) {
+		return t
+	}
 	for i, b := range core.BAFBoxplots(analyses) {
 		t.AddRowf(day(analyses[i].Date), b.Min, b.Q1, b.Median, b.Q3, b.Max, b.N)
 	}
@@ -136,6 +145,9 @@ func (s *Simulation) Table1Victims() *Table {
 func (s *Simulation) populationTable(id, title string, rows []core.PopulationRow, note string) *Table {
 	t := &Table{ID: id, Title: title,
 		Headers: []string{"date", "ips", "blocks", "asns", "end_hosts", "end_host_pct", "ips_per_block"}}
+	if s.noSurvey(t) {
+		return t
+	}
 	for _, r := range rows {
 		t.AddRow(day(r.Date), report.Count(r.IPs, s.Scale()), report.Count(r.Blocks, s.Scale()),
 			report.Count(r.ASNs, s.Scale()), report.Count(r.EndHosts, s.Scale()),
@@ -150,6 +162,9 @@ func (s *Simulation) populationTable(id, title string, rows []core.PopulationRow
 func (s *Simulation) Table2() *Table {
 	t := &Table{ID: "table2", Title: "Operating system strings by pool (Table 2)",
 		Headers: []string{"system", "mega_pct", "amplifiers_pct", "all_ntp_pct"}}
+	if s.noSurvey(t) {
+		return t
+	}
 	census := s.res.VersionCensus
 	if census == nil {
 		t.AddNote("no version census available")
@@ -182,6 +197,9 @@ func (s *Simulation) Table2() *Table {
 func (s *Simulation) Table3() *Table {
 	t := &Table{ID: "table3", Title: "Example monlist table entries (Table 3)",
 		Headers: []string{"amplifier", "address", "src_port", "count", "mode", "interarrival", "last_seen", "class"}}
+	if s.noSurvey(t) {
+		return t
+	}
 	last := s.res.MonlistAnalyses[len(s.res.MonlistAnalyses)-1]
 	probeAddr := s.res.World.ONPAddr
 	shown := 0
@@ -220,6 +238,9 @@ func (s *Simulation) Table3() *Table {
 func (s *Simulation) Figure5() *Table {
 	t := &Table{ID: "fig5", Title: "CDF of victim packets by AS rank (Figure 5)",
 		Headers: []string{"rank", "amplifier_AS_share", "victim_AS_share"}}
+	if s.noSurvey(t) {
+		return t
+	}
 	ampCDF, vicCDF, nAmp, nVic := core.ASConcentration(s.res.MonlistAnalyses, s.res.Registries)
 	for _, k := range []int{1, 3, 10, 30, 100, 300} {
 		t.AddRowf(k, ampCDF.ShareOfTop(k), vicCDF.ShareOfTop(k))
@@ -245,6 +266,9 @@ func (s *Simulation) Figure5() *Table {
 func (s *Simulation) Table4() *Table {
 	t := &Table{ID: "table4", Title: "Top 20 ports seen in victims at amplifiers (Table 4)",
 		Headers: []string{"rank", "port", "fraction", "game", "paper_fraction"}}
+	if s.noSurvey(t) {
+		return t
+	}
 	paper := map[int]float64{80: 0.362, 123: 0.238, 3074: 0.079, 50557: 0.062, 53: 0.025,
 		25565: 0.021, 19: 0.012, 22: 0.011, 5223: 0.007, 27015: 0.006}
 	tally := core.PortTally(s.res.MonlistAnalyses)
@@ -267,6 +291,9 @@ func (s *Simulation) Table4() *Table {
 func (s *Simulation) Figure6() *Table {
 	t := &Table{ID: "fig6", Title: "Total packets victims received (Figure 6)",
 		Headers: []string{"date", "median", "mean", "p95"}}
+	if s.noSurvey(t) {
+		return t
+	}
 	for _, r := range core.VictimPacketStats(s.res.MonlistAnalyses) {
 		t.AddRowf(day(r.Date), r.Median, r.Mean, r.P95)
 	}
@@ -279,6 +306,9 @@ func (s *Simulation) Figure6() *Table {
 func (s *Simulation) Figure7() *Table {
 	t := &Table{ID: "fig7", Title: "Attacks per hour from derived start times (Figure 7)",
 		Headers: []string{"week_of", "attacks_per_hour_avg", "peak_hour"}}
+	if s.noSurvey(t) {
+		return t
+	}
 	ts := core.AttackTimeSeries(s.res.MonlistAnalyses)
 	weekly := stats.NewTimeSeries(vtime.Epoch, 7*24*time.Hour)
 	var all []float64
@@ -336,6 +366,9 @@ func (s *Simulation) Figure9() *Table {
 func (s *Simulation) Figure10() *Table {
 	t := &Table{ID: "fig10", Title: "Pool size relative to peak (Figure 10)",
 		Headers: []string{"week", "monlist_pct", "version_pct", "dns_pct"}}
+	if s.noSurvey(t) {
+		return t
+	}
 	monSizes := make([]int, len(s.res.MonlistPools))
 	for i, p := range s.res.MonlistPools {
 		monSizes[i] = p.Len()
@@ -576,6 +609,9 @@ func (s *Simulation) Table6() *Table {
 func (s *Simulation) ChurnReport() *Table {
 	t := &Table{ID: "churn", Title: "Amplifier churn across samples (§3.1)",
 		Headers: []string{"metric", "value", "paper"}}
+	if s.noSurvey(t) {
+		return t
+	}
 	c := core.Churn(s.res.MonlistAnalyses)
 	t.AddRow("unique amplifier IPs", report.Count(c.TotalUnique, s.Scale()), "2166097")
 	t.AddRow("share seen in first sample", report.Pct(c.FirstSampleShare*100), "~60%")
@@ -587,6 +623,9 @@ func (s *Simulation) ChurnReport() *Table {
 func (s *Simulation) VolumeReport() *Table {
 	t := &Table{ID: "volume", Title: "Aggregate attack volume (§4.3.3)",
 		Headers: []string{"metric", "value", "paper"}}
+	if s.noSurvey(t) {
+		return t
+	}
 	v := core.AggregateVolume(s.res.MonlistAnalyses, 420)
 	scale := float64(s.Scale())
 	t.AddRow("victim packets (re-inflated)", report.SI(float64(v.TotalPackets)*scale), "2.92T")
@@ -600,6 +639,9 @@ func (s *Simulation) VolumeReport() *Table {
 func (s *Simulation) RemediationReport() *Table {
 	t := &Table{ID: "remediation", Title: "Remediation by subgroup (§6.1)",
 		Headers: []string{"subgroup", "reduction_pct", "paper"}}
+	if s.noSurvey(t) {
+		return t
+	}
 	lv := core.RemediationByLevel(s.res.MonlistAnalyses, s.res.Registries)
 	t.AddRow("IP level", report.Pct(lv.IPPct), "92%")
 	t.AddRow("/24 level", report.Pct(lv.Slash24Pct), "72%")
@@ -620,6 +662,9 @@ func (s *Simulation) RemediationReport() *Table {
 func (s *Simulation) DNSOverlapReport() *Table {
 	t := &Table{ID: "dnsoverlap", Title: "Monlist / open-DNS-resolver pool overlap (§6.2)",
 		Headers: []string{"metric", "value", "paper"}}
+	if s.noSurvey(t) {
+		return t
+	}
 	lastPool := s.res.MonlistPools[len(s.res.MonlistPools)-1]
 	curN, curF := core.PoolOverlap(lastPool, s.res.World.DNSPool)
 	t.AddRow("current overlap", fmt.Sprintf("%s (%.1f%%)", report.Count(curN, s.Scale()), curF*100), "~7K of 107K")
@@ -647,6 +692,9 @@ func (s *Simulation) TTLReport() *Table {
 func (s *Simulation) MegaReport() *Table {
 	t := &Table{ID: "mega", Title: "Mega amplifiers (§3.4)",
 		Headers: []string{"metric", "value", "paper"}}
+	if s.noSurvey(t) {
+		return t
+	}
 	over100KB := netaddr.NewSet(0)
 	overGB := netaddr.NewSet(0)
 	var maxBytes int64

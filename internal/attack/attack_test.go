@@ -185,9 +185,11 @@ func TestPrimingFillsTable(t *testing.T) {
 func TestTriggerTTLIsWindows(t *testing.T) {
 	nw, sched := harness()
 	var seen []uint8
-	nw.AddTap(tapFunc(func(dg *packet.Datagram, _ time.Time) {
-		if dg.UDP.DstPort == ntp.Port && dg.IP.Dst == netaddr.MustParseAddr("10.0.0.10") {
-			seen = append(seen, dg.IP.TTL)
+	nw.AddTap(tapFunc(func(hdr *packet.Datagram, payloads [][]byte, _ time.Time) {
+		if hdr.UDP.DstPort == ntp.Port && hdr.IP.Dst == netaddr.MustParseAddr("10.0.0.10") {
+			for range payloads {
+				seen = append(seen, hdr.IP.TTL)
+			}
 		}
 	}))
 	e := NewEngine(nw, rng.New(7), []netaddr.Addr{netaddr.MustParseAddr("192.0.2.1")})
@@ -206,9 +208,11 @@ func TestTriggerTTLIsWindows(t *testing.T) {
 	}
 }
 
-type tapFunc func(dg *packet.Datagram, now time.Time)
+type tapFunc func(hdr *packet.Datagram, payloads [][]byte, now time.Time)
 
-func (f tapFunc) Observe(dg *packet.Datagram, now time.Time) { f(dg, now) }
+func (f tapFunc) ObserveTrain(hdr *packet.Datagram, payloads [][]byte, now time.Time) {
+	f(hdr, payloads, now)
+}
 
 func TestLaunchNoAmplifiersNoBots(t *testing.T) {
 	nw, _ := harness()

@@ -78,22 +78,26 @@ func (t *Telescope) Covers(dst netaddr.Addr) bool {
 	return float64(h%1000) < t.Coverage*1000
 }
 
-// Observe implements netsim.Tap.
-func (t *Telescope) Observe(dg *packet.Datagram, now time.Time) {
-	if !t.Covers(dg.IP.Dst) {
+// ObserveTrain implements netsim.Tap. A train's payloads share its
+// destination, port and source, so the coverage test, the set inserts and
+// the map lookups happen once; the packet counts, whole numbers, take one
+// sum per train.
+func (t *Telescope) ObserveTrain(hdr *packet.Datagram, payloads [][]byte, now time.Time) {
+	if !t.Covers(hdr.IP.Dst) {
 		return
 	}
-	if dg.UDP.DstPort != ntp.Port {
+	if hdr.UDP.DstPort != ntp.Port {
 		return // we analyze only the NTP slice of backscatter here
 	}
-	rep := dg.Rep
+	rep := hdr.Rep
 	if rep <= 0 {
 		rep = 1
 	}
+	packets := float64(rep * int64(len(payloads)))
 	month := vtime.Month(now)
-	t.NTPPackets.Add(month, float64(rep))
-	if t.benign[dg.IP.Src] {
-		t.BenignNTPPackets.Add(month, float64(rep))
+	t.NTPPackets.Add(month, packets)
+	if t.benign[hdr.IP.Src] {
+		t.BenignNTPPackets.Add(month, packets)
 	}
 	day := vtime.Day(now)
 	s, ok := t.scannersByDay[day]
@@ -101,15 +105,20 @@ func (t *Telescope) Observe(dg *packet.Datagram, now time.Time) {
 		s = netaddr.NewSet(0)
 		t.scannersByDay[day] = s
 	}
-	s.Add(dg.IP.Src)
-	t.allScanners.Add(dg.IP.Src)
+	s.Add(hdr.IP.Src)
+	t.allScanners.Add(hdr.IP.Src)
 
-	bins, ok := t.sourceBins[dg.IP.Src]
+	bins, ok := t.sourceBins[hdr.IP.Src]
 	if !ok {
 		bins = new([scanBins]float64)
-		t.sourceBins[dg.IP.Src] = bins
+		t.sourceBins[hdr.IP.Src] = bins
 	}
-	bins[int(uint64(dg.IP.Dst>>8)*0x9e3779b97f4a7c15>>60)] += float64(rep)
+	bins[int(uint64(hdr.IP.Dst>>8)*0x9e3779b97f4a7c15>>60)] += packets
+}
+
+// Observe records one datagram: a one-payload train.
+func (t *Telescope) Observe(dg *packet.Datagram, now time.Time) {
+	t.ObserveTrain(dg, [][]byte{dg.Payload}, now)
 }
 
 // SourceSpread returns a source's per-bin dark-space hit profile (hashed

@@ -293,17 +293,17 @@ const (
 // keeping the hot path cheap on unrelated streams; dirNone keeps the NTP
 // semantics where a parsed mode 6/7 packet on a non-service source port is
 // counted but ingested nowhere.
-func classify(dg *packet.Datagram) (lane Lane, dir streamDir, ok bool) {
-	src, dst := dg.UDP.SrcPort, dg.UDP.DstPort
+func classify(hdr *packet.Datagram, payload []byte) (lane Lane, dir streamDir, ok bool) {
+	src, dst := hdr.UDP.SrcPort, hdr.UDP.DstPort
 	switch {
 	case src == ntp.Port || dst == ntp.Port:
-		mode, mok := ntp.Mode(dg.Payload)
+		mode, mok := ntp.Mode(payload)
 		if !mok || (mode != ntp.ModeControl && mode != ntp.ModePrivate) {
 			return 0, 0, false
 		}
-		response := dg.Payload[0]&0x80 != 0 // mode 7 R bit
+		response := payload[0]&0x80 != 0 // mode 7 R bit
 		if mode == ntp.ModeControl {
-			response = len(dg.Payload) > 1 && dg.Payload[1]&0x80 != 0
+			response = len(payload) > 1 && payload[1]&0x80 != 0
 		}
 		switch {
 		case response && src == ntp.Port:
@@ -313,10 +313,10 @@ func classify(dg *packet.Datagram) (lane Lane, dir streamDir, ok bool) {
 		}
 		return LaneNTP, dirNone, true
 	case src == reflector.DNSPort || dst == reflector.DNSPort:
-		if len(dg.Payload) < 12 {
+		if len(payload) < 12 {
 			return 0, 0, false
 		}
-		response := dg.Payload[2]&0x80 != 0 // QR bit
+		response := payload[2]&0x80 != 0 // QR bit
 		switch {
 		case response && src == reflector.DNSPort:
 			return LaneDNS, dirResponse, true
@@ -326,9 +326,9 @@ func classify(dg *packet.Datagram) (lane Lane, dir streamDir, ok bool) {
 		return LaneDNS, dirNone, true
 	case src == reflector.SSDPPort || dst == reflector.SSDPPort:
 		switch {
-		case src == reflector.SSDPPort && bytes.HasPrefix(dg.Payload, ssdpOK):
+		case src == reflector.SSDPPort && bytes.HasPrefix(payload, ssdpOK):
 			return LaneSSDP, dirResponse, true
-		case dst == reflector.SSDPPort && bytes.HasPrefix(dg.Payload, ssdpMSearch):
+		case dst == reflector.SSDPPort && bytes.HasPrefix(payload, ssdpMSearch):
 			return LaneSSDP, dirRequest, true
 		}
 		return 0, 0, false
@@ -340,16 +340,30 @@ func classify(dg *packet.Datagram) (lane Lane, dir streamDir, ok bool) {
 	return 0, 0, false
 }
 
-// Observe implements netsim.Tap: classify one fabric datagram into a
-// protocol lane. NTP keeps its original mode 6/7 parse; DNS, SSDP, and
-// chargen reflections are recognized by service port plus a payload sniff.
-// Everything else is dropped after the port compares.
+// ObserveTrain implements netsim.Tap: each payload takes the per-datagram
+// path in order, because the sampling phase, the decaying sketches and the
+// prune cadence advance packet by packet.
+func (d *Detector) ObserveTrain(hdr *packet.Datagram, payloads [][]byte, now time.Time) {
+	for _, p := range payloads {
+		d.observe(hdr, p, now)
+	}
+}
+
+// Observe classifies one datagram — the entry point of a pcap replay.
 func (d *Detector) Observe(dg *packet.Datagram, now time.Time) {
-	lane, dir, ok := classify(dg)
+	d.observe(dg, dg.Payload, now)
+}
+
+// observe classifies one datagram (hdr's addressing and Rep, carrying
+// payload) into a protocol lane. NTP keeps its original mode 6/7 parse; DNS,
+// SSDP, and chargen reflections are recognized by service port plus a
+// payload sniff. Everything else is dropped after the port compares.
+func (d *Detector) observe(hdr *packet.Datagram, payload []byte, now time.Time) {
+	lane, dir, ok := classify(hdr, payload)
 	if !ok {
 		return
 	}
-	rep := dg.Rep
+	rep := hdr.Rep
 	if rep <= 0 {
 		rep = 1
 	}
@@ -374,10 +388,10 @@ func (d *Detector) Observe(dg *packet.Datagram, now time.Time) {
 	}
 	switch dir {
 	case dirResponse:
-		d.ingestResponse(lane, dg.IP.Src, dg.IP.Dst, dg.UDP.DstPort,
-			int64(dg.OnWire())*rep, rep, now)
+		d.ingestResponse(lane, hdr.IP.Src, hdr.IP.Dst, hdr.UDP.DstPort,
+			int64(packet.OnWireBytesForUDPPayload(len(payload)))*rep, rep, now)
 	case dirRequest:
-		d.ingestRequest(lane, dg.IP.Src, dg.IP.TTL, rep)
+		d.ingestRequest(lane, hdr.IP.Src, hdr.IP.TTL, rep)
 	}
 	d.maybePrune(now)
 }

@@ -170,7 +170,7 @@ type View struct {
 	billingBucket *stats.TimeSeries
 
 	// Lazily resolved ProtoBytes entries for the three classes the packet
-	// tap can emit, so Observe skips the string-keyed map lookup per packet.
+	// tap can emit, so ObserveTrain skips the string-keyed map lookup.
 	ntpSeries, dnsSeries, otherSeries *stats.TimeSeries
 
 	// Last amp/victim lookups memoized for the same-flow packet runs the
@@ -282,89 +282,115 @@ func (v *View) AddBaseline(proto string, from, to time.Time, bytesPerHour float6
 	}
 }
 
-// Observe implements netsim.Tap.
-func (v *View) Observe(dg *packet.Datagram, now time.Time) {
-	srcIn := v.Contains(dg.IP.Src)
-	dstIn := v.Contains(dg.IP.Dst)
+// ObserveTrain implements netsim.Tap. Everything the payloads of a train
+// share is done once: the border tests, the protocol and direction tests,
+// and the amplifier, pair, victim and scanner lookups. Integer counters,
+// histograms, metrics and the series that only ever hold whole byte counts
+// (the ntp ProtoBytes, EgressNTP, IngressNTP, victim Hourly) take one sum
+// per train: sums of whole numbers below 2^53 are exact in any order. Only
+// the NTP mode parse and the series that also hold AddBaseline's fractional
+// volumes (billing, dns and other ProtoBytes) are touched per payload, in
+// order, so every result is bit-identical to observing the payloads one by
+// one.
+func (v *View) ObserveTrain(hdr *packet.Datagram, payloads [][]byte, now time.Time) {
+	srcIn := v.Contains(hdr.IP.Src)
+	dstIn := v.Contains(hdr.IP.Dst)
 	if !srcIn && !dstIn {
 		return
 	}
-	rep := dg.Rep
+	rep := hdr.Rep
 	if rep <= 0 {
 		rep = 1
 	}
-	wire := int64(dg.OnWire()) * rep
-	payload := int64(len(dg.Payload)) * rep
-	v.protoSeries(dg).Add(now, float64(wire))
-	v.billingBucket.Add(now, float64(wire))
-	v.mPackets.Add(rep)
-
-	isNTP := dg.UDP.SrcPort == ntp.Port || dg.UDP.DstPort == ntp.Port
-	if !isNTP {
+	v.mPackets.Add(rep * int64(len(payloads)))
+	proto := v.protoSeries(hdr)
+	if hdr.UDP.SrcPort != ntp.Port && hdr.UDP.DstPort != ntp.Port {
+		for _, p := range payloads {
+			wire := float64(int64(packet.OnWireBytesForUDPPayload(len(p))) * rep)
+			proto.Add(now, wire)
+			v.billingBucket.Add(now, wire)
+		}
 		return
 	}
-	mode, _ := ntp.Mode(dg.Payload)
 
-	// Egress NTP: our host answering (sport=123) toward outside.
-	if srcIn && !dstIn && dg.UDP.SrcPort == ntp.Port {
+	// Egress NTP: our host answering (sport=123) toward outside. Ingress
+	// NTP: outside traffic toward our hosts (dport=123). hits counts the
+	// payloads that are amplifier replies (mode 6/7) on egress, or mode 7
+	// requests on ingress.
+	egress := srcIn && !dstIn && hdr.UDP.SrcPort == ntp.Port
+	ingress := dstIn && !srcIn && hdr.UDP.DstPort == ntp.Port
+	var wire, payload, hits, hitWire, hitPayload int64
+	var m7 ntp.Mode7
+	for _, p := range payloads {
+		w := int64(packet.OnWireBytesForUDPPayload(len(p))) * rep
+		n := int64(len(p)) * rep
+		wire += w
+		payload += n
+		v.billingBucket.Add(now, float64(w))
+		mode, _ := ntp.Mode(p)
+		if egress && (mode == ntp.ModePrivate || mode == ntp.ModeControl) ||
+			ingress && mode == ntp.ModePrivate && m7.DecodeFromBytes(p) == nil && !m7.Response {
+			hits++
+			hitWire += w
+			hitPayload += n
+		}
+	}
+	proto.Add(now, float64(wire))
+
+	if egress {
 		v.EgressNTP.Add(now, float64(wire))
 		v.mEgress.Add(wire)
-		if mode == ntp.ModePrivate || mode == ntp.ModeControl {
-			amp := v.amp(dg.IP.Src)
-			amp.PayloadOut += payload
-			amp.WireOut += wire
+		if hits > 0 {
+			amp := v.amp(hdr.IP.Src)
+			amp.PayloadOut += hitPayload
+			amp.WireOut += hitWire
 			// pair() maintains amp.Victims: the set gains the victim exactly
 			// when the perVictim entry is created.
-			ps := amp.pair(dg.IP.Dst, now)
-			ps.payloadOut += payload
-			ps.wireOut += wire
-			ps.packets += rep
+			ps := amp.pair(hdr.IP.Dst, now)
+			ps.payloadOut += hitPayload
+			ps.wireOut += hitWire
+			ps.packets += rep * hits
 			ps.last = now
 
-			vic := v.victim(dg.IP.Dst, now)
-			vic.PayloadIn += payload
-			vic.WireIn += wire
-			vic.Packets += rep
-			if !vic.lastAmpOK || vic.lastAmp != dg.IP.Src {
-				vic.Amplifiers.Add(dg.IP.Src)
-				vic.lastAmp, vic.lastAmpOK = dg.IP.Src, true
+			vic := v.victim(hdr.IP.Dst, now)
+			vic.PayloadIn += hitPayload
+			vic.WireIn += hitWire
+			vic.Packets += rep * hits
+			if !vic.lastAmpOK || vic.lastAmp != hdr.IP.Src {
+				vic.Amplifiers.Add(hdr.IP.Src)
+				vic.lastAmp, vic.lastAmpOK = hdr.IP.Src, true
 			}
 			vic.Last = now
-			vic.Ports.Add(int(dg.UDP.DstPort), rep)
-			vic.Hourly.Add(now, float64(wire))
+			vic.Ports.Add(int(hdr.UDP.DstPort), rep*hits)
+			vic.Hourly.Add(now, float64(hitWire))
 		}
 	}
 
-	// Ingress NTP: outside traffic toward our hosts (dport=123).
-	if dstIn && !srcIn && dg.UDP.DstPort == ntp.Port {
+	if ingress {
 		v.IngressNTP.Add(now, float64(wire))
 		v.mIngress.Add(wire)
-		amp := v.amp(dg.IP.Dst)
-		amp.PayloadIn += payload
-		if mode == ntp.ModePrivate {
-			m, err := ntp.DecodeMode7(dg.Payload)
-			if err == nil && !m.Response {
-				// Rate separates the two ingress populations: scanners send
-				// single probes; attack triggers arrive in high-rate batches
-				// (Rep > 1). Spoofed trigger "sources" are the victims.
-				if rep > 1 {
-					v.TriggerTTL.Add(int(dg.IP.TTL), rep)
-					vic := v.victim(dg.IP.Src, now)
-					vic.TriggerOut += payload
-				} else {
-					v.ScanTTL.Add(int(dg.IP.TTL), rep)
-					sc, ok := v.scanners[dg.IP.Src]
-					if !ok {
-						sc = &ScannerStats{Addr: dg.IP.Src, Dsts: netaddr.NewSet(0), First: now}
-						v.scanners[dg.IP.Src] = sc
-						v.mScanners.SetInt(int64(len(v.scanners)))
-					}
-					sc.Packets += rep
-					sc.Dsts.Add(dg.IP.Dst)
-					sc.Last = now
-				}
-			}
+		v.amp(hdr.IP.Dst).PayloadIn += payload
+		if hits == 0 {
+			return
 		}
+		// Rate separates the two ingress populations: scanners send single
+		// probes; attack triggers arrive in high-rate batches (Rep > 1).
+		// Spoofed trigger "sources" are the victims.
+		if rep > 1 {
+			v.TriggerTTL.Add(int(hdr.IP.TTL), rep*hits)
+			v.victim(hdr.IP.Src, now).TriggerOut += hitPayload
+			return
+		}
+		v.ScanTTL.Add(int(hdr.IP.TTL), rep*hits)
+		sc, ok := v.scanners[hdr.IP.Src]
+		if !ok {
+			sc = &ScannerStats{Addr: hdr.IP.Src, Dsts: netaddr.NewSet(0), First: now}
+			v.scanners[hdr.IP.Src] = sc
+			v.mScanners.SetInt(int64(len(v.scanners)))
+		}
+		sc.Packets += rep * hits
+		sc.Dsts.Add(hdr.IP.Dst)
+		sc.Last = now
 	}
 }
 

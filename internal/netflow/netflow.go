@@ -187,12 +187,26 @@ func NewExporter(boot time.Time, emit func([]byte)) *Exporter {
 	}
 }
 
-// Observe implements netsim.Tap: account one datagram into the flow cache.
+// ObserveTrain implements netsim.Tap: each payload is accounted in order,
+// as its own datagram.
+func (e *Exporter) ObserveTrain(hdr *packet.Datagram, payloads [][]byte, now time.Time) {
+	for _, p := range payloads {
+		e.observe(hdr, len(p), now)
+	}
+}
+
+// Observe accounts one datagram into the flow cache.
 func (e *Exporter) Observe(dg *packet.Datagram, now time.Time) {
+	e.observe(dg, len(dg.Payload), now)
+}
+
+// observe accounts one datagram with hdr's addressing and Rep and a UDP
+// payload of payloadLen bytes.
+func (e *Exporter) observe(hdr *packet.Datagram, payloadLen int, now time.Time) {
 	e.advance(now)
-	key := flowKey{src: dg.IP.Src, dst: dg.IP.Dst,
-		srcPort: dg.UDP.SrcPort, dstPort: dg.UDP.DstPort, proto: dg.IP.Protocol}
-	rep := dg.Rep
+	key := flowKey{src: hdr.IP.Src, dst: hdr.IP.Dst,
+		srcPort: hdr.UDP.SrcPort, dstPort: hdr.UDP.DstPort, proto: hdr.IP.Protocol}
+	rep := hdr.Rep
 	if rep <= 0 {
 		rep = 1
 	}
@@ -202,7 +216,7 @@ func (e *Exporter) Observe(dg *packet.Datagram, now time.Time) {
 		e.cache[key] = f
 	}
 	f.packets += uint64(rep)
-	f.octets += uint64(dg.IPLen()) * uint64(rep)
+	f.octets += uint64(packet.IPv4HeaderLen+packet.UDPHeaderLen+payloadLen) * uint64(rep)
 	f.last = now
 }
 

@@ -9,15 +9,27 @@ import (
 	"ntpddos/internal/vtime"
 )
 
+// countTap counts the trains and payloads it is shown without allocating,
+// so an allocation budget measured with it attached is the fabric's own.
+type countTap struct{ calls, payloads int }
+
+func (c *countTap) ObserveTrain(_ *packet.Datagram, payloads [][]byte, _ time.Time) {
+	c.calls++
+	c.payloads += len(payloads)
+}
+
 // TestFabricDeliveryAllocBudget is the regression wall for the pooled packet
 // plane: once the train, event, and batch-item pools are warm, pushing a
-// packet through send→schedule→coalesce→deliver→release must cost at most
-// one allocation per delivered datagram (the budget absorbs amortized map
-// and pool-slice growth; the steady state is zero).
+// packet through send→observe→schedule→coalesce→deliver→release must cost
+// under half an allocation per delivered datagram. The budget absorbs
+// amortized map and pool-slice growth; the steady state is zero, so any
+// per-send allocation (one escaped slice is exactly 1 per datagram) fails.
 func TestFabricDeliveryAllocBudget(t *testing.T) {
 	var clock vtime.Clock
 	sched := vtime.NewScheduler(&clock)
 	nw := New(sched, nil)
+	tap := &countTap{}
+	nw.AddTap(tap)
 	src := netaddr.MustParseAddr("10.0.0.1")
 	dst := netaddr.MustParseAddr("10.0.0.2")
 	delivered := 0
@@ -37,17 +49,18 @@ func TestFabricDeliveryAllocBudget(t *testing.T) {
 	warm := delivered
 
 	avg := testing.AllocsPerRun(50, run)
-	if perDG := avg / batch; perDG > 1 {
-		t.Errorf("fabric delivery costs %.2f allocs per datagram, budget is 1 (%.1f per %d-packet drain)",
+	if perDG := avg / batch; perDG >= 0.5 {
+		t.Errorf("fabric delivery costs %.4f allocs per datagram, budget is under 0.5 (%.2f per %d-packet drain)",
 			perDG, avg, batch)
 	}
-	if delivered <= warm {
-		t.Fatal("measurement loop delivered nothing")
+	if delivered <= warm || tap.calls != delivered || tap.payloads != delivered {
+		t.Fatalf("delivered %d, tap saw %d calls and %d payloads: want every send observed once",
+			delivered, tap.calls, tap.payloads)
 	}
 
 	// A 100-payload train (a full monlist reply) costs at most one
-	// allocation per warm train, observed and delivered payload by payload,
-	// whether the destination is dark or answers.
+	// allocation per warm train, observed in one call per tap and delivered
+	// payload by payload, whether the destination is dark or answers.
 	for _, registered := range []bool{false, true} {
 		name := "train-dark"
 		if registered {
@@ -57,8 +70,9 @@ func TestFabricDeliveryAllocBudget(t *testing.T) {
 			var clock vtime.Clock
 			sched := vtime.NewScheduler(&clock)
 			nw := New(sched, nil)
-			observed, handled := 0, 0
-			nw.AddTap(tapFunc(func(_ *packet.Datagram, _ time.Time) { observed++ }))
+			handled := 0
+			tap := &countTap{}
+			nw.AddTap(tap)
 			if registered {
 				nw.Register(dst, HostFunc(func(_ *Network, _ *packet.Datagram, _ time.Time) { handled++ }))
 			}
@@ -75,11 +89,12 @@ func TestFabricDeliveryAllocBudget(t *testing.T) {
 			if avg := testing.AllocsPerRun(50, run); avg > 1 {
 				t.Errorf("a 100-payload train costs %.2f allocs, budget is 1", avg)
 			}
-			if observed%100 != 0 || observed == 0 || (registered && handled != observed) {
-				t.Fatalf("observed %d, handled %d payloads: want whole trains, each payload handled once", observed, handled)
+			if tap.calls == 0 || tap.payloads != 100*tap.calls || (registered && handled != tap.payloads) {
+				t.Fatalf("tap saw %d calls and %d payloads, host handled %d: want one call per train, each payload handled once",
+					tap.calls, tap.payloads, handled)
 			}
-			if nw.tapView.Payload != nil || nw.deliverView.Payload != nil {
-				t.Fatal("a tap or delivery view retains a train's payload buffer")
+			if nw.tapView.Payload != nil || nw.deliverView.Payload != nil || nw.sendOne[0] != nil {
+				t.Fatal("a tap, delivery or send view retains a payload buffer")
 			}
 		})
 	}
@@ -92,8 +107,8 @@ func TestFabricSendScratchDoesNotPinPayload(t *testing.T) {
 	sched := vtime.NewScheduler(&clock)
 	nw := New(sched, nil)
 	nw.SendUDP(1, 1, 2, 2, TTLLinux, []byte("x"))
-	if nw.sendScratch.Payload != nil {
-		t.Fatal("sendScratch retains the caller's payload buffer")
+	if nw.sendScratch.Payload != nil || nw.sendOne[0] != nil {
+		t.Fatal("a send scratch retains the caller's payload buffer")
 	}
 	sched.Drain()
 }

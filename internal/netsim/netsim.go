@@ -12,10 +12,19 @@
 //
 // The fabric's unit of work is a train: one header and N payloads, the shape
 // of a fragmented reply such as a 100-packet monlist table. A train resolves
-// its path (spoof policy, hops, latency, link faults) once and occupies one
-// scheduler item, yet stays exactly the sequence of one-payload sends it
-// replaces: each payload is counted, observed by every tap, and handed to
-// the destination host on its own, in send order.
+// its path (spoof policy, hops, latency, link faults) once, is shown to each
+// tap in one ObserveTrain call, and occupies one scheduler item, yet stays
+// exactly the sequence of one-payload sends it replaces: each payload is
+// counted and handed to the destination host on its own, in send order, and
+// a tap's result is the same as if it had seen the payloads one at a time.
+//
+// The tap contract: hdr is the delivered header (TTL already decremented,
+// Payload nil) and every payload carries hdr.Rep. payloads are the sender's
+// own slices, valid only during the call; a tap must neither retain nor
+// mutate them. Under fault injection each surviving payload is observed in
+// its own one-payload call carrying its post-loss Rep, and a duplicate right
+// after its original, so the loss and duplication draws interleave with
+// observation exactly as for one-payload sends.
 package netsim
 
 import (
@@ -43,9 +52,11 @@ func (f HostFunc) HandlePacket(net *Network, dg *packet.Datagram, now time.Time)
 }
 
 // Tap observes every packet traversing the fabric (after TTL decrement,
-// before delivery). Taps must not mutate the datagram.
+// before delivery), one train per call: payloads share hdr's addressing and
+// Rep (see the package doc for the full contract). Taps must not mutate or
+// retain hdr or payloads.
 type Tap interface {
-	Observe(dg *packet.Datagram, now time.Time)
+	ObserveTrain(hdr *packet.Datagram, payloads [][]byte, now time.Time)
 }
 
 // SpoofPolicy reports whether a host at origin may emit a packet claiming
@@ -73,10 +84,11 @@ type Stats struct {
 // Datagram ownership: SendTrain (and SendFrom, a one-payload train) copies
 // the caller's header and payload bytes into a pooled train, so senders may
 // reuse their datagram and payload buffers the moment the call returns.
-// Taps and hosts are shown a fabric-owned datagram that is re-pointed at the
-// next payload once Observe/HandlePacket returns, and the train is recycled
-// once delivered: hosts and taps must not retain the *Datagram or its
-// payload past the call — copy what must outlive it.
+// Taps see the sender's own payloads during the send, before it returns; the
+// copy serves delivery alone. Hosts are shown a fabric-owned datagram that
+// is re-pointed at the next payload once HandlePacket returns, and the train
+// is recycled once delivered: hosts and taps must not retain the *Datagram
+// or its payloads past the call — copy what must outlive it.
 type Network struct {
 	sched  *vtime.Scheduler
 	policy SpoofPolicy
@@ -94,17 +106,20 @@ type Network struct {
 	// beat sync.Pool.
 	trains [trainClasses][]*train
 
-	// tapView and deliverView are the datagrams taps and hosts are shown:
-	// each is re-pointed at one payload of a train per call and cleared
-	// afterwards, so neither pins a train's buffer. They are distinct
-	// because a host's HandlePacket may send, which observes.
+	// tapView is the header taps are shown: the train's delivered header
+	// carrying the Rep of the payloads in the call. It never holds a
+	// payload. deliverView is the datagram hosts are shown, re-pointed at
+	// one payload of a train per call and cleared afterwards, so it never
+	// pins a train's buffer. They are distinct because a host's
+	// HandlePacket may send, which observes.
 	tapView     packet.Datagram
 	deliverView packet.Datagram
 
-	// sendScratch backs the SendUDP/SendSpoofed convenience wrappers: since
-	// SendFrom copies the datagram before returning, one reusable struct
-	// serves every convenience send without allocating.
+	// sendScratch backs the SendUDP/SendSpoofed convenience wrappers, and
+	// sendOne is SendFrom's one-payload train: since SendTrain copies
+	// before returning, both are reused by every send without allocating.
 	sendScratch packet.Datagram
+	sendOne     [1][]byte
 }
 
 // Metrics is the fabric's optional live instrumentation. All counters are
@@ -148,7 +163,7 @@ func NewMetrics(r *metrics.Registry) *Metrics {
 		Bytes: r.NewCounter("ntpsim_fabric_bytes_sent_total",
 			"Rep-weighted on-wire bytes of accepted packets."),
 		TapFanout: r.NewCounter("ntpsim_fabric_tap_observations_total",
-			"Tap Observe calls (one per attached tap per real datagram)."),
+			"Tap observations (one per attached tap per real datagram)."),
 		Duplicated: r.NewCounter("ntpsim_fabric_packets_duplicated_total",
 			"Rep-weighted extra in-transit copies from the impairment stage."),
 		Reordered: r.NewCounter("ntpsim_fabric_packets_reordered_total",
@@ -249,17 +264,22 @@ func PathLatency(src, dst netaddr.Addr) time.Duration {
 }
 
 // SendFrom injects a datagram into the fabric from a host whose true
-// address is origin: a one-payload train (see SendTrain).
+// address is origin: a one-payload train (see SendTrain). The payload
+// reference is dropped afterwards so the fabric never pins a sender's buffer.
 func (n *Network) SendFrom(origin netaddr.Addr, dg *packet.Datagram) bool {
-	return n.SendTrain(origin, dg, [][]byte{dg.Payload})
+	n.sendOne[0] = dg.Payload
+	ok := n.SendTrain(origin, dg, n.sendOne[:])
+	n.sendOne[0] = nil
+	return ok
 }
 
 // SendTrain injects a train from a host whose true address is origin: one
 // datagram per payload, all sharing hdr's addressing, TTL and Rep (hdr's own
 // Payload is ignored). A train is exactly the sequence of one-payload sends
-// it replaces — every payload is counted, observed and delivered on its own,
-// in order — but the path is resolved once, the payloads are copied into one
-// pooled buffer, and the train occupies one scheduler item.
+// it replaces — every payload is counted and delivered on its own, in order,
+// and each tap ends as if it had observed them one by one — but the path is
+// resolved once, each tap observes the train in one call, the payloads are
+// copied into one pooled buffer, and the train occupies one scheduler item.
 //
 // If the IP source differs from origin, the spoof policy decides whether the
 // train leaves the source network at all. SendTrain returns false when the
@@ -316,7 +336,7 @@ func (n *Network) SendTrain(origin netaddr.Addr, hdr *packet.Datagram, payloads 
 	for _, p := range payloads {
 		t.add(p)
 	}
-	n.observe(t, 0, now)
+	n.observe(&t.hdr, rep, payloads, now)
 	n.sched.AtBatch(arrive, n, t)
 	return true
 }
@@ -326,7 +346,9 @@ func (n *Network) SendTrain(origin netaddr.Addr, hdr *packet.Datagram, payloads 
 // the loss, duplication and reorder draws stay per payload, in the order a
 // sequence of one-payload sends would make them, so the fault stream is the
 // same however the payloads were grouped. Survivors on the base path ride
-// one train; a reordered payload and every duplicate travel alone.
+// one train; a reordered payload and every duplicate travel alone. Taps see
+// each survivor in its own call, right after its draws, so observation
+// interleaves with the fault stream as it does for one-payload sends.
 func (n *Network) sendImpaired(origin netaddr.Addr, hdr *packet.Datagram, payloads [][]byte, hops int, rep int64, size int, now, arrive time.Time) {
 	st := n.impair
 	dst := hdr.IP.Dst
@@ -341,7 +363,8 @@ func (n *Network) sendImpaired(origin netaddr.Addr, hdr *packet.Datagram, payloa
 	}
 	loss := st.linkLoss(origin, dst)
 	var base *train
-	for _, p := range payloads {
+	for i, p := range payloads {
+		one := payloads[i : i+1]
 		r := rep
 		if lost := st.src.Binomial(r, loss); lost > 0 {
 			n.stats.DroppedLoss += lost
@@ -369,7 +392,7 @@ func (n *Network) sendImpaired(origin netaddr.Addr, hdr *packet.Datagram, payloa
 			}
 			t := n.newTrain(hdr, hops, r, len(p))
 			t.add(p)
-			n.observe(t, 0, now)
+			n.observe(&t.hdr, r, one, now)
 			n.sched.AtBatch(at, n, t)
 		} else {
 			if base == nil {
@@ -377,39 +400,35 @@ func (n *Network) sendImpaired(origin netaddr.Addr, hdr *packet.Datagram, payloa
 				n.sched.AtBatch(arrive, n, base)
 			}
 			base.addRep(p, r)
-			n.observe(base, len(base.ends)-1, now)
+			n.observe(&base.hdr, r, one, now)
 		}
 		if dups > 0 {
 			// Duplicates are real wire packets: taps see them right after
 			// the original, and they arrive on their own (slower) schedule.
 			d := n.newTrain(hdr, hops, dups, len(p))
 			d.add(p)
-			n.observe(d, 0, now)
+			n.observe(&d.hdr, dups, one, now)
 			extra := time.Duration(st.src.Int64N(int64(100*time.Millisecond))) + time.Millisecond
 			n.sched.AtBatch(at.Add(extra), n, d)
 		}
 	}
 }
 
-// observe shows payloads from..end of an in-flight train to every tap, one
-// payload at a time. Taps must not mutate the datagram, so the header is
-// set once for the whole run.
-func (n *Network) observe(t *train, from int, now time.Time) {
+// observe shows the sender's payloads, each carrying rep, to every tap in
+// one call per tap. hdr is a train's delivered header; taps get a copy, so
+// a train's own header never reaches them.
+func (n *Network) observe(hdr *packet.Datagram, rep int64, payloads [][]byte, now time.Time) {
 	if len(n.taps) == 0 {
 		return
 	}
 	v := &n.tapView
-	*v = t.hdr
-	for i := from; i < len(t.ends); i++ {
-		v.Payload = t.payload(i)
-		v.Rep = t.rep(i)
-		for _, tap := range n.taps {
-			tap.Observe(v, now)
-		}
+	*v = *hdr
+	v.Rep = rep
+	for _, tap := range n.taps {
+		tap.ObserveTrain(v, payloads, now)
 	}
-	v.Payload = nil
 	if n.m != nil {
-		n.m.TapFanout.Add(int64(len(n.taps) * (len(t.ends) - from)))
+		n.m.TapFanout.Add(int64(len(n.taps) * len(payloads)))
 	}
 }
 

@@ -147,7 +147,7 @@ func TestTTLExpiry(t *testing.T) {
 func TestTapSeesAllPacketsIncludingDark(t *testing.T) {
 	net, sched := newNet(nil)
 	seen := 0
-	net.AddTap(tapFunc(func(dg *packet.Datagram, _ time.Time) { seen++ }))
+	net.AddTap(tapFunc(func(_ *packet.Datagram, payloads [][]byte, _ time.Time) { seen += len(payloads) }))
 	net.Register(5, HostFunc(func(_ *Network, _ *packet.Datagram, _ time.Time) {}))
 	net.SendUDP(1, 1, 5, 2, TTLLinux, []byte("a")) // delivered
 	net.SendUDP(1, 1, 9, 2, TTLLinux, []byte("b")) // dark
@@ -157,9 +157,11 @@ func TestTapSeesAllPacketsIncludingDark(t *testing.T) {
 	}
 }
 
-type tapFunc func(dg *packet.Datagram, now time.Time)
+type tapFunc func(hdr *packet.Datagram, payloads [][]byte, now time.Time)
 
-func (f tapFunc) Observe(dg *packet.Datagram, now time.Time) { f(dg, now) }
+func (f tapFunc) ObserveTrain(hdr *packet.Datagram, payloads [][]byte, now time.Time) {
+	f(hdr, payloads, now)
+}
 
 func TestDeliveryHasLatency(t *testing.T) {
 	net, sched := newNet(nil)

@@ -25,14 +25,18 @@ type trainCase struct {
 }
 
 // trainFabric is one side of the differential test: a fabric, its metrics
-// registry and fault stream, and one log of every tap and host event.
+// registry and fault stream, one log of every payload the first tap saw and
+// every host event, and the number of payloads in each call of both taps.
 type trainFabric struct {
-	sched  *vtime.Scheduler
-	net    *Network
-	reg    *metrics.Registry
-	faults *rng.Source
-	log    []string
-	sends  []bool
+	sched    *vtime.Scheduler
+	net      *Network
+	reg      *metrics.Registry
+	faults   *rng.Source
+	log      []string
+	sends    []bool
+	tapCalls [2][]int
+	// hdrPayload records a tap being shown a header that carries a payload.
+	hdrPayload bool
 }
 
 var (
@@ -52,7 +56,21 @@ func newTrainFabric(tc trainCase) *trainFabric {
 	f.net.SetMetrics(NewMetrics(f.reg))
 	f.faults = rng.New(42).Fork("faults")
 	f.net.SetImpairment(tc.impair, f.faults)
-	f.net.AddTap(tapFunc(func(dg *packet.Datagram, now time.Time) { f.record("tap", dg, now) }))
+	for i := range f.tapCalls {
+		i := i
+		f.net.AddTap(tapFunc(func(hdr *packet.Datagram, payloads [][]byte, now time.Time) {
+			f.tapCalls[i] = append(f.tapCalls[i], len(payloads))
+			f.hdrPayload = f.hdrPayload || hdr.Payload != nil
+			if i > 0 {
+				return
+			}
+			for _, p := range payloads {
+				dg := *hdr
+				dg.Payload = p
+				f.record("tap", &dg, now)
+			}
+		}))
+	}
 	if !tc.register {
 		return f
 	}
@@ -122,7 +140,9 @@ func trainPlan(tc trainCase, send func(hdr *packet.Datagram, payloads [][]byte))
 // path: a k-payload SendTrain and k one-payload sends of the same datagrams,
 // into two fabrics fed the same fault stream, must be indistinguishable —
 // the same tap and host event sequence, the same Stats and metric counters,
-// the same send results and the same fault-stream state afterwards.
+// the same send results and the same fault-stream state afterwards. It also
+// pins how taps are called: once per tap per unimpaired train, and once per
+// surviving payload (duplicates included) under fault injection.
 func TestTrainMatchesOnePayloadSends(t *testing.T) {
 	allFaults := Impairment{Loss: 0.3, Dup: 0.4, Reorder: 0.5, ReorderDelay: 50 * time.Millisecond,
 		FlapRate: 0.3, FlapPeriod: 10 * time.Second}
@@ -187,7 +207,70 @@ func TestTrainMatchesOnePayloadSends(t *testing.T) {
 			if a, b := trains.faults.Uint64(), singles.faults.Uint64(); a != b {
 				t.Errorf("fault stream diverged: next draw %d vs %d", a, b)
 			}
+
+			// Unimpaired, each accepted train is one call per tap; under
+			// impairment every call carries one payload, in the order the
+			// one-payload sends make them (the logs above agree).
+			want := []int{}
+			for i, ok := range trains.sends {
+				if ok {
+					want = append(want, 1+i%9)
+				}
+			}
+			for tap := range trains.tapCalls {
+				got, single := trains.tapCalls[tap], singles.tapCalls[tap]
+				if tc.impair.Enabled() {
+					want = single
+				}
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Errorf("tap %d: payloads per call %v, want %v", tap, got, want)
+				}
+				for _, k := range single {
+					if k != 1 {
+						t.Fatalf("tap %d: a one-payload send was observed as %d payloads", tap, k)
+					}
+				}
+			}
+			if trains.hdrPayload || singles.hdrPayload {
+				t.Error("a tap was shown a header carrying a payload")
+			}
 		})
+	}
+}
+
+// TestTapSeesDeliveredHeaderAndSendersPayloads pins the tap contract: one
+// call per train, a header with the TTL already decremented by the path, no
+// payload and the train's Rep, and the sender's own payload slices rather
+// than the fabric's copy.
+func TestTapSeesDeliveredHeaderAndSendersPayloads(t *testing.T) {
+	net, sched := newNet(nil)
+	hdr := packet.NewDatagram(trainOrigin, 123, trainDst, 80, nil)
+	hdr.Rep = 7
+	sent := [][]byte{[]byte("one"), []byte("two"), []byte("three")}
+	calls := 0
+	net.AddTap(tapFunc(func(h *packet.Datagram, payloads [][]byte, _ time.Time) {
+		calls++
+		if want := 64 - PathHops(trainOrigin, trainDst); int(h.IP.TTL) != want {
+			t.Errorf("tap header TTL %d, want %d", h.IP.TTL, want)
+		}
+		if h.Payload != nil || h.Rep != 7 || h.IP.Dst != trainDst || h.UDP.SrcPort != 123 {
+			t.Errorf("tap header %+v: want the delivered header, Rep 7, no payload", *h)
+		}
+		if len(payloads) != len(sent) {
+			t.Fatalf("tap saw %d payloads, want %d", len(payloads), len(sent))
+		}
+		for i := range payloads {
+			if &payloads[i][0] != &sent[i][0] || len(payloads[i]) != len(sent[i]) {
+				t.Errorf("payload %d is not the sender's slice", i)
+			}
+		}
+	}))
+	if !net.SendTrain(trainOrigin, hdr, sent) {
+		t.Fatal("train not sent")
+	}
+	sched.Drain()
+	if calls != 1 {
+		t.Fatalf("tap called %d times for one train, want 1", calls)
 	}
 }
 

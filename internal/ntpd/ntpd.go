@@ -152,9 +152,10 @@ type Server struct {
 	megaUntil time.Time
 
 	// mruGen counts table mutations; the response cache below reuses the
-	// encoded monlist fragments for high-rate (batched) triggers, where a
-	// slightly stale table is indistinguishable on the wire. Probes and
-	// scans (Rep == 1) always get a freshly built table.
+	// encoded monlist fragments for every query — probes, scans and
+	// batched triggers alike — until the table has drifted by too many
+	// mutations or is ten minutes old (see monlistFragments). A slightly
+	// stale table is indistinguishable on the wire.
 	mruGen     int64
 	cacheReq   uint8
 	cacheGen   int64
@@ -423,7 +424,7 @@ func (s *Server) Respond(payload []byte, src netaddr.Addr, srcPort uint16, now t
 		}
 		switch m.Request {
 		case ntp.ReqMonGetList, ntp.ReqMonGetList1:
-			return s.countResponse(s.cfg.Metrics.monlistCounter(), s.monlistFragments(m.Request, 1, now))
+			return s.countResponse(s.cfg.Metrics.monlistCounter(), s.monlistFragments(m.Request, now))
 		case ntp.ReqPeerList:
 			return s.countResponse(nil, ntp.BuildPeerListResponse(s.peerEntries(), s.cfg.Implementation))
 		}
@@ -587,7 +588,7 @@ func (s *Server) peerEntries() []ntp.PeerEntry {
 // datagrams and recycles them after HandlePacket returns, so nothing here
 // may outlive the call holding one.
 func (s *Server) sendMonlist(nw *netsim.Network, victim netaddr.Addr, victimPort uint16, rep int64, reqCode uint8, now time.Time) {
-	sent := s.send(nw, victim, victimPort, s.monlistFragments(reqCode, rep, now), rep)
+	sent := s.send(nw, victim, victimPort, s.monlistFragments(reqCode, now), rep)
 	s.MonlistSent += sent
 	s.cfg.Metrics.monlistCounter().Add(sent)
 }
@@ -599,10 +600,10 @@ func (s *Server) sendMonlist(nw *netsim.Network, victim netaddr.Addr, victimPort
 // that the probe is "typically but not always" the topmost entry.
 //
 // The returned fragments are valid until the next rebuild (they reuse the
-// cache's buffers); the fabric copies them during SendTrain and the socket
-// path writes them out before processing another packet, so neither caller
-// outlives them.
-func (s *Server) monlistFragments(reqCode uint8, rep int64, now time.Time) [][]byte {
+// cache's buffers); the fabric's taps read and the fabric copies them during
+// SendTrain, and the socket path writes them out before processing another
+// packet, so no caller outlives them.
+func (s *Server) monlistFragments(reqCode uint8, now time.Time) [][]byte {
 	const maxGenDrift = 500
 	if s.cacheFrags != nil && s.cacheReq == reqCode &&
 		s.mruGen-s.cacheGen <= maxGenDrift && now.Sub(s.cacheAt) < 10*time.Minute {

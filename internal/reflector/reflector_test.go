@@ -77,13 +77,15 @@ type capTap struct {
 	bytes   int64
 }
 
-func (c *capTap) Observe(dg *packet.Datagram, now time.Time) {
-	rep := dg.Rep
+func (c *capTap) ObserveTrain(hdr *packet.Datagram, payloads [][]byte, now time.Time) {
+	rep := hdr.Rep
 	if rep <= 0 {
 		rep = 1
 	}
-	c.packets += rep
-	c.bytes += int64(dg.OnWire()) * rep
+	for _, p := range payloads {
+		c.packets += rep
+		c.bytes += int64(packet.OnWireBytesForUDPPayload(len(p))) * rep
+	}
 }
 
 // driveVector sends one profile trigger at a reflector host and returns the

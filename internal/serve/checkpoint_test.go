@@ -21,8 +21,7 @@ import (
 // terminal.
 func TestCheckpointLifecycle(t *testing.T) {
 	dir := t.TempDir()
-	gate := newGateRunner()
-	e := newEnv(t, Config{Runner: gate.run, CheckpointDir: dir})
+	e, gate := newGatedEnv(t, Config{CheckpointDir: dir})
 	st := e.submitOK(t, `{"seeds":"1-3"}`)
 	path := filepath.Join(dir, st.ID+".ckpt")
 
@@ -34,7 +33,7 @@ func TestCheckpointLifecycle(t *testing.T) {
 	if h.ID != st.ID || h.Spec.Seeds != "1-3" || len(recs) != 0 {
 		t.Fatalf("header %+v / %d records, want submitted spec and no records yet", h, len(recs))
 	}
-	close(gate.release)
+	gate.open()
 	e.waitState(t, st.ID, StateDone)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -147,8 +146,7 @@ func TestRetriesSurfaceInStatus(t *testing.T) {
 // interrupted by a drain (queued or running) survive for the next process.
 func TestDrainKeepsCheckpoints(t *testing.T) {
 	dir := t.TempDir()
-	gate := newGateRunner()
-	e := newEnv(t, Config{Runner: gate.run, CheckpointDir: dir, QueueDepth: 4})
+	e, gate := newGatedEnv(t, Config{CheckpointDir: dir, QueueDepth: 4})
 	running := e.submitOK(t, `{"seeds":"1-2"}`)
 	<-gate.entered
 	queued := e.submitOK(t, `{"seeds":"3-4"}`)
@@ -160,7 +158,7 @@ func TestDrainKeepsCheckpoints(t *testing.T) {
 	go func() {
 		<-ctx.Done()
 		time.Sleep(10 * time.Millisecond)
-		close(gate.release)
+		gate.open()
 	}()
 	if err := e.d.Drain(ctx); err != context.DeadlineExceeded {
 		t.Fatalf("Drain = %v, want context.DeadlineExceeded", err)

@@ -150,13 +150,13 @@ func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	j, admErr := d.submit(client, spec, jobs)
+	st, admErr := d.submit(client, spec, jobs)
 	if admErr != nil {
 		d.met.observeRejection(admErr.reason)
 		writeError(w, admErr.status, admErr.reason, admErr.msg, admErr.retryAfter)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, d.store.status(j))
+	writeJSON(w, http.StatusAccepted, st)
 }
 
 // handleList returns every retained job, oldest first.

@@ -272,9 +272,11 @@ func (d *Daemon) cancelRunning() {
 	}
 }
 
-// submit admits a compiled job. It returns the queued job, or an
-// admissionError describing the refusal.
-func (d *Daemon) submit(client string, spec JobSpec, jobs []sweep.Job) (*job, *admissionError) {
+// submit admits a compiled job. It returns the admitted job's status, or an
+// admissionError describing the refusal. The status is snapshotted before
+// the job reaches the queue, where a worker may start it at once, so it
+// always reports the admitted (queued) state.
+func (d *Daemon) submit(client string, spec JobSpec, jobs []sweep.Job) (JobStatus, *admissionError) {
 	workers := spec.Workers
 	if workers <= 0 || workers > d.cfg.Workers {
 		workers = d.cfg.Workers
@@ -282,7 +284,7 @@ func (d *Daemon) submit(client string, spec JobSpec, jobs []sweep.Job) (*job, *a
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.draining {
-		return nil, &admissionError{
+		return JobStatus{}, &admissionError{
 			status: http.StatusServiceUnavailable,
 			reason: "draining",
 			msg:    "daemon is draining; resubmit elsewhere",
@@ -290,11 +292,12 @@ func (d *Daemon) submit(client string, spec JobSpec, jobs []sweep.Job) (*job, *a
 	}
 	j := d.store.add(client, spec, jobs, workers, d.cfg.now())
 	d.openJobCheckpoint(j)
+	st := d.store.status(j)
 	select {
 	case d.queue <- j:
 		d.met.jobsSubmitted.Inc()
 		d.logf("job %s admitted: client=%s jobs=%d workers=%d", j.id, client, len(jobs), workers)
-		return j, nil
+		return st, nil
 	default:
 		// Queue saturated: undo the store registration and shed load.
 		if j.ckpt != nil {
@@ -303,7 +306,7 @@ func (d *Daemon) submit(client string, spec JobSpec, jobs []sweep.Job) (*job, *a
 		}
 		d.store.drop(j)
 		retry := d.retryAfterLocked()
-		return nil, &admissionError{
+		return JobStatus{}, &admissionError{
 			status:     http.StatusTooManyRequests,
 			reason:     "saturated",
 			msg:        fmt.Sprintf("job queue full (%d deep)", d.cfg.QueueDepth),

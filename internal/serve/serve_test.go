@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -28,21 +29,36 @@ func syntheticRunner(j sweep.Job) (sweep.Result, error) {
 	}, nil
 }
 
-// gateRunner blocks every sub-job until release is closed (or fed), and
-// reports entry on entered — the lever for queued/running/drain tests.
+// gateRunner blocks every sub-job until the gate opens, and reports entry
+// on entered — the lever for queued/running/drain tests.
 type gateRunner struct {
 	entered chan string
 	release chan struct{}
-}
-
-func newGateRunner() *gateRunner {
-	return &gateRunner{entered: make(chan string, 64), release: make(chan struct{})}
+	once    sync.Once
 }
 
 func (g *gateRunner) run(j sweep.Job) (sweep.Result, error) {
 	g.entered <- j.ID
 	<-g.release
 	return sweep.Result{Digest: "digest:" + j.ID}, nil
+}
+
+// open lets every blocked and future sub-job finish; later calls are no-ops.
+func (g *gateRunner) open() { g.once.Do(func() { close(g.release) }) }
+
+// newGatedEnv is newEnv with cfg.Runner blocked on a fresh gate. The gate
+// opens at cleanup before newEnv's drain runs (cleanups run last-registered
+// first), so a test that fails with sub-jobs still blocked cannot leave
+// Drain waiting on them and hang the package.
+func newGatedEnv(t *testing.T, cfg Config) (*env, *gateRunner) {
+	t.Helper()
+	// entered holds more entries than any test has sub-jobs, so reporting
+	// entry never blocks a sub-job a test does not wait for.
+	g := &gateRunner{entered: make(chan string, 64), release: make(chan struct{})}
+	cfg.Runner = g.run
+	e := newEnv(t, cfg)
+	t.Cleanup(g.open)
+	return e, g
 }
 
 type env struct {
@@ -241,8 +257,7 @@ func TestListAndStatusLifecycle(t *testing.T) {
 // bounded queue, submissions get 429 with a Retry-After estimate, and the
 // refused job leaves no residue in the store.
 func TestAdmissionSaturatedQueue(t *testing.T) {
-	g := newGateRunner()
-	e := newEnv(t, Config{Runner: g.run, Concurrency: 1, QueueDepth: 1, Registry: metrics.NewRegistry()})
+	e, g := newGatedEnv(t, Config{Concurrency: 1, QueueDepth: 1, Registry: metrics.NewRegistry()})
 
 	running := e.submitOK(t, `{"seeds":"1"}`)
 	e.waitState(t, running.ID, StateRunning)
@@ -279,7 +294,7 @@ func TestAdmissionSaturatedQueue(t *testing.T) {
 		t.Fatalf("store holds %d jobs after refusal, want 2", len(list.Jobs))
 	}
 
-	close(g.release)
+	g.open()
 	e.waitState(t, running.ID, StateDone)
 	e.waitState(t, queued.ID, StateDone)
 
@@ -314,8 +329,7 @@ func TestRateLimitPerClient(t *testing.T) {
 }
 
 func TestCancelQueuedJob(t *testing.T) {
-	g := newGateRunner()
-	e := newEnv(t, Config{Runner: g.run, Concurrency: 1, QueueDepth: 2})
+	e, g := newGatedEnv(t, Config{Concurrency: 1, QueueDepth: 2})
 
 	running := e.submitOK(t, `{"seeds":"1"}`)
 	e.waitState(t, running.ID, StateRunning)
@@ -335,7 +349,7 @@ func TestCancelQueuedJob(t *testing.T) {
 		t.Fatalf("canceled queued job status = %+v", st)
 	}
 
-	close(g.release)
+	g.open()
 	e.waitState(t, running.ID, StateDone)
 	// The worker must skip the canceled job, not resurrect it.
 	if st := e.status(t, queued.ID); st.State != StateCanceled {
@@ -344,8 +358,7 @@ func TestCancelQueuedJob(t *testing.T) {
 }
 
 func TestCancelRunningJobYieldsPartialManifest(t *testing.T) {
-	g := newGateRunner()
-	e := newEnv(t, Config{Runner: g.run, Concurrency: 1})
+	e, g := newGatedEnv(t, Config{Concurrency: 1})
 
 	// workers=1 so exactly one sub-job is in flight when we cancel.
 	st := e.submitOK(t, `{"seeds":"1-4","workers":1}`)
@@ -360,7 +373,7 @@ func TestCancelRunningJobYieldsPartialManifest(t *testing.T) {
 	if cresp.StatusCode != http.StatusAccepted {
 		t.Fatalf("cancel running = %d, want 202", cresp.StatusCode)
 	}
-	close(g.release)
+	g.open()
 
 	fin := e.waitState(t, st.ID, StateCanceled)
 	if fin.Digest == "" {
@@ -389,9 +402,8 @@ func TestCancelRunningJobYieldsPartialManifest(t *testing.T) {
 // status still answers, submissions are refused, queued jobs are canceled
 // with a reason, and the running job finishes before Drain returns.
 func TestDrain(t *testing.T) {
-	g := newGateRunner()
 	reg := metrics.NewRegistry()
-	e := newEnv(t, Config{Runner: g.run, Concurrency: 1, QueueDepth: 4, Registry: reg})
+	e, g := newGatedEnv(t, Config{Concurrency: 1, QueueDepth: 4, Registry: reg})
 
 	running := e.submitOK(t, `{"seeds":"1"}`)
 	e.waitState(t, running.ID, StateRunning)
@@ -434,7 +446,7 @@ func TestDrain(t *testing.T) {
 	}
 
 	// Release the running job; Drain completes cleanly.
-	close(g.release)
+	g.open()
 	if err := <-drained; err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
@@ -451,8 +463,7 @@ func TestDrain(t *testing.T) {
 // running job's context is canceled so it lands a partial manifest instead
 // of holding exit hostage.
 func TestDrainDeadlineCheckpointsRunning(t *testing.T) {
-	g := newGateRunner()
-	e := newEnv(t, Config{Runner: g.run, Concurrency: 1})
+	e, g := newGatedEnv(t, Config{Concurrency: 1})
 
 	st := e.submitOK(t, `{"seeds":"1-3","workers":1}`)
 	e.waitState(t, st.ID, StateRunning)
@@ -465,7 +476,7 @@ func TestDrainDeadlineCheckpointsRunning(t *testing.T) {
 	go func() {
 		<-ctx.Done()
 		time.Sleep(10 * time.Millisecond)
-		close(g.release)
+		g.open()
 	}()
 	if err := e.d.Drain(ctx); err != context.DeadlineExceeded {
 		t.Fatalf("Drain = %v, want context.DeadlineExceeded", err)
@@ -514,8 +525,7 @@ func TestPerJobTimeout(t *testing.T) {
 }
 
 func TestWatchStreamsProgressToTerminal(t *testing.T) {
-	g := newGateRunner()
-	e := newEnv(t, Config{Runner: g.run, Concurrency: 1, WatchInterval: 5 * time.Millisecond})
+	e, g := newGatedEnv(t, Config{Concurrency: 1, WatchInterval: 5 * time.Millisecond})
 	st := e.submitOK(t, `{"seeds":"1-2","workers":1}`)
 
 	resp, err := e.srv.Client().Get(e.srv.URL + "/v1/jobs/" + st.ID + "/watch")
@@ -528,7 +538,7 @@ func TestWatchStreamsProgressToTerminal(t *testing.T) {
 	}
 	go func() {
 		<-g.entered
-		close(g.release)
+		g.open()
 	}()
 	var lines []JobStatus
 	sc := bufio.NewScanner(resp.Body)
@@ -598,8 +608,7 @@ func TestSubmitValidation(t *testing.T) {
 }
 
 func TestNotFoundAndNotReady(t *testing.T) {
-	g := newGateRunner()
-	e := newEnv(t, Config{Runner: g.run, Concurrency: 1})
+	e, g := newGatedEnv(t, Config{Concurrency: 1})
 
 	for _, path := range []string{"/v1/jobs/nope", "/v1/jobs/nope/result", "/v1/jobs/nope/watch"} {
 		resp, err := e.srv.Client().Get(e.srv.URL + path)
@@ -631,7 +640,7 @@ func TestNotFoundAndNotReady(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad format = %d, want 400", resp.StatusCode)
 	}
-	close(g.release)
+	g.open()
 	e.waitState(t, st.ID, StateDone)
 
 	cresp, err := e.srv.Client().Post(e.srv.URL+"/v1/jobs/"+st.ID+"/cancel", "", nil)

@@ -134,25 +134,40 @@ func New() *Collector {
 	}
 }
 
-// Observe implements netsim.Tap: classify fabric packets by port and accrue
-// their on-wire bytes (scaled up by 1/Visibility, since the tap effectively
-// sees the visible share of the simulated world).
+// ObserveTrain implements netsim.Tap: each payload is accrued in order, as
+// its own datagram, because the scaled byte counts are fractional and float
+// sums depend on their order.
+func (c *Collector) ObserveTrain(hdr *packet.Datagram, payloads [][]byte, now time.Time) {
+	for _, p := range payloads {
+		c.observe(hdr, len(p), now)
+	}
+}
+
+// Observe accrues one datagram.
 func (c *Collector) Observe(dg *packet.Datagram, now time.Time) {
-	rep := dg.Rep
+	c.observe(dg, len(dg.Payload), now)
+}
+
+// observe classifies one datagram (hdr's ports and Rep, a UDP payload of
+// payloadLen bytes) by port and accrues its on-wire bytes (scaled up by
+// 1/Visibility, since the tap effectively sees the visible share of the
+// simulated world).
+func (c *Collector) observe(hdr *packet.Datagram, payloadLen int, now time.Time) {
+	rep := hdr.Rep
 	if rep <= 0 {
 		rep = 1
 	}
-	bytes := float64(dg.OnWire()) * float64(rep)
+	bytes := float64(packet.OnWireBytesForUDPPayload(payloadLen)) * float64(rep)
 	if c.Visibility > 0 && c.Visibility < 1 {
 		bytes /= c.Visibility // the tap sees only the visible share of traffic
 	}
 	switch {
-	case dg.UDP.DstPort == ntp.Port || dg.UDP.SrcPort == ntp.Port:
+	case hdr.UDP.DstPort == ntp.Port || hdr.UDP.SrcPort == ntp.Port:
 		c.ntpDailyBytes.Add(now, bytes)
 		if c.m != nil {
 			c.m.TapNTPBytes.Add(int64(bytes))
 		}
-	case dg.UDP.DstPort == dns.Port || dg.UDP.SrcPort == dns.Port:
+	case hdr.UDP.DstPort == dns.Port || hdr.UDP.SrcPort == dns.Port:
 		c.dnsDailyBytes.Add(now, bytes)
 		if c.m != nil {
 			c.m.TapDNSBytes.Add(int64(bytes))

@@ -112,3 +112,14 @@ func (s *Simulation) ByID(id string) *Table {
 }
 
 func day(t time.Time) string { return t.Format("2006-01-02") }
+
+// noSurvey reports whether the window ended before the first weekly monlist
+// survey (scenario.ONPStart), leaving the survey-backed tables nothing to
+// show. If so it notes that on t, which the caller returns empty.
+func (s *Simulation) noSurvey(t *Table) bool {
+	if len(s.res.MonlistAnalyses) > 0 {
+		return false
+	}
+	t.AddNote("no monlist survey in this window: the first is on %s", day(scenario.ONPStart))
+	return true
+}
