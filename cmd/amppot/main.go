@@ -18,11 +18,12 @@ import (
 
 	"ntpddos"
 	"ntpddos/internal/buildinfo"
+	"ntpddos/internal/sweep"
 )
 
 func main() {
 	var (
-		scale   = flag.Int("scale", 2000, "population divisor (smaller = bigger, slower world)")
+		scale   = sweep.ScaleFlag(2000)
 		seed    = flag.Uint64("seed", 1, "world seed")
 		sensors = flag.Int("sensors", 0, "fleet size (0 = default 24 sensors)")
 		events  = flag.Bool("events", false, "also print each detected event")
@@ -31,10 +32,6 @@ func main() {
 	showVersion := buildinfo.Flag()
 	flag.Parse()
 	buildinfo.Handle("amppot", *showVersion)
-	if *scale < 1 {
-		fmt.Fprintf(os.Stderr, "amppot: bad -scale %d: population divisor must be at least 1\n", *scale)
-		os.Exit(2)
-	}
 	if *sensors < 0 {
 		fmt.Fprintf(os.Stderr, "amppot: bad -sensors %d: fleet size must be at least 0\n", *sensors)
 		os.Exit(2)

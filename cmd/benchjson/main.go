@@ -9,12 +9,6 @@
 // existing `go test -bench` log can be converted instead of re-running:
 //
 //	go test -bench . -benchmem ./... | benchjson -in -
-//
-// Diff mode compares two snapshots and exits nonzero when any benchmark
-// regressed (ns/op or allocs/op) by more than -threshold percent — the CI
-// bench-compare gate:
-//
-//	benchjson -diff old.json new.json -threshold 20
 package main
 
 import (
@@ -63,19 +57,10 @@ func main() {
 		in    = flag.String("in", "", "parse this existing bench log instead of running go test (- = stdin)")
 		out   = flag.String("out", "", "output path (default BENCH_<date>.json)")
 		mem   = flag.Bool("benchmem", true, "pass -benchmem (B/op and allocs/op)")
-		diff  = flag.Bool("diff", false, "compare two snapshot files: benchjson -diff old.json new.json")
-		thr   = flag.Float64("threshold", 20, "with -diff: max tolerated regression percent before a nonzero exit")
 	)
 	showVersion := buildinfo.Flag()
 	flag.Parse()
 	buildinfo.Handle("benchjson", *showVersion)
-
-	if *diff {
-		if flag.NArg() != 2 {
-			log.Fatal("benchjson: -diff needs exactly two snapshot files (old.json new.json)")
-		}
-		os.Exit(runDiff(flag.Arg(0), flag.Arg(1), *thr, os.Stdout))
-	}
 
 	snap := Snapshot{
 		Date:   time.Now().UTC().Format("2006-01-02"),

@@ -13,21 +13,18 @@ import (
 	"ntpddos/internal/buildinfo"
 	"ntpddos/internal/scenario"
 	"ntpddos/internal/stats"
+	"ntpddos/internal/sweep"
 	"ntpddos/internal/vtime"
 )
 
 func main() {
 	var (
-		scale = flag.Int("scale", 2000, "population divisor")
+		scale = sweep.ScaleFlag(2000)
 		seed  = flag.Uint64("seed", 1, "world seed")
 	)
 	showVersion := buildinfo.Flag()
 	flag.Parse()
 	buildinfo.Handle("darknetwatch", *showVersion)
-	if *scale < 1 {
-		fmt.Fprintf(os.Stderr, "darknetwatch: bad -scale %d: population divisor must be at least 1\n", *scale)
-		os.Exit(2)
-	}
 
 	cfg := scenario.TestConfig()
 	cfg.Scale = *scale

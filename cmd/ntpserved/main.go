@@ -44,12 +44,13 @@ import (
 	"ntpddos/internal/buildinfo"
 	"ntpddos/internal/metrics"
 	"ntpddos/internal/serve"
+	"ntpddos/internal/sweep"
 )
 
 func main() {
 	var (
 		addr         = flag.String("addr", "127.0.0.1:8080", "listen address (host:0 picks an ephemeral port)")
-		scale        = flag.Int("scale", 2000, "base population divisor job specs compile against")
+		scale        = sweep.ScaleFlag(2000) // the base job specs compile against
 		workers      = flag.Int("workers", 0, "sweep workers per job and per-job cap (0 = GOMAXPROCS)")
 		concurrency  = flag.Int("concurrency", 1, "jobs executing at once")
 		queueDepth   = flag.Int("queue", 16, "bounded job-queue depth; beyond it submissions get 429")
@@ -67,9 +68,6 @@ func main() {
 	)
 	flag.Parse()
 	buildinfo.Handle("ntpserved", *showVersion)
-	if *scale < 1 {
-		fatalf("bad -scale %d: population divisor must be at least 1", *scale)
-	}
 
 	base := ntpddos.DefaultConfig()
 	base.Scale = *scale

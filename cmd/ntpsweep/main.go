@@ -5,6 +5,10 @@
 // whose canonical bytes are independent of -workers — the determinism
 // contract the test suite pins.
 //
+// The knob flags come from the sweep spec's knob table: each is named after
+// its ntpserved JSON key and takes comma-separated values, and an
+// out-of-range value exits 2 naming the knob and the value.
+//
 // Usage:
 //
 //	ntpsweep -seeds 1-16                        # 16 seed replicates
@@ -12,6 +16,7 @@
 //	ntpsweep -seeds 1-4 -scales 2000,4000       # Scale ladder
 //	ntpsweep -seeds 1-4 -spoof 0.1,0.25,0.5     # BCP38 sensitivity grid
 //	ntpsweep -seeds 1-4 -detect both            # detector on/off ablation
+//	ntpsweep -seeds 1-4 -hazard 0.5,1,2         # remediation-speed sensitivity
 //	ntpsweep -seeds 1-4 -vectors dns-any,ssdp,chargen -pulse 0.3 \
 //	         -carpet 0.2 -multi 0.2 -detect on  # shaped multi-protocol campaigns
 //	ntpsweep -seeds 1-4 -loss 0,0.05,0.1,0.2 -detect on \
@@ -35,7 +40,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -48,30 +52,11 @@ import (
 )
 
 func main() {
+	var spec sweep.Spec
+	spec.Flags(flag.CommandLine, false)
 	var (
 		workers     = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-		seedSpec    = flag.String("seeds", "1", "replicate seeds: comma list and/or ranges, e.g. 1-16 or 1,5,9-12")
-		scaleSpec   = flag.String("scales", "", "comma-separated Scale ladder (empty = -scale only)")
-		scale       = flag.Int("scale", 2000, "base population divisor")
-		name        = flag.String("name", "", "experiment-name prefix for manifest cells")
-		endSpec     = flag.String("end", "", "truncate the window at this date (YYYY-MM-DD; empty = full window)")
-		detectSpec  = flag.String("detect", "off", "streaming detector knob: off, on, or both")
-		noremSpec   = flag.String("noremediation", "off", "counterfactual no-remediation knob: off, on, or both")
-		spoofSpec   = flag.String("spoof", "", "comma-separated BCP38 spoofer fractions (e.g. 0.1,0.25,0.5)")
-		hazardSpec  = flag.String("hazard", "", "comma-separated remediation-hazard multipliers (e.g. 0.5,1,2)")
-		vectorSpec  = flag.String("vectors", "", "comma-separated extra reflector vectors to arm (dns-any,ssdp,chargen)")
-		pulseSpec   = flag.String("pulse", "", "comma-separated pulse-wave campaign shares in [0,1] (e.g. 0,0.3)")
-		carpetSpec  = flag.String("carpet", "", "comma-separated carpet-bombing campaign shares in [0,1]")
-		multiSpec   = flag.String("multi", "", "comma-separated multi-vector campaign shares in [0,1]")
-		lossSpec    = flag.String("loss", "", "comma-separated fabric packet-loss rates in [0,1) (fault grid)")
-		dupSpec     = flag.String("dup", "", "comma-separated fabric duplication rates in [0,1)")
-		reorderSpec = flag.String("reorder", "", "comma-separated fabric reordering rates in [0,1)")
-		flapSpec    = flag.String("flap", "", "comma-separated link-flap dark fractions in [0,1)")
-		sampleSpec  = flag.String("sample", "", "comma-separated NetFlow 1-in-N sampling strides (e.g. 1,16,64)")
-		outageSpec  = flag.String("outage", "", "comma-separated NetFlow collector dark fractions in [0,1)")
-		blackSpec   = flag.String("blackout", "", "comma-separated honeypot sensor blackout fractions in [0,1)")
-		tsClients   = flag.Int("timesync", 0, "disciplined NTP client count (0 keeps the timesync plane off)")
-		taSpec      = flag.String("timeattack", "", "comma-separated time-integrity attack shares in [0,1] (requires -timesync)")
+		scale       = sweep.ScaleFlag(2000)
 		csv         = flag.Bool("csv", false, "emit the per-job table as CSV instead of the JSON manifest")
 		out         = flag.String("out", "-", "manifest destination (- = stdout)")
 		quiet       = flag.Bool("q", false, "suppress per-job progress lines")
@@ -81,21 +66,7 @@ func main() {
 	)
 	flag.Parse()
 	buildinfo.Handle("ntpsweep", *showVersion)
-	if *scale < 1 {
-		fatalf("bad -scale %d: population divisor must be at least 1", *scale)
-	}
 
-	spec, err := buildSpec(specFlags{
-		name: *name, seeds: *seedSpec, scales: *scaleSpec, end: *endSpec,
-		detect: *detectSpec, norem: *noremSpec, spoof: *spoofSpec, hazard: *hazardSpec,
-		vectors: *vectorSpec, pulse: *pulseSpec, carpet: *carpetSpec, multi: *multiSpec,
-		loss: *lossSpec, dup: *dupSpec, reorder: *reorderSpec, flap: *flapSpec,
-		sample: *sampleSpec, outage: *outageSpec, blackout: *blackSpec,
-		timesync: *tsClients, timeattack: *taSpec,
-	})
-	if err != nil {
-		fatalf("%v", err)
-	}
 	base := ntpddos.DefaultConfig()
 	base.Scale = *scale
 	grid, err := spec.Grid(base)
@@ -176,79 +147,6 @@ func fatalf(format string, args ...any) {
 	os.Exit(2)
 }
 
-// specFlags carries the raw flag strings the sweep spec compiles from.
-type specFlags struct {
-	name, seeds, scales, end, detect, norem string
-	spoof, hazard, pulse, carpet, multi     string
-	vectors                                 string
-	loss, dup, reorder, flap                string
-	sample, outage, blackout                string
-	timesync                                int
-	timeattack                              string
-}
-
-// buildSpec assembles the declarative sweep spec from the flag strings; the
-// same spec, as JSON, is what cmd/ntpserved accepts over HTTP.
-func buildSpec(f specFlags) (sweep.Spec, error) {
-	s := sweep.Spec{
-		Name:          f.name,
-		Seeds:         f.seeds,
-		End:           f.end,
-		Detect:        f.detect,
-		NoRemediation: f.norem,
-	}
-	if f.scales != "" {
-		scales, err := parseInts(f.scales)
-		if err != nil {
-			return s, fmt.Errorf("bad -scales: %w", err)
-		}
-		s.Scales = scales
-	}
-	if f.vectors != "" {
-		for _, part := range strings.Split(f.vectors, ",") {
-			if part = strings.TrimSpace(part); part != "" {
-				s.Vectors = append(s.Vectors, part)
-			}
-		}
-	}
-	for _, fl := range []struct {
-		flag string
-		spec string
-		dst  *[]float64
-	}{
-		{"-spoof", f.spoof, &s.Spoof},
-		{"-hazard", f.hazard, &s.Hazard},
-		{"-pulse", f.pulse, &s.Pulse},
-		{"-carpet", f.carpet, &s.Carpet},
-		{"-multi", f.multi, &s.Multi},
-		{"-loss", f.loss, &s.Loss},
-		{"-dup", f.dup, &s.Dup},
-		{"-reorder", f.reorder, &s.Reorder},
-		{"-flap", f.flap, &s.Flap},
-		{"-outage", f.outage, &s.Outage},
-		{"-blackout", f.blackout, &s.Blackout},
-		{"-timeattack", f.timeattack, &s.TimeAttack},
-	} {
-		if fl.spec == "" {
-			continue
-		}
-		vals, err := parseFloats(fl.spec)
-		if err != nil {
-			return s, fmt.Errorf("bad %s: %w", fl.flag, err)
-		}
-		*fl.dst = vals
-	}
-	if f.sample != "" {
-		strides, err := parseInts(f.sample)
-		if err != nil {
-			return s, fmt.Errorf("bad -sample: %w", err)
-		}
-		s.Sample = strides
-	}
-	s.TimeSync = f.timesync
-	return s, nil
-}
-
 func gridShape(g sweep.Grid) string {
 	parts := []string{fmt.Sprintf("%d seeds", len(g.Seeds))}
 	if len(g.Scales) > 1 {
@@ -258,42 +156,4 @@ func gridShape(g sweep.Grid) string {
 		parts = append(parts, fmt.Sprintf("%s×%d", k.Name, len(k.Values)))
 	}
 	return strings.Join(parts, ", ")
-}
-
-func parseInts(spec string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		v, err := strconv.Atoi(part)
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("bad value %q", part)
-		}
-		out = append(out, v)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty list %q", spec)
-	}
-	return out, nil
-}
-
-func parseFloats(spec string) ([]float64, error) {
-	var out []float64
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		v, err := strconv.ParseFloat(part, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad value %q", part)
-		}
-		out = append(out, v)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty list %q", spec)
-	}
-	return out, nil
 }

@@ -1,12 +1,17 @@
 package main
 
 import (
+	"encoding/json"
+	"flag"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"ntpddos/internal/clitest"
 	"ntpddos/internal/scenario"
+	"ntpddos/internal/sweep"
 )
 
 func TestMain(m *testing.M) { clitest.Main(m, main) }
@@ -17,99 +22,86 @@ func TestRejectsBadScale(t *testing.T) {
 	}
 }
 
-func TestParseInts(t *testing.T) {
-	got, err := parseInts("2000, 4000")
-	if err != nil || len(got) != 2 || got[0] != 2000 || got[1] != 4000 {
-		t.Fatalf("parseInts = %v, %v", got, err)
-	}
-	for _, bad := range []string{"", "x", "-1", "0"} {
-		if _, err := parseInts(bad); err == nil {
-			t.Errorf("parseInts(%q) accepted, want error", bad)
-		}
-	}
-}
-
-func TestParseFloats(t *testing.T) {
-	got, err := parseFloats("0.1, 0.5,2")
-	if err != nil || len(got) != 3 || got[0] != 0.1 || got[2] != 2 {
-		t.Fatalf("parseFloats = %v, %v", got, err)
-	}
-	for _, bad := range []string{"", "zz", "0.1,zz"} {
-		if _, err := parseFloats(bad); err == nil {
-			t.Errorf("parseFloats(%q) accepted, want error", bad)
-		}
-	}
-}
-
-// TestBuildSpecMatchesFlags pins the flags → Spec → Grid path: the CLI must
-// expand exactly the same job list a JSON job spec with the same fields
-// yields, since that is what makes daemon-run sweeps comparable to CLI runs.
-func TestBuildSpecMatchesFlags(t *testing.T) {
-	spec, err := buildSpec(specFlags{name: "sens", seeds: "1-3", scales: "2000,4000",
-		detect: "both", norem: "off", spoof: "0.25,0.5"})
-	if err != nil {
-		t.Fatal(err)
+// TestFlagsMatchJSONSpec pins the flags → Spec → jobs path: argv parsed
+// through the knob table's flags must expand exactly the job list the same
+// spec decoded from JSON yields, since that is what makes daemon-run sweeps
+// comparable to CLI runs.
+func TestFlagsMatchJSONSpec(t *testing.T) {
+	parse := func(args ...string) (sweep.Spec, error) {
+		fs := flag.NewFlagSet("ntpsweep", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		var spec sweep.Spec
+		spec.Flags(fs, false)
+		return spec, fs.Parse(args)
 	}
 	base := scenario.TestConfig()
 	base.Scale = 2000
-	g, err := spec.Grid(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobs := g.Jobs()
-	// 3 seeds x 2 scales x detect{off,on} x spoof{0.25,0.5} = 24 jobs.
-	if len(jobs) != 24 {
-		t.Fatalf("grid expanded %d jobs, want 24", len(jobs))
-	}
-	if jobs[0].ID != "sens/scale=2000/detect=off/spoof=0.25/seed=1" {
-		t.Fatalf("first job ID = %q", jobs[0].ID)
-	}
-
-	// Campaign flags land on the spec and survive Grid compilation.
-	spec, err = buildSpec(specFlags{seeds: "1", vectors: "dns-any, ssdp",
-		pulse: "0,0.3", carpet: "0.2", multi: "0.1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(spec.Vectors) != 2 || spec.Vectors[1] != "ssdp" ||
-		len(spec.Pulse) != 2 || len(spec.Carpet) != 1 || len(spec.Multi) != 1 {
-		t.Fatalf("campaign flags not compiled: %+v", spec)
-	}
-	g, err = spec.Grid(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := g.Jobs()[1].Cfg; got.PulseWaveShare != 0.3 || len(got.ExtraVectors) != 2 {
-		t.Fatalf("campaign grid config: %+v", got)
-	}
-
-	// Errors surface with the flag name attached.
-	for _, bad := range []specFlags{
-		{seeds: "1", scales: "x"},
-		{seeds: "1", spoof: "zz"},
-		{seeds: "1", hazard: "zz"},
-		{seeds: "1", pulse: "zz"},
-		{seeds: "1", carpet: "zz"},
-		{seeds: "1", multi: "zz"},
+	for _, c := range []struct {
+		args []string
+		json string
+	}{
+		{[]string{"-name", "sens", "-seeds", "1-3", "-scales", "2000,4000", "-detect", "both",
+			"-noremediation", "off", "-spoof", "0.25,0.5"},
+			`{"name":"sens","seeds":"1-3","scales":[2000,4000],"detect":"both","noremediation":"off","spoof":[0.25,0.5]}`},
+		{[]string{"-vectors", "dns-any, ssdp", "-pulse", "0,0.3", "-carpet", "0.2", "-multi", "0.1",
+			"-hazard", "0.5,2", "-noremediation", "both", "-end", "2014-01-17"},
+			`{"seeds":"1","vectors":["dns-any","ssdp"],"pulse":[0,0.3],"carpet":[0.2],"multi":[0.1],` +
+				`"hazard":[0.5,2],"noremediation":"both","end":"2014-01-17"}`},
+		{[]string{"-seeds", "2", "-loss", "0,0.1", "-dup", "0.05", "-reorder", "0.02", "-flap", "0.25",
+			"-sample", "1,16", "-outage", "0.5", "-blackout", "0.3", "-timesync", "8", "-timeattack", "0,0.5"},
+			`{"seeds":"2","loss":[0,0.1],"dup":[0.05],"reorder":[0.02],"flap":[0.25],"sample":[1,16],` +
+				`"outage":[0.5],"blackout":[0.3],"timesync":8,"timeattack":[0,0.5]}`},
 	} {
-		if _, err := buildSpec(bad); err == nil {
-			t.Fatalf("flags %+v accepted, want error", bad)
-		}
-	}
-	// Bad seeds, knob specs, vectors, and share ranges are caught at Grid
-	// compile time (shared with the daemon path).
-	for _, bad := range []specFlags{
-		{seeds: "zz"},
-		{seeds: "1", detect: "sometimes"},
-		{seeds: "1", vectors: "smurf"},
-		{seeds: "1", pulse: "1.5"},
-	} {
-		spec, err := buildSpec(bad)
+		fromFlags, err := parse(c.args...)
 		if err != nil {
+			t.Fatalf("%v: %v", c.args, err)
+		}
+		var fromJSON sweep.Spec
+		if err := json.Unmarshal([]byte(c.json), &fromJSON); err != nil {
 			t.Fatal(err)
 		}
+		a, err := fromFlags.Jobs(base)
+		if err != nil {
+			t.Fatalf("%v: %v", c.args, err)
+		}
+		b, err := fromJSON.Jobs(base)
+		if err != nil {
+			t.Fatalf("%s: %v", c.json, err)
+		}
+		if len(a) != len(b) || len(a) < 2 {
+			t.Fatalf("%v: %d jobs from flags, %d from JSON", c.args, len(a), len(b))
+		}
+		for i := range a {
+			if a[i].ID != b[i].ID || !reflect.DeepEqual(a[i].Params, b[i].Params) ||
+				!reflect.DeepEqual(a[i].Cfg, b[i].Cfg) {
+				t.Fatalf("%v: job %d differs:\nflags %s %v %+v\njson  %s %v %+v", c.args, i,
+					a[i].ID, a[i].Params, a[i].Cfg, b[i].ID, b[i].Params, b[i].Cfg)
+			}
+		}
+	}
+
+	// Garbage values are flag parse errors.
+	for _, bad := range [][]string{
+		{"-scales", "x"}, {"-scales", "2000,x"}, {"-spoof", "zz"}, {"-hazard", "zz"},
+		{"-pulse", "zz"}, {"-carpet", "zz"}, {"-multi", "0.1,zz"}, {"-loss", "zz"},
+		{"-sample", "1.5"}, {"-timesync", "x"},
+	} {
+		if _, err := parse(bad...); err == nil {
+			t.Errorf("flags %v parsed, want error", bad)
+		}
+	}
+	// Bad seeds, knob words, vectors and ranges are caught at Grid compile
+	// time (shared with the daemon path).
+	for _, bad := range [][]string{
+		{"-seeds", "zz"}, {"-detect", "sometimes"}, {"-vectors", "smurf"}, {"-pulse", "1.5"},
+		{"-scales", "0"}, {"-sample", "0"},
+	} {
+		spec, err := parse(bad...)
+		if err != nil {
+			t.Fatalf("flags %v: %v", bad, err)
+		}
 		if _, err := spec.Grid(base); err == nil {
-			t.Fatalf("spec from %+v accepted at compile, want error", bad)
+			t.Errorf("spec from %v accepted at compile, want error", bad)
 		}
 	}
 }

@@ -30,5 +30,5 @@ func main() {
 	// The decline: remediation drains the pool by >90% in ten weeks.
 	fmt.Println(sim.RemediationReport().Render())
 
-	fmt.Println("All 31 experiments: sim.All(), or go run ./cmd/ntpsim")
+	fmt.Println("All 33 experiments: sim.All(), or go run ./cmd/ntpsim")
 }

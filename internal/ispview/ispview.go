@@ -71,22 +71,11 @@ type AmpStats struct {
 	PayloadOut int64
 	WireOut    int64
 	Victims    netaddr.Set
-	perVictim  map[netaddr.Addr]*pairStats
 
 	// Attack traffic arrives in long same-victim runs; remembering the last
-	// pair looked up skips the map (and the Victims set insert — a cache hit
-	// proves membership). Entries are never removed, so the pointer cannot
-	// go stale.
-	lastVictim netaddr.Addr
-	lastPair   *pairStats
-}
-
-type pairStats struct {
-	payloadOut int64
-	wireOut    int64
-	packets    int64
-	first      time.Time
-	last       time.Time
+	// victim added skips the Victims set insert.
+	lastVictim   netaddr.Addr
+	lastVictimOK bool
 }
 
 // BAF returns the amplifier's payload amplification ratio.
@@ -284,7 +273,7 @@ func (v *View) AddBaseline(proto string, from, to time.Time, bytesPerHour float6
 
 // ObserveTrain implements netsim.Tap. Everything the payloads of a train
 // share is done once: the border tests, the protocol and direction tests,
-// and the amplifier, pair, victim and scanner lookups. Integer counters,
+// and the amplifier, victim and scanner lookups. Integer counters,
 // histograms, metrics and the series that only ever hold whole byte counts
 // (the ntp ProtoBytes, EgressNTP, IngressNTP, victim Hourly) take one sum
 // per train: sums of whole numbers below 2^53 are exact in any order. Only
@@ -344,13 +333,10 @@ func (v *View) ObserveTrain(hdr *packet.Datagram, payloads [][]byte, now time.Ti
 			amp := v.amp(hdr.IP.Src)
 			amp.PayloadOut += hitPayload
 			amp.WireOut += hitWire
-			// pair() maintains amp.Victims: the set gains the victim exactly
-			// when the perVictim entry is created.
-			ps := amp.pair(hdr.IP.Dst, now)
-			ps.payloadOut += hitPayload
-			ps.wireOut += hitWire
-			ps.packets += rep * hits
-			ps.last = now
+			if !amp.lastVictimOK || amp.lastVictim != hdr.IP.Dst {
+				amp.Victims.Add(hdr.IP.Dst)
+				amp.lastVictim, amp.lastVictimOK = hdr.IP.Dst, true
+			}
 
 			vic := v.victim(hdr.IP.Dst, now)
 			vic.PayloadIn += hitPayload
@@ -400,26 +386,12 @@ func (v *View) amp(a netaddr.Addr) *AmpStats {
 	}
 	s, ok := v.amps[a]
 	if !ok {
-		s = &AmpStats{Addr: a, Victims: netaddr.NewSet(0), perVictim: make(map[netaddr.Addr]*pairStats)}
+		s = &AmpStats{Addr: a, Victims: netaddr.NewSet(0)}
 		v.amps[a] = s
 		v.mAmps.SetInt(int64(len(v.amps)))
 	}
 	v.lastAmpAddr, v.lastAmp = a, s
 	return s
-}
-
-func (a *AmpStats) pair(victim netaddr.Addr, now time.Time) *pairStats {
-	if a.lastPair != nil && a.lastVictim == victim {
-		return a.lastPair
-	}
-	p, ok := a.perVictim[victim]
-	if !ok {
-		p = &pairStats{first: now, last: now}
-		a.perVictim[victim] = p
-		a.Victims.Add(victim)
-	}
-	a.lastVictim, a.lastPair = victim, p
-	return p
 }
 
 func (v *View) victim(a netaddr.Addr, now time.Time) *VictimStats {
@@ -524,18 +496,4 @@ func (v *View) Billed95(from, to time.Time) float64 {
 		}
 	}
 	return stats.Percentile95(samples)
-}
-
-// PairSeries returns the hourly on-wire volume an amplifier sent one victim
-// — the per-victim stacked lines of Figure 13 are sums of these.
-func (v *View) PairVolume(amp, victim netaddr.Addr) (payloadOut, wireOut, packets int64) {
-	a, ok := v.amps[amp]
-	if !ok {
-		return 0, 0, 0
-	}
-	p, ok := a.perVictim[victim]
-	if !ok {
-		return 0, 0, 0
-	}
-	return p.payloadOut, p.wireOut, p.packets
 }

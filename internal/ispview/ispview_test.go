@@ -205,15 +205,3 @@ func TestAddBaselineAndProtoMix(t *testing.T) {
 		t.Fatal("no ntp protocol bytes recorded")
 	}
 }
-
-func TestPairVolume(t *testing.T) {
-	f := newFixture(t)
-	f.runAttack(1000, time.Hour, 100)
-	payload, wire, packets := f.view.PairVolume(f.amp.Addr(), f.victim)
-	if payload == 0 || wire <= payload || packets == 0 {
-		t.Fatalf("pair volume = %d/%d/%d", payload, wire, packets)
-	}
-	if p, _, _ := f.view.PairVolume(f.victim, f.amp.Addr()); p != 0 {
-		t.Fatal("reversed pair must be empty")
-	}
-}

@@ -151,11 +151,6 @@ func dumpView(v *View) string {
 	for _, a := range sortedKeys(v.amps) {
 		s := v.amps[a]
 		fmt.Fprintf(&b, "amp %v in=%d out=%d wire=%d victims=%v\n", s.Addr, s.PayloadIn, s.PayloadOut, s.WireOut, s.Victims.Sorted())
-		for _, vic := range sortedKeys(s.perVictim) {
-			p := s.perVictim[vic]
-			fmt.Fprintf(&b, "  pair %v out=%d wire=%d packets=%d %d..%d\n", vic, p.payloadOut, p.wireOut, p.packets,
-				p.first.UnixNano(), p.last.UnixNano())
-		}
 	}
 	for _, a := range sortedKeys(v.victims) {
 		s := v.victims[a]

@@ -575,6 +575,7 @@ func TestSubmitValidation(t *testing.T) {
 		{"bad pulse share", `{"seeds":"1","pulse":[1.5]}`, 400, "invalid"},
 		{"bad timeattack share", `{"seeds":"1","timesync":8,"timeattack":[1.5]}`, 400, "invalid"},
 		{"timeattack without timesync", `{"seeds":"1","timeattack":[0.5]}`, 400, "invalid"},
+		{"hazard zero", `{"seeds":"1","hazard":[0]}`, 400, "invalid"},
 	}
 	for _, tc := range cases {
 		resp, body := e.submit(t, tc.body)

@@ -2,12 +2,11 @@ package sweep
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
-	"ntpddos/internal/detect"
-	"ntpddos/internal/reflector"
 	"ntpddos/internal/scenario"
 )
 
@@ -73,33 +72,17 @@ type Spec struct {
 	TimeAttack []float64 `json:"timeattack,omitempty"`
 }
 
-// NumJobs returns how many jobs the spec expands to, without building
-// configs — the admission controller's cheap pre-flight check.
+// NumJobs returns how many jobs the spec expands to: the admission
+// controller's cheap pre-flight check. It checks the spec as Grid does
+// but builds no job configs.
 func (s Spec) NumJobs() (int, error) {
-	seeds, err := ParseSeeds(s.Seeds)
+	g, err := s.Grid(scenario.Config{})
 	if err != nil {
 		return 0, err
 	}
-	n := len(seeds)
-	if len(s.Scales) > 0 {
-		n *= len(s.Scales)
-	}
-	for _, knob := range []string{s.Detect, s.NoRemediation} {
-		if knob == "both" {
-			n *= 2
-		}
-	}
-	for _, vals := range [][]float64{
-		s.Spoof, s.Hazard, s.Pulse, s.Carpet, s.Multi,
-		s.Loss, s.Dup, s.Reorder, s.Flap, s.Outage, s.Blackout,
-		s.TimeAttack,
-	} {
-		if len(vals) > 0 {
-			n *= len(vals)
-		}
-	}
-	if len(s.Sample) > 0 {
-		n *= len(s.Sample)
+	n := len(g.Seeds) * max(len(g.Scales), 1)
+	for _, k := range g.Knobs {
+		n *= len(k.Values)
 	}
 	return n, nil
 }
@@ -132,135 +115,29 @@ func (s Spec) Grid(base scenario.Config) (Grid, error) {
 		}
 		g.Base.End = end
 	}
-	detectVals, err := OnOffKnob(s.Detect, func(c *scenario.Config) {
-		dcfg := detect.DefaultConfig()
-		c.Detector = &dcfg
-	})
-	if err != nil {
-		return g, fmt.Errorf("bad detect %q: %w", s.Detect, err)
-	}
-	if detectVals != nil {
-		g.Knobs = append(g.Knobs, Knob{Name: "detect", Values: detectVals})
-	}
-	noremVals, err := OnOffKnob(s.NoRemediation, func(c *scenario.Config) {
-		c.NoRemediation = true
-	})
-	if err != nil {
-		return g, fmt.Errorf("bad noremediation %q: %w", s.NoRemediation, err)
-	}
-	if noremVals != nil {
-		g.Knobs = append(g.Knobs, Knob{Name: "noremediation", Values: noremVals})
-	}
-	if len(s.Spoof) > 0 {
-		g.Knobs = append(g.Knobs, Knob{Name: "spoof", Values: FloatKnob(s.Spoof,
-			func(c *scenario.Config, v float64) {
-				if v == 0 {
-					v = -1 // Config uses 0 for "default"; 0 in a spec means nobody spoofs
-				}
-				c.SpooferFraction = v
-			})})
-	}
-	if len(s.Hazard) > 0 {
-		g.Knobs = append(g.Knobs, Knob{Name: "hazard", Values: FloatKnob(s.Hazard,
-			func(c *scenario.Config, v float64) {
-				c.RemediationHazard = v
-			})})
-	}
-	for i, name := range s.Vectors {
-		v := reflector.Vector(name)
-		if name == "" || v == reflector.Monlist || !reflector.Valid(v) {
-			return g, fmt.Errorf("bad vectors[%d] %q: want one of %v", i, name, ExtraVectorNames())
+	for _, k := range knobs {
+		vals, err := k.values(s)
+		switch {
+		case err != nil:
+			return g, err
+		case vals == nil:
+		case k.base:
+			vals[0].Apply(&g.Base)
+		default:
+			g.Knobs = append(g.Knobs, Knob{Name: k.name, Values: vals})
 		}
 	}
-	if len(s.Vectors) > 0 {
-		g.Base.ExtraVectors = s.Vectors
+	if len(s.TimeAttack) > 0 && s.TimeSync == 0 {
+		return g, fmt.Errorf("timeattack requires timesync clients")
 	}
-	if s.TimeSync < 0 {
-		return g, fmt.Errorf("bad timesync %d: must be non-negative", s.TimeSync)
-	}
-	if s.TimeSync > 0 {
-		g.Base.TimeSync.Clients = s.TimeSync
-	}
-	if len(s.TimeAttack) > 0 {
-		if s.TimeSync == 0 {
-			return g, fmt.Errorf("timeattack requires timesync clients")
-		}
-		for i, v := range s.TimeAttack {
-			if v < 0 || v > 1 {
-				return g, fmt.Errorf("bad timeattack[%d] %v: share must be within [0,1]", i, v)
-			}
-		}
-		g.Knobs = append(g.Knobs, Knob{Name: "timeattack", Values: FloatKnob(s.TimeAttack,
-			func(c *scenario.Config, v float64) { c.TimeAttackShare = v })})
-	}
-	for _, share := range []struct {
-		name string
-		vals []float64
-		set  func(*scenario.Config, float64)
-	}{
-		{"pulse", s.Pulse, func(c *scenario.Config, v float64) { c.PulseWaveShare = v }},
-		{"carpet", s.Carpet, func(c *scenario.Config, v float64) { c.CarpetBombShare = v }},
-		{"multi", s.Multi, func(c *scenario.Config, v float64) { c.MultiVectorShare = v }},
-	} {
-		if len(share.vals) == 0 {
-			continue
-		}
-		for i, v := range share.vals {
-			if v < 0 || v > 1 {
-				return g, fmt.Errorf("bad %s[%d] %v: share must be within [0,1]", share.name, i, v)
-			}
-		}
-		g.Knobs = append(g.Knobs, Knob{Name: share.name, Values: FloatKnob(share.vals, share.set)})
-	}
-	for _, rate := range []struct {
-		name string
-		vals []float64
-		set  func(*scenario.Config, float64)
-	}{
-		{"loss", s.Loss, func(c *scenario.Config, v float64) { c.Faults.Loss = v }},
-		{"dup", s.Dup, func(c *scenario.Config, v float64) { c.Faults.Dup = v }},
-		{"reorder", s.Reorder, func(c *scenario.Config, v float64) { c.Faults.Reorder = v }},
-		{"flap", s.Flap, func(c *scenario.Config, v float64) { c.Faults.FlapRate = v }},
-		{"outage", s.Outage, func(c *scenario.Config, v float64) { c.Faults.CollectorOutage = v }},
-		{"blackout", s.Blackout, func(c *scenario.Config, v float64) { c.Faults.SensorBlackout = v }},
-	} {
-		if len(rate.vals) == 0 {
-			continue
-		}
-		for i, v := range rate.vals {
-			if v < 0 || v >= 1 {
-				return g, fmt.Errorf("bad %s[%d] %v: rate must be within [0,1)", rate.name, i, v)
-			}
-		}
-		g.Knobs = append(g.Knobs, Knob{Name: rate.name, Values: FloatKnob(rate.vals, rate.set)})
-	}
-	if len(s.Sample) > 0 {
-		vals := make([]KnobValue, 0, len(s.Sample))
-		for i, n := range s.Sample {
-			if n < 1 {
-				return g, fmt.Errorf("bad sample[%d] %d: sampling stride must be at least 1", i, n)
-			}
-			n := n
-			vals = append(vals, KnobValue{
-				Label: strconv.Itoa(n),
-				Apply: func(c *scenario.Config) { c.Faults.FlowSampleN = n },
-			})
-		}
-		g.Knobs = append(g.Knobs, Knob{Name: "sample", Values: vals})
+	// The grid always holds the job with every largest share, and the
+	// campaign shaper reads the shares as consecutive slices of [0,1].
+	top := func(v []float64) float64 { return slices.Max(append([]float64{0}, v...)) }
+	p, c, m := top(s.Pulse), top(s.Carpet), top(s.Multi)
+	if p+c+m > 1+1e-9 {
+		return g, fmt.Errorf("bad pulse+carpet+multi %v+%v+%v: largest shares must sum to at most 1", p, c, m)
 	}
 	return g, nil
-}
-
-// ExtraVectorNames lists the vectors a spec may arm beyond monlist — the
-// catalogue minus the always-on default, in stable order.
-func ExtraVectorNames() []reflector.Vector {
-	var out []reflector.Vector
-	for _, v := range reflector.Vectors() {
-		if v != reflector.Monlist {
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 // Jobs compiles the spec and expands it in one step.
@@ -304,34 +181,4 @@ func ParseSeeds(spec string) ([]uint64, error) {
 		return nil, fmt.Errorf("no seeds in %q", spec)
 	}
 	return seeds, nil
-}
-
-// OnOffKnob maps an off/on/both spec to knob values; "" and "off" return
-// nil (no grid dimension at all, keeping manifest cells clean).
-func OnOffKnob(spec string, set func(*scenario.Config)) ([]KnobValue, error) {
-	off := KnobValue{Label: "off", Apply: func(*scenario.Config) {}}
-	on := KnobValue{Label: "on", Apply: set}
-	switch spec {
-	case "", "off":
-		return nil, nil
-	case "on":
-		return []KnobValue{on}, nil
-	case "both":
-		return []KnobValue{off, on}, nil
-	}
-	return nil, fmt.Errorf("want off, on, or both")
-}
-
-// FloatKnob builds one knob value per float, labeled by its shortest
-// round-trip formatting.
-func FloatKnob(vals []float64, set func(*scenario.Config, float64)) []KnobValue {
-	out := make([]KnobValue, 0, len(vals))
-	for _, v := range vals {
-		v := v
-		out = append(out, KnobValue{
-			Label: strconv.FormatFloat(v, 'g', -1, 64),
-			Apply: func(c *scenario.Config) { set(c, v) },
-		})
-	}
-	return out
 }

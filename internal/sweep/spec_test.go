@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -46,44 +47,6 @@ func TestParseSeeds(t *testing.T) {
 				break
 			}
 		}
-	}
-}
-
-func TestOnOffKnob(t *testing.T) {
-	set := func(c *scenario.Config) { c.NoRemediation = true }
-	if vals, err := OnOffKnob("off", set); err != nil || vals != nil {
-		t.Fatalf("off: %v, %v", vals, err)
-	}
-	vals, err := OnOffKnob("both", set)
-	if err != nil || len(vals) != 2 || vals[0].Label != "off" || vals[1].Label != "on" {
-		t.Fatalf("both: %v, %v", vals, err)
-	}
-	var cfg scenario.Config
-	vals[0].Apply(&cfg)
-	if cfg.NoRemediation {
-		t.Fatal("off value mutated the config")
-	}
-	vals[1].Apply(&cfg)
-	if !cfg.NoRemediation {
-		t.Fatal("on value did not mutate the config")
-	}
-	if _, err := OnOffKnob("maybe", set); err == nil {
-		t.Fatal("bad spec accepted")
-	}
-}
-
-func TestFloatKnobCapturesEachValue(t *testing.T) {
-	vals := FloatKnob([]float64{0.1, 0.5}, func(c *scenario.Config, v float64) {
-		c.SpooferFraction = v
-	})
-	if len(vals) != 2 || vals[0].Label != "0.1" || vals[1].Label != "0.5" {
-		t.Fatalf("FloatKnob: %+v", vals)
-	}
-	var a, b scenario.Config
-	vals[0].Apply(&a)
-	vals[1].Apply(&b)
-	if a.SpooferFraction != 0.1 || b.SpooferFraction != 0.5 {
-		t.Fatalf("captured values wrong: %v / %v", a.SpooferFraction, b.SpooferFraction)
 	}
 }
 
@@ -242,6 +205,15 @@ func TestSpecGridShapes(t *testing.T) {
 		t.Fatalf("zero-fault cell leaked: %+v", fz)
 	}
 
+	// Largest campaign shares summing to 1 pass despite float rounding.
+	g, err = Spec{Seeds: "1", Pulse: []float64{0.1}, Carpet: []float64{0.2}, Multi: []float64{0.7}}.Grid(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(g.Jobs()); got != 1 {
+		t.Fatalf("shares summing to 1 expanded %d jobs, want 1", got)
+	}
+
 	// A spec with no fault knobs leaves Faults zero — the provably-inert path.
 	g, err = Spec{Seeds: "1"}.Grid(base)
 	if err != nil {
@@ -299,6 +271,13 @@ func TestSpecRejectsBadFieldsWithValue(t *testing.T) {
 		{"timeattack negative", Spec{Seeds: "1", TimeSync: 8, TimeAttack: []float64{-0.5}}, "timeattack[0] -0.5"},
 		{"timeattack above one", Spec{Seeds: "1", TimeSync: 8, TimeAttack: []float64{0.5, 1.5}}, "timeattack[1] 1.5"},
 		{"timeattack without timesync", Spec{Seeds: "1", TimeAttack: []float64{0.5}}, "timesync"},
+		{"spoof above one", Spec{Seeds: "1", Spoof: []float64{0.5, 1.7}}, "spoof[1] 1.7"},
+		{"spoof negative", Spec{Seeds: "1", Spoof: []float64{-0.3}}, "spoof[0] -0.3"},
+		{"hazard zero", Spec{Seeds: "1", Hazard: []float64{0}}, "hazard[0] 0"},
+		{"hazard negative", Spec{Seeds: "1", Hazard: []float64{1, -2}}, "hazard[1] -2"},
+		{"hazard zero points to noremediation", Spec{Seeds: "1", Hazard: []float64{0}}, "noremediation"},
+		{"campaign shares above one", Spec{Seeds: "1", Pulse: []float64{0, 0.6}, Carpet: []float64{0.6}, Multi: []float64{0.5}},
+			"pulse+carpet+multi 0.6+0.6+0.5"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -340,5 +319,41 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 	if back.Seeds != s.Seeds || back.Name != s.Name || back.Scale != s.Scale ||
 		len(back.Spoof) != len(s.Spoof) || len(back.Hazard) != len(s.Hazard) {
 		t.Fatalf("round trip drift: %+v vs %+v", back, s)
+	}
+}
+
+// TestKnobTableCoversSpec pins the knob table to the Spec struct: every
+// JSON field is one of the basics or the table entry named by its JSON key,
+// pointing at that field, so the JSON key, flag name and manifest knob name
+// cannot drift apart.
+func TestKnobTableCoversSpec(t *testing.T) {
+	basics := map[string]bool{"name": true, "seeds": true, "scale": true, "scales": true, "end": true}
+	byName := map[string]knob{}
+	for _, k := range knobs {
+		if _, dup := byName[k.name]; dup {
+			t.Fatalf("knob %q listed twice", k.name)
+		}
+		byName[k.name] = k
+	}
+	var s Spec
+	sv := reflect.ValueOf(&s).Elem()
+	for i := 0; i < sv.NumField(); i++ {
+		key, _, _ := strings.Cut(sv.Type().Field(i).Tag.Get("json"), ",")
+		if basics[key] {
+			continue
+		}
+		k, ok := byName[key]
+		if !ok {
+			t.Errorf("Spec field %s (json %q) has no knob table entry", sv.Type().Field(i).Name, key)
+			continue
+		}
+		delete(byName, key)
+		if got := reflect.ValueOf(k.field(&s)); got.Pointer() != sv.Field(i).Addr().Pointer() ||
+			got.Type() != sv.Field(i).Addr().Type() {
+			t.Errorf("knob %q points at another field than json %q", k.name, key)
+		}
+	}
+	for name := range byName {
+		t.Errorf("knob %q matches no Spec JSON key", name)
 	}
 }

@@ -22,6 +22,7 @@
 package ntpddos
 
 import (
+	"slices"
 	"time"
 
 	"ntpddos/internal/core"
@@ -85,27 +86,100 @@ func (s *Simulation) Results() *scenario.Results { return s.res }
 // Scale returns the population re-inflation factor of this run.
 func (s *Simulation) Scale() int { return s.res.Cfg.Scale }
 
+// Report is one entry of the report table: an experiment id, the builder
+// of its table, the optional planes the report needs to carry data (none
+// for All()'s classic tables), and whether it joins SweepRunner's digest
+// when those planes are attached.
+type Report struct {
+	ID     string
+	Build  func(*Simulation) *Table
+	needs  plane
+	digest bool
+}
+
+// plane is a set of the optional simulation planes a report can need.
+type plane uint8
+
+const (
+	detectPlane   plane = 1 << iota // Config.Detector
+	timeSyncPlane                   // Config.TimeSync
+)
+
+// reports is the report table: All()'s 33 classic tables in presentation
+// order, then the plane reports. The classic tables must not depend on any
+// plane, so the classic digest is the same with a plane on or off. The
+// timesync report joins the sweep digest when its plane is on: it depends
+// only on the timesync plane, never on the detector.
+var reports = []Report{
+	{"fig1", (*Simulation).Figure1, 0, true},
+	{"fig2", (*Simulation).Figure2, 0, true},
+	{"fig3", (*Simulation).Figure3, 0, true},
+	{"fig4a", (*Simulation).Figure4a, 0, true},
+	{"fig4b", (*Simulation).Figure4b, 0, true},
+	{"fig4c", (*Simulation).Figure4c, 0, true},
+	{"table1a", (*Simulation).Table1Amplifiers, 0, true},
+	{"table1v", (*Simulation).Table1Victims, 0, true},
+	{"table2", (*Simulation).Table2, 0, true},
+	{"table3", (*Simulation).Table3, 0, true},
+	{"fig5", (*Simulation).Figure5, 0, true},
+	{"table4", (*Simulation).Table4, 0, true},
+	{"fig6", (*Simulation).Figure6, 0, true},
+	{"fig7", (*Simulation).Figure7, 0, true},
+	{"fig8", (*Simulation).Figure8, 0, true},
+	{"fig9", (*Simulation).Figure9, 0, true},
+	{"fig10", (*Simulation).Figure10, 0, true},
+	{"fig11", (*Simulation).Figure11, 0, true},
+	{"fig12", (*Simulation).Figure12, 0, true},
+	{"fig13", (*Simulation).Figure13, 0, true},
+	{"fig14", (*Simulation).Figure14, 0, true},
+	{"fig15", (*Simulation).Figure15, 0, true},
+	{"fig16", (*Simulation).Figure16, 0, true},
+	{"table5", (*Simulation).Table5, 0, true},
+	{"table6", (*Simulation).Table6, 0, true},
+	{"churn", (*Simulation).ChurnReport, 0, true},
+	{"volume", (*Simulation).VolumeReport, 0, true},
+	{"remediation", (*Simulation).RemediationReport, 0, true},
+	{"dnsoverlap", (*Simulation).DNSOverlapReport, 0, true},
+	{"ttl", (*Simulation).TTLReport, 0, true},
+	{"mega", (*Simulation).MegaReport, 0, true},
+	{"honeypot", (*Simulation).HoneypotReport, 0, true},
+	{"hpconv", (*Simulation).HoneypotConvergence, 0, true},
+	{"detect", (*Simulation).DetectReport, detectPlane, false},
+	{"vectors", (*Simulation).DetectVectorReport, detectPlane, false},
+	{"timesync", (*Simulation).TimeSyncReport, timeSyncPlane, true},
+	{"timeintegrity", (*Simulation).TimeIntegrityReport, detectPlane | timeSyncPlane, false},
+}
+
+// Reports returns the report table: every experiment id with its builder,
+// All()'s tables first, then the plane reports (detect, vectors, timesync,
+// timeintegrity), which carry data only when their planes are attached.
+func Reports() []Report { return slices.Clone(reports) }
+
+// Attached reports whether s ran with every plane r needs, so r carries
+// data. Classic reports are always attached.
+func (r Report) Attached(s *Simulation) bool {
+	return (r.needs&detectPlane == 0 || s.res.Detection != nil) &&
+		(r.needs&timeSyncPlane == 0 || s.res.TimeSync != nil)
+}
+
 // All returns every table and figure of the paper's evaluation, in
 // presentation order.
 func (s *Simulation) All() []*Table {
-	return []*Table{
-		s.Figure1(), s.Figure2(), s.Figure3(), s.Figure4a(), s.Figure4b(),
-		s.Figure4c(), s.Table1Amplifiers(), s.Table1Victims(), s.Table2(),
-		s.Table3(), s.Figure5(), s.Table4(), s.Figure6(), s.Figure7(),
-		s.Figure8(), s.Figure9(), s.Figure10(), s.Figure11(), s.Figure12(),
-		s.Figure13(), s.Figure14(), s.Figure15(), s.Figure16(), s.Table5(),
-		s.Table6(), s.ChurnReport(), s.VolumeReport(), s.RemediationReport(),
-		s.DNSOverlapReport(), s.TTLReport(), s.MegaReport(),
-		s.HoneypotReport(), s.HoneypotConvergence(),
+	var out []*Table
+	for _, r := range reports {
+		if r.needs == 0 {
+			out = append(out, r.Build(s))
+		}
 	}
+	return out
 }
 
-// ByID returns the experiment table with the given id ("fig1", "table4",
+// ByID returns the table of All() with the given id ("fig1", "table4",
 // "churn", ...), or nil.
 func (s *Simulation) ByID(id string) *Table {
-	for _, t := range s.All() {
-		if t.ID == id {
-			return t
+	for _, r := range reports {
+		if r.ID == id && r.needs == 0 {
+			return r.Build(s)
 		}
 	}
 	return nil

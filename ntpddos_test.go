@@ -56,6 +56,36 @@ func TestByID(t *testing.T) {
 	if s.ByID("nope") != nil {
 		t.Fatal("unknown id resolved")
 	}
+	if s.ByID("detect") != nil || s.ByID("timesync") != nil {
+		t.Fatal("plane report resolved; ByID covers All() alone")
+	}
+}
+
+// TestReportTable pins the report table: its ids, in order, are the ones
+// ntpsim -list has always printed, and each builder renders the table its
+// entry names.
+func TestReportTable(t *testing.T) {
+	want := []string{
+		"fig1", "fig2", "fig3", "fig4a", "fig4b", "fig4c", "table1a",
+		"table1v", "table2", "table3", "fig5", "table4", "fig6", "fig7",
+		"fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14",
+		"fig15", "fig16", "table5", "table6", "churn", "volume",
+		"remediation", "dnsoverlap", "ttl", "mega", "honeypot", "hpconv",
+		"detect", "vectors", "timesync", "timeintegrity",
+	}
+	var got []string
+	for _, r := range Reports() {
+		got = append(got, r.ID)
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("report ids:\n got %v\nwant %v", got, want)
+	}
+	s := sim(t)
+	for _, r := range Reports() {
+		if tab := r.Build(s); tab.ID != r.ID {
+			t.Errorf("report %q builds table %q", r.ID, tab.ID)
+		}
+	}
 }
 
 func TestFigure1Shape(t *testing.T) {

@@ -69,13 +69,10 @@ func SweepRunner(j SweepJob) (sweep.Result, error) {
 	s := Run(j.Cfg)
 	tables := s.All()
 	numTables := len(tables)
-	// The disciplined-client plane lives outside All() (the classic digest
-	// must be independent of it), but when it is enabled its behaviour is
-	// pinned too: the discipline summary joins the digested set. The report
-	// depends only on Config.TimeSync/TimeAttackShare, never on
-	// Config.Detector, so the detector-on/off digest identity still holds.
-	if s.Results().TimeSync != nil {
-		tables = append(tables, s.TimeSyncReport())
+	for _, r := range reports {
+		if r.needs != 0 && r.digest && r.Attached(s) {
+			tables = append(tables, r.Build(s))
+		}
 	}
 	return sweep.Result{
 		Digest: report.Digest(tables),
