@@ -231,9 +231,12 @@ type Sensor struct {
 	Index int
 
 	fleet *Fleet
-	// mru is the synthetic monitor table disclosed to monlist probes.
-	mru []ntp.MonEntry
-	rrl map[netaddr.Addr]*rrlState
+	// mru is the synthetic monitor table disclosed to monlist probes. It is
+	// fixed once newSensor returns, so bait holds its encoding per
+	// (implementation, request code), built at the first probe of each.
+	mru  []ntp.MonEntry
+	bait []baitResponse
+	rrl  map[netaddr.Addr]*rrlState
 
 	// QueriesSeen counts Rep-weighted NTP queries of any mode.
 	QueriesSeen int64
@@ -321,7 +324,7 @@ func (s *Sensor) HandlePacket(nw *netsim.Network, dg *packet.Datagram, now time.
 		// Honeypots answer regardless of implementation value (unlike the
 		// §3.1 blind spot): staying responsive to every prober is what keeps
 		// them in harvested lists.
-		for _, frag := range ntp.BuildMonlistResponse(s.mru, m.Implementation, m.Request) {
+		for _, frag := range s.baitFragments(m.Implementation, m.Request) {
 			s.reply(nw, dg, ntp.Port, frag, rep, now)
 		}
 	case ntp.ModeControl:
@@ -347,6 +350,27 @@ func (s *Sensor) HandlePacket(nw *netsim.Network, dg *packet.Datagram, now time.
 		rp := ntp.NewServerReply(&req, 3, now)
 		s.reply(nw, dg, ntp.Port, rp.AppendTo(nil), rep, now)
 	}
+}
+
+// baitResponse is the bait table encoded for one monlist flavour.
+type baitResponse struct {
+	impl, reqCode uint8
+	frags         [][]byte
+}
+
+// baitFragments returns the bait table's monlist response for impl and
+// reqCode, encoding it at the first request of that flavour. The fabric
+// copies every payload it sends, so the cached fragments are never handed
+// out for keeps.
+func (s *Sensor) baitFragments(impl, reqCode uint8) [][]byte {
+	for _, b := range s.bait {
+		if b.impl == impl && b.reqCode == reqCode {
+			return b.frags
+		}
+	}
+	frags := ntp.BuildMonlistResponse(s.mru, impl, reqCode)
+	s.bait = append(s.bait, baitResponse{impl: impl, reqCode: reqCode, frags: frags})
+	return frags
 }
 
 // handleDNS answers recursive queries with one modest TXT record — enough

@@ -401,3 +401,46 @@ func TestSensorBlackoutPhasesDiffer(t *testing.T) {
 		t.Fatal("sensorDark not deterministic")
 	}
 }
+
+// payloadCollector keeps a copy of every payload delivered to one address.
+type payloadCollector struct{ payloads [][]byte }
+
+func (c *payloadCollector) HandlePacket(_ *netsim.Network, dg *packet.Datagram, _ time.Time) {
+	c.payloads = append(c.payloads, append([]byte(nil), dg.Payload...))
+}
+
+// TestSensorBaitEncodedOncePerFlavour checks the cached bait table: each
+// (implementation, request code) is encoded once, and every probe, first or
+// repeated, gets exactly the bait table encoded for its flavour.
+func TestSensorBaitEncodedOncePerFlavour(t *testing.T) {
+	nw, sched := testHarness()
+	fleet := deployFleet(t, nw, 1)
+	s := fleet.Sensors[0]
+	probes := []struct{ impl, reqCode uint8 }{
+		{ntp.ImplXNTPD, ntp.ReqMonGetList1},
+		{ntp.ImplXNTPDOld, ntp.ReqMonGetList},
+		{ntp.ImplXNTPD, ntp.ReqMonGetList1},
+		{ntp.ImplUniv, ntp.ReqMonGetList1},
+		{ntp.ImplXNTPDOld, ntp.ReqMonGetList},
+	}
+	for i, p := range probes {
+		// A fresh scanner per probe keeps the replies clear of the RRL budget.
+		scanner := netaddr.MustParseAddr("198.51.100.9") + netaddr.Addr(i)
+		col := &payloadCollector{}
+		nw.Register(scanner, col)
+		nw.SendUDP(scanner, 40000, s.Addr, ntp.Port, netsim.TTLLinux, ntp.NewMonlistRequest(p.impl, p.reqCode))
+		sched.Drain()
+		want := ntp.BuildMonlistResponse(s.mru, p.impl, p.reqCode)
+		if len(col.payloads) != len(want) {
+			t.Fatalf("probe %d: %d replies, want %d", i, len(col.payloads), len(want))
+		}
+		for j := range want {
+			if string(col.payloads[j]) != string(want[j]) {
+				t.Fatalf("probe %d: reply %d differs from the bait table's encoding", i, j)
+			}
+		}
+	}
+	if len(s.bait) != 3 {
+		t.Fatalf("sensor cached %d bait encodings, want 3 flavours", len(s.bait))
+	}
+}

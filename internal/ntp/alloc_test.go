@@ -1,6 +1,7 @@
 package ntp
 
 import (
+	"encoding/binary"
 	"testing"
 	"time"
 )
@@ -57,13 +58,39 @@ func TestPacketCodecZeroAlloc(t *testing.T) {
 	t.Run("mode7-encode", func(t *testing.T) {
 		entry := MonEntry{Addr: 0x0a000001, DAddr: 0x0a000002, Count: 42,
 			Mode: ModePrivate, Version: 2, Port: 123}
-		data := entry.appendV1(make([]byte, 0, MonEntrySizeV1))
+		data := make([]byte, MonEntrySizeV1)
+		entry.PutItem(data)
 		m := Mode7{Response: true, Implementation: ImplXNTPD, Request: ReqMonGetList1,
 			NItems: 1, ItemSize: MonEntrySizeV1, Data: data}
 		if n := testing.AllocsPerRun(100, func() {
 			allocSinkBuf = m.AppendTo(buf[:0])
 		}); n != 0 {
 			t.Errorf("mode 7 encode: %.1f allocs/op, want 0", n)
+		}
+	})
+
+	// A warm in-place rebuild of a full table: reframe the cached
+	// fragments, shift every item one slot toward the tail, encode a new
+	// head item and patch every LastSeen. It must reuse every buffer.
+	t.Run("monlist-reencode", func(t *testing.T) {
+		entries := benchEntries(MaxMonlistEntries)
+		frags := BuildMonlistResponse(entries, ImplXNTPD, ReqMonGetList1)
+		head := MonEntry{Addr: 0x0a000001, DAddr: 0x0a000002, Count: 1, Mode: ModePrivate, Version: 2, Port: 80}
+		var lastSeen uint32
+		if n := testing.AllocsPerRun(100, func() {
+			frags = FrameMonlistResponse(frags, MaxMonlistEntries, ImplXNTPD, ReqMonGetList1)
+			lastSeen++
+			for p := MaxMonlistEntries - 1; p > 0; p-- {
+				item := MonlistItem(frags, p, MonEntrySizeV1)
+				copy(item, MonlistItem(frags, p-1, MonEntrySizeV1))
+				binary.BigEndian.PutUint32(item[MonLastSeenOffset:], lastSeen)
+			}
+			head.PutItem(MonlistItem(frags, 0, MonEntrySizeV1))
+		}); n != 0 {
+			t.Errorf("monlist re-encode: %.1f allocs/op, want 0", n)
+		}
+		if len(frags) != 100 {
+			t.Fatalf("re-encoded %d fragments, want 100", len(frags))
 		}
 	})
 

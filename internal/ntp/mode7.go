@@ -163,32 +163,40 @@ type MonEntry struct {
 	Restr       uint32 // restriction flags
 }
 
-// appendV1 encodes the 72-byte MON_GETLIST_1 layout.
-func (e *MonEntry) appendV1(b []byte) []byte {
-	b = binary.BigEndian.AppendUint32(b, e.AvgInterval)
-	b = binary.BigEndian.AppendUint32(b, e.LastSeen)
-	b = binary.BigEndian.AppendUint32(b, e.Restr)
-	b = binary.BigEndian.AppendUint32(b, e.Count)
-	b = binary.BigEndian.AppendUint32(b, AddrToWire(e.Addr))
-	b = binary.BigEndian.AppendUint32(b, AddrToWire(e.DAddr))
-	b = binary.BigEndian.AppendUint32(b, 0) // flags
-	b = binary.BigEndian.AppendUint16(b, e.Port)
-	b = append(b, e.Mode, e.Version)
-	b = binary.BigEndian.AppendUint32(b, 0) // v6_flag
-	b = binary.BigEndian.AppendUint32(b, 0) // unused
-	var v6 [32]byte                         // addr6 + daddr6, unused in IPv4 entries
-	return append(b, v6[:]...)
+// MonLastSeenOffset is where LastSeen sits within an item of either layout:
+// the one field that changes with the time of the query alone, so a cached
+// item is brought up to date by rewriting these four bytes.
+const MonLastSeenOffset = 4
+
+// MonlistItemSize returns the item size of a monlist request code:
+// MonEntrySizeLegacy for ReqMonGetList and MonEntrySizeV1 otherwise.
+func MonlistItemSize(reqCode uint8) int {
+	if reqCode == ReqMonGetList {
+		return MonEntrySizeLegacy
+	}
+	return MonEntrySizeV1
 }
 
-// appendLegacy encodes the 24-byte MON_GETLIST layout.
-func (e *MonEntry) appendLegacy(b []byte) []byte {
-	b = binary.BigEndian.AppendUint32(b, e.AvgInterval)
-	b = binary.BigEndian.AppendUint32(b, e.LastSeen)
-	b = binary.BigEndian.AppendUint32(b, e.Restr)
-	b = binary.BigEndian.AppendUint32(b, e.Count)
-	b = binary.BigEndian.AppendUint32(b, AddrToWire(e.Addr))
-	b = binary.BigEndian.AppendUint16(b, e.Port)
-	return append(b, e.Mode, e.Version)
+// PutItem encodes e into item, whose length selects the layout: the 72-byte
+// MON_GETLIST_1 info_monitor_1 or the 24-byte MON_GETLIST info_monitor. Every
+// byte of item is written.
+func (e *MonEntry) PutItem(item []byte) {
+	binary.BigEndian.PutUint32(item[0:], e.AvgInterval)
+	binary.BigEndian.PutUint32(item[MonLastSeenOffset:], e.LastSeen)
+	binary.BigEndian.PutUint32(item[8:], e.Restr)
+	binary.BigEndian.PutUint32(item[12:], e.Count)
+	binary.BigEndian.PutUint32(item[16:], AddrToWire(e.Addr))
+	if len(item) == MonEntrySizeLegacy {
+		binary.BigEndian.PutUint16(item[20:], e.Port)
+		item[22], item[23] = e.Mode, e.Version
+		return
+	}
+	binary.BigEndian.PutUint32(item[20:], AddrToWire(e.DAddr))
+	binary.BigEndian.PutUint32(item[24:], 0) // flags
+	binary.BigEndian.PutUint16(item[28:], e.Port)
+	item[30], item[31] = e.Mode, e.Version
+	// v6_flag, unused, then addr6 and daddr6, all zero in IPv4 entries.
+	clear(item[32:MonEntrySizeV1])
 }
 
 // decodeEntry parses one item of the given size.
@@ -229,66 +237,82 @@ func decodeEntry(data []byte, itemSize int) (MonEntry, error) {
 // table cap must be trimmed by the caller (the daemon), not here: this
 // function is pure wire formatting.
 func BuildMonlistResponse(entries []MonEntry, impl, reqCode uint8) [][]byte {
-	return AppendMonlistResponse(nil, entries, impl, reqCode)
+	frags := FrameMonlistResponse(nil, len(entries), impl, reqCode)
+	size := MonlistItemSize(reqCode)
+	for p := range entries {
+		entries[p].PutItem(MonlistItem(frags, p, size))
+	}
+	return frags
 }
 
-// AppendMonlistResponse is BuildMonlistResponse reusing prev's fragment
-// buffers: the returned slice aliases prev's backing storage where capacity
-// allows, so a daemon re-encoding its table under attack produces no
-// garbage. Fragments previously returned from the same prev become invalid.
-// The wire bytes are identical to BuildMonlistResponse's.
-func AppendMonlistResponse(prev [][]byte, entries []MonEntry, impl, reqCode uint8) [][]byte {
-	itemSize := MonEntrySizeV1
-	if reqCode == ReqMonGetList {
-		itemSize = MonEntrySizeLegacy
-	}
-	// grab hands out prev's i-th buffer (emptied) while out grows over the
-	// same backing array — safe because each index is read before appending
-	// its replacement. Fresh buffers are allocated at the full-fragment
-	// capacity up front so a fragment costs exactly one allocation, ever.
-	fragCap := Mode7HeaderLen + EntriesPerPacket(itemSize)*itemSize
-	out := prev[:0]
-	grab := func(i int) []byte {
-		if i < len(prev) {
-			return prev[i][:0]
-		}
-		return make([]byte, 0, fragCap)
-	}
-	if len(entries) == 0 {
-		m := Mode7{Response: true, Implementation: impl, Request: reqCode,
-			Err: InfoErrNoData}
-		return append(out, m.AppendTo(grab(0)))
-	}
-	perPacket := EntriesPerPacket(itemSize)
-	for i := 0; i < len(entries); i += perPacket {
-		end := i + perPacket
-		if end > len(entries) {
-			end = len(entries)
-		}
-		chunk := entries[i:end]
-		buf := grab(len(out))
+// FrameMonlistResponse sizes frags for an n-item response to reqCode and
+// writes every fragment header, leaving the item bytes of each reused buffer
+// as they were: item p of the previous framing with the same request code is
+// still at MonlistItem(frags, p, size) if it is still inside the response.
+// The caller writes each item at its position. n == 0 frames the single
+// InfoErrNoData fragment.
+//
+// The returned slice reuses frags' backing array and its buffers, including
+// those past len(frags) left by an earlier larger framing, so a daemon that
+// re-encodes its table in place produces no garbage. A missing buffer, or
+// one too small for its fragment (sized for the other item layout), is
+// replaced by a new one at the full-fragment capacity that starts with the
+// old one's bytes, so those stay where they were.
+func FrameMonlistResponse(frags [][]byte, n int, impl, reqCode uint8) [][]byte {
+	size := MonlistItemSize(reqCode)
+	per := EntriesPerPacket(size)
+	fragCap := Mode7HeaderLen + per*size
+	nfrags := max(1, (n+per-1)/per)
+	// Index f of spare is read before out's append overwrites it.
+	spare := frags[:cap(frags)]
+	out := frags[:0]
+	for f := 0; f < nfrags; f++ {
+		items := min(per, n-f*per)
 		m := Mode7{
 			Response:       true,
-			More:           end < len(entries),
-			Sequence:       uint8(i / perPacket % 128),
+			More:           f < nfrags-1,
+			Sequence:       uint8(f % 128),
 			Implementation: impl,
 			Request:        reqCode,
-			NItems:         uint16(len(chunk)),
-			ItemSize:       uint16(itemSize),
+			NItems:         uint16(items),
+			ItemSize:       uint16(size),
 		}
-		// Header first with an empty Data, items appended in place: one
-		// buffer per fragment, no intermediate item-data slice.
-		buf = m.AppendTo(buf)
-		for j := range chunk {
-			if itemSize == MonEntrySizeV1 {
-				buf = chunk[j].appendV1(buf)
-			} else {
-				buf = chunk[j].appendLegacy(buf)
-			}
+		if n == 0 {
+			m.Err, m.NItems, m.ItemSize = InfoErrNoData, 0, 0
 		}
-		out = append(out, buf)
+		need := Mode7HeaderLen + items*size
+		var buf []byte
+		if f < len(spare) {
+			buf = spare[f]
+		}
+		if cap(buf) < need {
+			buf = append(make([]byte, 0, fragCap), buf[:cap(buf)]...)
+		}
+		// AppendTo writes the header over the first eight bytes in place;
+		// the item bytes behind it stay untouched.
+		out = append(out, m.AppendTo(buf[:0])[:need])
 	}
 	return out
+}
+
+// MonlistItems returns the item bytes of one fragment framed by
+// FrameMonlistResponse: its NItems items, packed behind the header.
+func MonlistItems(frag []byte) []byte { return frag[Mode7HeaderLen:] }
+
+// MonlistItem returns the size bytes of item p, counted from the first item
+// of the first fragment, in fragments framed by FrameMonlistResponse for
+// size-byte items.
+func MonlistItem(frags [][]byte, p, size int) []byte {
+	// Constant unsigned divisors: a rebuild calls this for every item it
+	// shifts.
+	var f, k uint
+	if size == MonEntrySizeV1 {
+		f, k = uint(p)/(MaxItemData/MonEntrySizeV1), uint(p)%(MaxItemData/MonEntrySizeV1)
+	} else {
+		f, k = uint(p)/(MaxItemData/MonEntrySizeLegacy), uint(p)%(MaxItemData/MonEntrySizeLegacy)
+	}
+	off := Mode7HeaderLen + k*uint(size)
+	return frags[f][off : off+uint(size) : off+uint(size)]
 }
 
 // PeerEntry is one REQ_PEER_LIST item: an upstream association of the

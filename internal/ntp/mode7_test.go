@@ -180,15 +180,75 @@ func TestMonEntryRoundTripProperty(t *testing.T) {
 			Count: count, Mode: mode & 7, Version: version,
 			Port: port, AvgInterval: avgInt, LastSeen: lastSeen, Restr: restr,
 		}
-		raw := e.appendV1(nil)
-		if len(raw) != MonEntrySizeV1 {
-			return false
-		}
+		// PutItem must write every byte: the daemon re-encodes into
+		// buffers that still hold an older item.
+		raw := bytes.Repeat([]byte{0xff}, MonEntrySizeV1)
+		e.PutItem(raw)
 		got, err := decodeEntry(raw, MonEntrySizeV1)
-		return err == nil && got == e
+		return err == nil && got == e && bytes.Count(raw[32:], []byte{0}) == MonEntrySizeV1-32
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFrameMonlistResponseKeepsItems pins the in-place framing contract:
+// reframing rewrites every header and length but no item byte, reuses the
+// buffers past len(frags) that a larger framing left behind, and frames an
+// empty table as the single InfoErrNoData fragment.
+func TestFrameMonlistResponseKeepsItems(t *testing.T) {
+	r := rand.New(rand.NewPCG(7, 8))
+	for _, reqCode := range []uint8{ReqMonGetList1, ReqMonGetList} {
+		entries := randomEntries(r, MaxMonlistEntries)
+		if reqCode == ReqMonGetList {
+			for i := range entries {
+				entries[i].DAddr = 0 // not carried by the legacy layout
+			}
+		}
+		frags := BuildMonlistResponse(entries, ImplXNTPDOld, reqCode)
+		first := &frags[0][0]
+		for _, n := range []int{599, 13, 6, 5, 1, 0, 7, 600} {
+			frags = FrameMonlistResponse(frags, n, ImplXNTPDOld, reqCode)
+			want := BuildMonlistResponse(entries[:n], ImplXNTPDOld, reqCode)
+			if len(frags) != len(want) {
+				t.Fatalf("code %d, %d items: %d fragments, want %d", reqCode, n, len(frags), len(want))
+			}
+			for i := range want {
+				if !bytes.Equal(frags[i], want[i]) {
+					t.Fatalf("code %d, %d items: fragment %d\n got %x\nwant %x", reqCode, n, i, frags[i], want[i])
+				}
+			}
+			if &frags[0][0] != first {
+				t.Fatalf("code %d, %d items: fragment 0 reallocated", reqCode, n)
+			}
+		}
+		// Growing back to the full table found every item still in place,
+		// so the shrunk framings dropped none of the buffers.
+		if got := reassemble(t, frags); len(got) != MaxMonlistEntries || got[MaxMonlistEntries-1] != entries[MaxMonlistEntries-1] {
+			t.Fatalf("code %d: regrown table lost its items", reqCode)
+		}
+	}
+
+	// Buffers sized for 72-byte items hold 18 legacy items at most; a
+	// fragment that grows to 20 moves to a larger buffer with its items.
+	entries := randomEntries(r, 2*EntriesPerPacket(MonEntrySizeLegacy))
+	for i := range entries {
+		entries[i].DAddr = 0
+	}
+	frags := BuildMonlistResponse(randomEntries(r, MaxMonlistEntries), ImplXNTPD, ReqMonGetList1)
+	frags = FrameMonlistResponse(frags, 34, ImplXNTPD, ReqMonGetList)
+	for p := 0; p < 34; p++ {
+		entries[p].PutItem(MonlistItem(frags, p, MonEntrySizeLegacy))
+	}
+	frags = FrameMonlistResponse(frags, 40, ImplXNTPD, ReqMonGetList)
+	for p := 34; p < 40; p++ {
+		entries[p].PutItem(MonlistItem(frags, p, MonEntrySizeLegacy))
+	}
+	want := BuildMonlistResponse(entries, ImplXNTPD, ReqMonGetList)
+	for i := range want {
+		if !bytes.Equal(frags[i], want[i]) {
+			t.Fatalf("grown legacy fragment %d\n got %x\nwant %x", i, frags[i], want[i])
+		}
 	}
 }
 

@@ -95,10 +95,6 @@ type Config struct {
 	// only one value, so daemons of the other implementation are missed.
 	Implementation uint8
 
-	// ReqCode selects the monlist flavour the daemon serves
-	// (ReqMonGetList1 with 72-byte items, or the legacy ReqMonGetList).
-	ReqCode uint8
-
 	// Peers are the daemon's upstream associations, disclosed by the mode 7
 	// peer-list command (the "showpeers" data §3.1 mentions as a lower-
 	// amplification alternative to monlist).
@@ -141,10 +137,8 @@ type Server struct {
 	mruLen   int
 	index    map[netaddr.Addr]int32
 
-	// Counters for analysis convenience.
+	// QueriesSeen counts queries of any mode (Rep-weighted on the fabric).
 	QueriesSeen int64
-	MonlistSent int64 // response packets emitted (Rep-weighted)
-	BytesSent   int64 // on-wire response bytes (Rep-weighted)
 	// megaUntil is the end of the current replay storm; queries arriving
 	// while a storm is in flight do not start another (but a later probe —
 	// e.g. next week's scan — re-triggers, as the paper observed for
@@ -156,11 +150,22 @@ type Server struct {
 	// batched triggers alike — until the table has drifted by too many
 	// mutations or is ten minutes old (see monlistFragments). A slightly
 	// stale table is indistinguishable on the wire.
+	//
+	// A rebuild rewrites cacheFrags in place. encPos, indexed by slab slot
+	// like mruStore, holds each entry's item position at the last encode,
+	// or -1 once Record has touched the slot since. Record only moves
+	// entries to the front, so an untouched entry's item keeps its bytes
+	// and can only have shifted toward the tail; ExpireOlderThan is the
+	// one mutation that shifts items toward the head. The table is
+	// allocated at the first encode, so a daemon nobody probes pays
+	// nothing for it.
 	mruGen     int64
 	cacheReq   uint8
 	cacheGen   int64
 	cacheAt    time.Time
 	cacheFrags [][]byte
+	cacheLen   int // items in cacheFrags
+	encPos     []int32
 
 	// Scratch state for the zero-alloc reply path. SendTrain copies the
 	// header and payloads into the fabric's pool before returning, so one
@@ -170,7 +175,6 @@ type Server struct {
 	out      packet.Datagram
 	buf      []byte
 	varFrags [][]byte
-	entries  []ntp.MonEntry // monlistEntries scratch, rebuilt per cache miss
 }
 
 // mruEntry is one monitor-table row. Timestamps are virtual-clock UnixNano
@@ -244,13 +248,10 @@ func (s *Server) mruMoveToFront(i int32) {
 }
 
 // New builds a server from cfg, applying defaults: implementation XNTPD,
-// request code MON_GETLIST_1, mega replay spacing 500ms over 40 events.
+// mega replay spacing 500ms over 40 events.
 func New(cfg Config) *Server {
 	if cfg.Implementation == 0 {
 		cfg.Implementation = ntp.ImplXNTPD
-	}
-	if cfg.ReqCode == 0 {
-		cfg.ReqCode = ntp.ReqMonGetList1
 	}
 	if cfg.MegaEvents <= 0 {
 		cfg.MegaEvents = 40
@@ -314,6 +315,7 @@ func (s *Server) Record(addr netaddr.Addr, port uint16, mode, version uint8, rep
 		e.mode = mode
 		e.version = version
 		s.mruMoveToFront(i)
+		s.itemStale(i)
 		return
 	}
 	i := s.mruAlloc()
@@ -321,6 +323,7 @@ func (s *Server) Record(addr netaddr.Addr, port uint16, mode, version uint8, rep
 		count: rep, firstSeenNs: nowNs, lastSeenNs: nowNs, prev: mruNil, next: mruNil}
 	s.index[addr] = i
 	s.mruPushFront(i)
+	s.itemStale(i)
 	if m := s.cfg.Metrics; m != nil {
 		m.MRUEntries.Inc()
 	}
@@ -332,6 +335,14 @@ func (s *Server) Record(addr netaddr.Addr, port uint16, mode, version uint8, rep
 		if m := s.cfg.Metrics; m != nil {
 			m.MRUEntries.Dec()
 		}
+	}
+}
+
+// itemStale marks slot i's encoded item as out of date: the next rebuild
+// encodes it afresh.
+func (s *Server) itemStale(i int32) {
+	if int(i) < len(s.encPos) {
+		s.encPos[i] = -1
 	}
 }
 
@@ -364,33 +375,6 @@ func (s *Server) DetachMRU() {
 	if m := s.cfg.Metrics; m != nil {
 		m.MRUEntries.Add(float64(-s.mruLen))
 	}
-}
-
-// monlistEntries renders the MRU list as wire entries, most recent first,
-// into the server's scratch slice (valid until the next call).
-// Inter-arrival and last-seen are computed at query time, like ntpd does.
-func (s *Server) monlistEntries(now time.Time) []ntp.MonEntry {
-	out := s.entries[:0]
-	nowNs := now.UnixNano()
-	for i := s.mruHead; i != mruNil; i = s.mruStore[i].next {
-		e := &s.mruStore[i]
-		var avg uint32
-		if e.count > 1 {
-			avg = uint32((e.lastSeenNs - e.firstSeenNs) / int64(time.Second) / (e.count - 1))
-		}
-		out = append(out, ntp.MonEntry{
-			Addr:        e.addr,
-			DAddr:       s.cfg.Addr,
-			Count:       uint32(core.Min64(e.count, 1<<32-1)),
-			Mode:        e.mode,
-			Version:     e.version,
-			Port:        e.port,
-			AvgInterval: avg,
-			LastSeen:    uint32((nowNs - e.lastSeenNs) / int64(time.Second)),
-		})
-	}
-	s.entries = out
-	return out
 }
 
 // Respond is the transport-independent request path: it processes one UDP
@@ -552,7 +536,8 @@ func (s *Server) handleMode7(nw *netsim.Network, dg *packet.Datagram, now time.T
 }
 
 // send hands a reply's payloads to the fabric as one train, addressed from
-// the server's scratch header, and counts the on-wire bytes of what left.
+// the server's scratch header, and counts the on-wire bytes of what left
+// when metrics are attached.
 // It returns the Rep-weighted number of datagrams sent. Header and payloads
 // are reusable the moment it returns: the fabric copies both.
 func (s *Server) send(nw *netsim.Network, dst netaddr.Addr, dstPort uint16, payloads [][]byte, rep int64) int64 {
@@ -562,12 +547,11 @@ func (s *Server) send(nw *netsim.Network, dst netaddr.Addr, dstPort uint16, payl
 	if !nw.SendTrain(s.cfg.Addr, &s.out, payloads) {
 		return 0
 	}
-	var wire int64
-	for _, p := range payloads {
-		wire += int64(packet.OnWireBytesForUDPPayload(len(p)))
-	}
-	s.BytesSent += wire * rep
 	if m := s.cfg.Metrics; m != nil {
+		var wire int64
+		for _, p := range payloads {
+			wire += int64(packet.OnWireBytesForUDPPayload(len(p)))
+		}
 		m.BytesSent.Add(wire * rep)
 	}
 	return int64(len(payloads)) * rep
@@ -588,9 +572,7 @@ func (s *Server) peerEntries() []ntp.PeerEntry {
 // datagrams and recycles them after HandlePacket returns, so nothing here
 // may outlive the call holding one.
 func (s *Server) sendMonlist(nw *netsim.Network, victim netaddr.Addr, victimPort uint16, rep int64, reqCode uint8, now time.Time) {
-	sent := s.send(nw, victim, victimPort, s.monlistFragments(reqCode, now), rep)
-	s.MonlistSent += sent
-	s.cfg.Metrics.monlistCounter().Add(sent)
+	s.cfg.Metrics.monlistCounter().Add(s.send(nw, victim, victimPort, s.monlistFragments(reqCode, now), rep))
 }
 
 // monlistFragments returns the encoded response via a staleness-tolerant
@@ -598,6 +580,19 @@ func (s *Server) sendMonlist(nw *netsim.Network, victim netaddr.Addr, victimPort
 // every ten minutes rather than per trigger. Survey probes may therefore
 // see a table a few minutes old — consistent with the paper's observation
 // that the probe is "typically but not always" the topmost entry.
+//
+// A rebuild rewrites the cached fragments in place, in one walk of the MRU
+// from tail to head. Record only moves entries to the front, so an entry it
+// has not touched since the last encode can only have shifted toward the
+// tail: its item keeps its bytes, where it is or copied toward the tail, and
+// only LastSeen is rewritten. Every other item is encoded afresh: an entry
+// recorded since, one that would move toward the head (after
+// ExpireOlderThan), and every item on a first encode or a request-code
+// change. Walking from the tail, slot p is written only after every slot
+// toward the tail of it, so a kept item's old slot, at or toward the head
+// of p, is never read after being overwritten. The fragments are reframed
+// only when the item count or request code changed. The bytes equal
+// ntp.BuildMonlistResponse over the table as it stands.
 //
 // The returned fragments are valid until the next rebuild (they reuse the
 // cache's buffers); the fabric's taps read and the fabric copies them during
@@ -609,12 +604,58 @@ func (s *Server) monlistFragments(reqCode uint8, now time.Time) [][]byte {
 		s.mruGen-s.cacheGen <= maxGenDrift && now.Sub(s.cacheAt) < 10*time.Minute {
 		return s.cacheFrags
 	}
-	prev := s.cacheFrags
-	if s.cacheReq != reqCode {
-		prev = nil // item size changed: stale buffers would be mis-sized
+	// Items of the previous encode are only reusable in the same layout.
+	reuse := s.cacheFrags != nil && s.cacheReq == reqCode
+	size := ntp.MonlistItemSize(reqCode)
+	frags := s.cacheFrags
+	if !reuse || s.cacheLen != s.mruLen {
+		// The headers and lengths depend on the item count and request
+		// code alone.
+		frags = ntp.FrameMonlistResponse(frags, s.mruLen, s.cfg.Implementation, reqCode)
 	}
-	frags := ntp.AppendMonlistResponse(prev, s.monlistEntries(now), s.cfg.Implementation, reqCode)
+	for len(s.encPos) < len(s.mruStore) {
+		s.encPos = append(s.encPos, -1)
+	}
+	nowNs := now.UnixNano()
+	p := int32(s.mruLen)
+	i := s.mruTail
+	for f := len(frags) - 1; i != mruNil; f-- {
+		items := ntp.MonlistItems(frags[f])
+		for off := len(items) - size; off >= 0; off -= size {
+			p--
+			e := &s.mruStore[i]
+			item := items[off : off+size : off+size]
+			lastSeen := uint32((nowNs - e.lastSeenNs) / int64(time.Second))
+			if q := s.encPos[i]; reuse && q >= 0 && q <= p {
+				if q != p {
+					copy(item, ntp.MonlistItem(frags, int(q), size))
+				}
+				binary.BigEndian.PutUint32(item[ntp.MonLastSeenOffset:], lastSeen)
+			} else {
+				// Inter-arrival and last-seen are computed at query time,
+				// like ntpd does.
+				var avg uint32
+				if e.count > 1 {
+					avg = uint32((e.lastSeenNs - e.firstSeenNs) / int64(time.Second) / (e.count - 1))
+				}
+				ent := ntp.MonEntry{
+					Addr:        e.addr,
+					DAddr:       s.cfg.Addr,
+					Count:       uint32(core.Min64(e.count, 1<<32-1)),
+					Mode:        e.mode,
+					Version:     e.version,
+					Port:        e.port,
+					AvgInterval: avg,
+					LastSeen:    lastSeen,
+				}
+				ent.PutItem(item)
+			}
+			s.encPos[i] = p
+			i = e.prev
+		}
+	}
 	s.cacheFrags = frags
+	s.cacheLen = s.mruLen
 	s.cacheReq = reqCode
 	s.cacheGen = s.mruGen
 	s.cacheAt = now

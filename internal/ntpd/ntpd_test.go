@@ -40,6 +40,24 @@ func (c *collector) HandlePacket(_ *netsim.Network, dg *packet.Datagram, _ time.
 	c.packets = append(c.packets, &cp)
 }
 
+// decodeTable reassembles a monlist response into its entries, checking
+// that the fragments decode and that only the last clears the More flag.
+func decodeTable(t *testing.T, frags [][]byte) []ntp.MonEntry {
+	t.Helper()
+	var all []ntp.MonEntry
+	for i, f := range frags {
+		m, es, err := ntp.ParseMonlistResponse(f)
+		if err != nil {
+			t.Fatalf("fragment %d: %v", i, err)
+		}
+		if m.More != (i < len(frags)-1) {
+			t.Fatalf("fragment %d of %d: More = %v", i, len(frags), m.More)
+		}
+		all = append(all, es...)
+	}
+	return all
+}
+
 func TestClientGetsServerReply(t *testing.T) {
 	nw, sched := testHarness()
 	srv := vulnerableServer("10.0.0.2")
@@ -199,7 +217,10 @@ func TestMRUCapAt600(t *testing.T) {
 		t.Fatalf("MRU length %d, want %d", srv.MRULen(), ntp.MaxMonlistEntries)
 	}
 	// The oldest 400 must have been evicted.
-	entries := srv.monlistEntries(now)
+	entries := decodeTable(t, srv.monlistFragments(ntp.ReqMonGetList1, now))
+	if len(entries) != ntp.MaxMonlistEntries {
+		t.Fatalf("monlist carries %d entries, want %d", len(entries), ntp.MaxMonlistEntries)
+	}
 	for _, e := range entries {
 		if uint32(e.Addr) < 400 {
 			t.Fatalf("evicted entry %v still present", e.Addr)
@@ -216,7 +237,7 @@ func TestRecordAggregatesByAddr(t *testing.T) {
 	if srv.MRULen() != 1 {
 		t.Fatalf("MRU length %d, want 1", srv.MRULen())
 	}
-	e := srv.monlistEntries(t0.Add(100 * time.Second))[0]
+	e := decodeTable(t, srv.monlistFragments(ntp.ReqMonGetList1, t0.Add(100*time.Second)))[0]
 	if e.Count != 10 {
 		t.Fatalf("count = %d, want 10", e.Count)
 	}
@@ -306,8 +327,10 @@ func TestMegaAmpReplays(t *testing.T) {
 	if total < 1000 {
 		t.Fatalf("mega amp delivered %d response packets, want >= 1000", total)
 	}
-	// The replays must have inflated the scanner's count in the table.
-	entries := srv.monlistEntries(nw.Now())
+	// The replays must have inflated the scanner's count in the table. The
+	// storm's own sends reused the table cached at the probe, so ask for it
+	// past the ten-minute cache window to see the counts as they stand.
+	entries := decodeTable(t, srv.monlistFragments(ntp.ReqMonGetList1, nw.Now().Add(11*time.Minute)))
 	var scannerCount uint32
 	for _, e := range entries {
 		if e.Addr == scanner {

@@ -127,10 +127,10 @@ func (w *World) newAmplifierConfig(addr netaddr.Addr, role ntpd.Role) ntpd.Confi
 	if w.Src.Bool(oldImplFraction) {
 		impl = ntp.ImplXNTPDOld
 	}
-	reqCode := uint8(ntp.ReqMonGetList1)
-	if w.Src.Bool(0.3) {
-		reqCode = ntp.ReqMonGetList // older daemons serve the legacy format
-	}
+	// This draw selects nothing, since a daemon answers whichever monlist
+	// flavour a request carries. It stays so that the random stream, and
+	// with it every digest, does not move.
+	w.Src.Bool(0.3)
 	// A handful of upstream peers, disclosed by the mode 7 peer-list
 	// command (§3.1's low-amplification alternative).
 	peers := make([]netaddr.Addr, 1+w.Src.IntN(5))
@@ -148,7 +148,6 @@ func (w *World) newAmplifierConfig(addr netaddr.Addr, role ntpd.Role) ntpd.Confi
 		// cisco-dominated.
 		Mode6Enabled:   w.Src.Bool(0.35),
 		Implementation: impl,
-		ReqCode:        reqCode,
 		ExtraVarBytes:  w.extraVarBytes(),
 		Metrics:        w.ntpdM,
 	}
