@@ -112,6 +112,7 @@ func watchPcap(d *detect.Detector, p *alarmPrinter, path string) error {
 	}
 	var read, decoded int
 	var last time.Time
+	var one [1][]byte // each datagram is fed as a one-payload train
 	for {
 		pkt, err := r.ReadPacket()
 		if errors.Is(err, io.EOF) {
@@ -127,7 +128,8 @@ func watchPcap(d *detect.Detector, p *alarmPrinter, path string) error {
 		}
 		decoded++
 		last = pkt.Timestamp
-		d.Observe(dg, pkt.Timestamp)
+		one[0], dg.Payload = dg.Payload, nil
+		d.ObserveTrain(dg, one[:], pkt.Timestamp)
 		if decoded%1024 == 0 {
 			p.drain(d)
 		}

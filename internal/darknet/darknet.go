@@ -116,11 +116,6 @@ func (t *Telescope) ObserveTrain(hdr *packet.Datagram, payloads [][]byte, now ti
 	bins[int(uint64(hdr.IP.Dst>>8)*0x9e3779b97f4a7c15>>60)] += packets
 }
 
-// Observe records one datagram: a one-payload train.
-func (t *Telescope) Observe(dg *packet.Datagram, now time.Time) {
-	t.ObserveTrain(dg, [][]byte{dg.Payload}, now)
-}
-
 // SourceSpread returns a source's per-bin dark-space hit profile (hashed
 // /24 buckets) — the input to the UniformityScore heuristic.
 func (t *Telescope) SourceSpread(src netaddr.Addr) ([]float64, bool) {

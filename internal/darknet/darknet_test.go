@@ -58,8 +58,8 @@ func TestObserveCountsNTPOnly(t *testing.T) {
 	}
 	now := vtime.Epoch.Add(100 * 24 * time.Hour)
 	scanner := netaddr.MustParseAddr("198.51.100.5")
-	s.Observe(probe(scanner, dst, 123, 1), now)
-	s.Observe(probe(scanner, dst, 53, 1), now) // DNS scan: ignored here
+	observeOne(s, probe(scanner, dst, 123, 1), now)
+	observeOne(s, probe(scanner, dst, 53, 1), now) // DNS scan: ignored here
 	if got := s.NTPPackets.At(vtime.Month(now)); got != 1 {
 		t.Fatalf("NTP packets = %v, want 1", got)
 	}
@@ -81,8 +81,8 @@ func TestBenignClassification(t *testing.T) {
 	evil := netaddr.MustParseAddr("192.0.2.66")
 	s.RegisterBenign(research)
 	now := vtime.Epoch.Add(120 * 24 * time.Hour)
-	s.Observe(probe(research, dst, 123, 10), now)
-	s.Observe(probe(evil, dst, 123, 10), now)
+	observeOne(s, probe(research, dst, 123, 10), now)
+	observeOne(s, probe(evil, dst, 123, 10), now)
 	rows := s.MonthlyVolume()
 	if len(rows) != 1 {
 		t.Fatalf("%d monthly rows", len(rows))
@@ -102,7 +102,7 @@ func TestRepWeighting(t *testing.T) {
 		}
 	}
 	now := vtime.Epoch
-	s.Observe(probe(netaddr.Addr(1), dst, 123, 500), now)
+	observeOne(s, probe(netaddr.Addr(1), dst, 123, 500), now)
 	if got := s.NTPPackets.At(vtime.Month(now)); got != 500 {
 		t.Fatalf("Rep-weighted packets = %v", got)
 	}
@@ -127,10 +127,10 @@ func TestScannerSeriesDaily(t *testing.T) {
 	}
 	d1 := vtime.Epoch.Add(24 * time.Hour)
 	d2 := vtime.Epoch.Add(48 * time.Hour)
-	s.Observe(probe(netaddr.Addr(1), dst, 123, 1), d1)
-	s.Observe(probe(netaddr.Addr(2), dst, 123, 1), d1)
-	s.Observe(probe(netaddr.Addr(1), dst, 123, 1), d1.Add(time.Hour)) // dup same day
-	s.Observe(probe(netaddr.Addr(3), dst, 123, 1), d2)
+	observeOne(s, probe(netaddr.Addr(1), dst, 123, 1), d1)
+	observeOne(s, probe(netaddr.Addr(2), dst, 123, 1), d1)
+	observeOne(s, probe(netaddr.Addr(1), dst, 123, 1), d1.Add(time.Hour)) // dup same day
+	observeOne(s, probe(netaddr.Addr(3), dst, 123, 1), d2)
 	pts := s.ScannerSeries()
 	if len(pts) != 2 || pts[0].Value != 2 || pts[1].Value != 1 {
 		t.Fatalf("scanner series = %+v", pts)
@@ -145,4 +145,14 @@ func TestIPv6TelescopeFindsNothing(t *testing.T) {
 	if v6.NTPScanEvidence() {
 		t.Fatal("IPv6 darknet must report no broad NTP scanning (§5.1)")
 	}
+}
+
+// observeOne shows tap one datagram the way the fabric does: as a
+// one-payload train under a header that carries no payload.
+func observeOne(tap interface {
+	ObserveTrain(hdr *packet.Datagram, payloads [][]byte, now time.Time)
+}, dg *packet.Datagram, now time.Time) {
+	hdr := *dg
+	hdr.Payload = nil
+	tap.ObserveTrain(&hdr, [][]byte{dg.Payload}, now)
 }

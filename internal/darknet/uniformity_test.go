@@ -57,13 +57,13 @@ func TestTelescopeScannerLikeSources(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		dst := prefix.Nth(uint64(i) * step)
 		dg := packet.NewDatagram(scanner, 40000, dst, ntp.Port, probe)
-		tel.Observe(dg, now.Add(time.Duration(i)*time.Second))
+		observeOne(tel, dg, now.Add(time.Duration(i)*time.Second))
 	}
 	// A targeted burst hammers one dark /24.
 	burster := netaddr.MustParseAddr("203.0.113.9")
 	for i := 0; i < 64; i++ {
 		dg := packet.NewDatagram(burster, 40000, prefix.Nth(uint64(i%4)), ntp.Port, probe)
-		tel.Observe(dg, now.Add(time.Duration(i)*time.Second))
+		observeOne(tel, dg, now.Add(time.Duration(i)*time.Second))
 	}
 
 	if n := tel.ScannerLikeSources(DefaultScannerScore); n != 1 {

@@ -349,11 +349,6 @@ func (d *Detector) ObserveTrain(hdr *packet.Datagram, payloads [][]byte, now tim
 	}
 }
 
-// Observe classifies one datagram — the entry point of a pcap replay.
-func (d *Detector) Observe(dg *packet.Datagram, now time.Time) {
-	d.observe(dg, dg.Payload, now)
-}
-
 // observe classifies one datagram (hdr's addressing and Rep, carrying
 // payload) into a protocol lane. NTP keeps its original mode 6/7 parse; DNS,
 // SSDP, and chargen reflections are recognized by service port plus a

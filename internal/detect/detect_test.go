@@ -44,7 +44,7 @@ func TestOnsetAndOffsetAlarms(t *testing.T) {
 	d := New(DefaultConfig())
 	t0 := vtime.Epoch
 	for i := 0; i < 5; i++ {
-		d.Observe(monlistResponse(amp, victim, 80, 100), t0.Add(time.Duration(i)*30*time.Second))
+		observeOne(d, monlistResponse(amp, victim, 80, 100), t0.Add(time.Duration(i)*30*time.Second))
 	}
 	sum := d.Summarize(t0.Add(4 * time.Hour))
 	if len(sum.Victims) != 1 || sum.Victims[0] != victim {
@@ -78,11 +78,11 @@ func TestOnsetAndOffsetAlarms(t *testing.T) {
 func TestBelowThresholdNoAlarm(t *testing.T) {
 	d := New(DefaultConfig())
 	t0 := vtime.Epoch
-	d.Observe(monlistResponse(amp, victim, 80, 1), t0)
-	d.Observe(monlistResponse(amp, victim, 80, 1), t0.Add(time.Hour))
+	observeOne(d, monlistResponse(amp, victim, 80, 1), t0)
+	observeOne(d, monlistResponse(amp, victim, 80, 1), t0.Add(time.Hour))
 	slow := netaddr.MustParseAddr("4.4.4.4")
 	for i := 0; i < 5; i++ {
-		d.Observe(monlistResponse(amp, slow, 80, 1), t0.Add(time.Duration(i)*48*time.Hour))
+		observeOne(d, monlistResponse(amp, slow, 80, 1), t0.Add(time.Duration(i)*48*time.Hour))
 	}
 	if got := d.Summarize(t0.Add(300 * time.Hour)); len(got.Victims) != 0 {
 		t.Fatalf("victims = %v, want none", got.Victims)
@@ -93,15 +93,15 @@ func TestScannerSuppression(t *testing.T) {
 	d := New(DefaultConfig())
 	t0 := vtime.Epoch
 	// The prober reveals itself: Linux-band request into the fabric.
-	d.Observe(monlistRequest(scanner, amp, 50, 1), t0)
+	observeOne(d, monlistRequest(scanner, amp, 50, 1), t0)
 	// Millions of harvested table fragments flow back to it.
 	for i := 0; i < 10; i++ {
-		d.Observe(monlistResponse(amp, scanner, 47001, 10000), t0.Add(time.Duration(i)*time.Second))
+		observeOne(d, monlistResponse(amp, scanner, 47001, 10000), t0.Add(time.Duration(i)*time.Second))
 	}
 	// Meanwhile spoofed triggers (Windows band, claimed source = victim)
 	// draw real reflections onto the victim.
-	d.Observe(monlistRequest(victim, amp, 110, 50), t0)
-	d.Observe(monlistResponse(amp, victim, 80, 300), t0.Add(time.Second))
+	observeOne(d, monlistRequest(victim, amp, 110, 50), t0)
+	observeOne(d, monlistResponse(amp, victim, 80, 300), t0.Add(time.Second))
 	sum := d.Summarize(t0.Add(6 * time.Hour))
 	if len(sum.Victims) != 1 || sum.Victims[0] != victim {
 		t.Fatalf("victims = %v, want only %v (scanner suppressed)", sum.Victims, victim)
@@ -128,13 +128,13 @@ func TestNetFlowParity(t *testing.T) {
 		}
 	})
 	for i := 0; i < 5; i++ {
-		exp.Observe(monlistResponse(amp, victim, 80, 100), t0.Add(time.Duration(i)*30*time.Second))
+		observeOne(exp, monlistResponse(amp, victim, 80, 100), t0.Add(time.Duration(i)*30*time.Second))
 	}
 	// Honest time service must not register: 76-byte mode 4 responses.
 	client := netaddr.MustParseAddr("8.8.8.8")
 	small := packet.NewDatagram(amp, ntp.Port, client, 123, make([]byte, 48))
 	for i := 0; i < 10; i++ {
-		exp.Observe(small, t0.Add(time.Duration(i)*time.Second))
+		observeOne(exp, small, t0.Add(time.Duration(i)*time.Second))
 	}
 	exp.Flush(t0.Add(time.Hour))
 	sum := d.Summarize(t0.Add(6 * time.Hour))
@@ -190,9 +190,9 @@ func TestDetectorDeterminism(t *testing.T) {
 			v := netaddr.Addr(0x50000000 + uint32(i%37))
 			a := netaddr.Addr(0x0a000000 + uint32(i%11))
 			now := t0.Add(time.Duration(i) * 7 * time.Second)
-			d.Observe(monlistResponse(a, v, uint16(80+i%3), int64(1+i%50)), now)
+			observeOne(d, monlistResponse(a, v, uint16(80+i%3), int64(1+i%50)), now)
 			if i%13 == 0 {
-				d.Observe(monlistRequest(netaddr.Addr(0x60000000+uint32(i%5)), a, 52, 1), now)
+				observeOne(d, monlistRequest(netaddr.Addr(0x60000000+uint32(i%5)), a, 52, 1), now)
 			}
 		}
 		return d.Summarize(t0.Add(30 * time.Hour))
@@ -214,7 +214,7 @@ func TestPruneBoundsMemory(t *testing.T) {
 	t0 := vtime.Epoch
 	for i := 0; i < 100_000; i++ {
 		v := netaddr.Addr(0x20000000 + uint32(i))
-		d.Observe(monlistResponse(amp, v, 80, 1), t0.Add(time.Duration(i)*time.Second))
+		observeOne(d, monlistResponse(amp, v, 80, 1), t0.Add(time.Duration(i)*time.Second))
 	}
 	if n := len(d.victims); n > 50_000 {
 		t.Fatalf("%d victim states retained; prune is not bounding memory", n)
@@ -239,4 +239,14 @@ func TestEvaluate(t *testing.T) {
 	if empty.Precision != 1 || empty.Recall != 1 {
 		t.Fatalf("empty eval = %+v", empty)
 	}
+}
+
+// observeOne shows tap one datagram the way the fabric does: as a
+// one-payload train under a header that carries no payload.
+func observeOne(tap interface {
+	ObserveTrain(hdr *packet.Datagram, payloads [][]byte, now time.Time)
+}, dg *packet.Datagram, now time.Time) {
+	hdr := *dg
+	hdr.Payload = nil
+	tap.ObserveTrain(&hdr, [][]byte{dg.Payload}, now)
 }

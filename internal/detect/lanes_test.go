@@ -53,7 +53,7 @@ func TestLaneClassification(t *testing.T) {
 	}
 	for v, vic := range victims {
 		for i := 0; i < 5; i++ {
-			d.Observe(laneResponse(v, amp, vic, 80, 100), t0.Add(time.Duration(i)*30*time.Second))
+			observeOne(d, laneResponse(v, amp, vic, 80, 100), t0.Add(time.Duration(i)*30*time.Second))
 		}
 	}
 	sum := d.Summarize(t0.Add(6 * time.Hour))
@@ -95,8 +95,8 @@ func TestLaneDominance(t *testing.T) {
 	t0 := vtime.Epoch
 	for i := 0; i < 5; i++ {
 		at := t0.Add(time.Duration(i) * 30 * time.Second)
-		d.Observe(monlistResponse(amp, victim, 80, 10), at)
-		d.Observe(laneResponse(reflector.DNSANY, amp, victim, 80, 100), at)
+		observeOne(d, monlistResponse(amp, victim, 80, 10), at)
+		observeOne(d, laneResponse(reflector.DNSANY, amp, victim, 80, 100), at)
 	}
 	sum := d.Summarize(t0.Add(6 * time.Hour))
 	if len(sum.Alarms) != 2 || sum.Alarms[1].Vector != "dns" {
@@ -117,9 +117,9 @@ func TestLaneDominance(t *testing.T) {
 func TestLaneScannerSuppression(t *testing.T) {
 	d := New(DefaultConfig())
 	t0 := vtime.Epoch
-	d.Observe(laneRequest(reflector.SSDP, scanner, amp, 50, 1), t0)
+	observeOne(d, laneRequest(reflector.SSDP, scanner, amp, 50, 1), t0)
 	for i := 0; i < 5; i++ {
-		d.Observe(laneResponse(reflector.SSDP, amp, scanner, 47001, 100), t0.Add(time.Duration(i)*time.Second))
+		observeOne(d, laneResponse(reflector.SSDP, amp, scanner, 47001, 100), t0.Add(time.Duration(i)*time.Second))
 	}
 	sum := d.Summarize(t0.Add(6 * time.Hour))
 	if len(sum.Victims) != 0 {
@@ -194,7 +194,7 @@ func TestPulseWaveTracker(t *testing.T) {
 	const period = 3 * time.Hour
 	burst := func(start time.Time) {
 		for i := 0; i < 5; i++ {
-			d.Observe(monlistResponse(amp, victim, 80, 100), start.Add(time.Duration(i)*30*time.Second))
+			observeOne(d, monlistResponse(amp, victim, 80, 100), start.Add(time.Duration(i)*30*time.Second))
 		}
 	}
 	end := t0.Add(4 * period)
@@ -239,7 +239,7 @@ func TestSustainedOffsetUnchanged(t *testing.T) {
 	var last time.Time
 	for i := 0; i < 12; i++ {
 		last = t0.Add(time.Duration(i) * 20 * time.Minute)
-		d.Observe(monlistResponse(amp, victim, 80, 100), last)
+		observeOne(d, monlistResponse(amp, victim, 80, 100), last)
 	}
 	sum := d.Summarize(last.Add(cfg.OffsetGap + time.Hour))
 	if len(sum.Alarms) != 2 {

@@ -37,7 +37,7 @@ func TestDuplicateExportDoesNotFlipDominance(t *testing.T) {
 	t0 := vtime.Epoch
 	// NTP lane: 500 Rep-weighted reflected packets via the tap.
 	for i := 0; i < 5; i++ {
-		d.Observe(monlistResponse(amp, victim, 80, 100), t0.Add(time.Duration(i)*30*time.Second))
+		observeOne(d, monlistResponse(amp, victim, 80, 100), t0.Add(time.Duration(i)*30*time.Second))
 	}
 	// DNS lane: 300 packets via one flow export. A duplicate would take DNS
 	// to 600 and flip the dominant lane.
@@ -103,11 +103,11 @@ func TestCollectorOutageHoldsEpisode(t *testing.T) {
 	end := t0.Add(24 * time.Hour)
 	for at := t0; at.Before(end); at = at.Add(10 * time.Minute) {
 		dg := monlistResponse(amp, victim, 80, 100)
-		d.Observe(dg, at)
+		observeOne(d, dg, at)
 		// The naive twin sees exactly what survived the outage: the same
 		// stream with the dark windows already carved out.
 		if !d.darkAt(at) {
-			naive.Observe(dg, at)
+			observeOne(naive, dg, at)
 		}
 		d.sweep(at, false)
 		naive.sweep(at, false)
@@ -151,8 +151,8 @@ func TestSamplingVantage(t *testing.T) {
 	small := netaddr.MustParseAddr("203.0.113.9")
 	for i := 0; i < 3; i++ {
 		at := t0.Add(time.Duration(i) * 30 * time.Second)
-		d.Observe(monlistResponse(amp, victim, 80, 1000), at)
-		d.Observe(monlistResponse(amp, small, 80, 1), at)
+		observeOne(d, monlistResponse(amp, victim, 80, 1000), at)
+		observeOne(d, monlistResponse(amp, small, 80, 1), at)
 	}
 	sum := d.Summarize(t0.Add(6 * time.Hour))
 	if len(sum.Victims) != 1 || sum.Victims[0] != victim {
@@ -178,7 +178,7 @@ func TestPerfectVantageConfidenceIsOne(t *testing.T) {
 	d := New(DefaultConfig())
 	t0 := vtime.Epoch
 	for i := 0; i < 5; i++ {
-		d.Observe(monlistResponse(amp, victim, 80, 100), t0.Add(time.Duration(i)*30*time.Second))
+		observeOne(d, monlistResponse(amp, victim, 80, 100), t0.Add(time.Duration(i)*30*time.Second))
 	}
 	for _, a := range d.Summarize(t0.Add(6 * time.Hour)).Alarms {
 		if a.Confidence != 1 {

@@ -195,11 +195,6 @@ func (e *Exporter) ObserveTrain(hdr *packet.Datagram, payloads [][]byte, now tim
 	}
 }
 
-// Observe accounts one datagram into the flow cache.
-func (e *Exporter) Observe(dg *packet.Datagram, now time.Time) {
-	e.observe(dg, len(dg.Payload), now)
-}
-
 // observe accounts one datagram with hdr's addressing and Rep and a UDP
 // payload of payloadLen bytes.
 func (e *Exporter) observe(hdr *packet.Datagram, payloadLen int, now time.Time) {

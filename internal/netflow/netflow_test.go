@@ -90,8 +90,8 @@ func TestExporterAggregatesAndExpires(t *testing.T) {
 		return dg
 	}
 	now := boot.Add(time.Minute)
-	e.Observe(mk(100), now)
-	e.Observe(mk(50), now.Add(time.Second))
+	observeOne(e, mk(100), now)
+	observeOne(e, mk(50), now.Add(time.Second))
 	if e.CacheLen() != 1 {
 		t.Fatalf("cache = %d flows, want 1 (aggregated)", e.CacheLen())
 	}
@@ -128,7 +128,7 @@ func TestExporterSplitsOverflowingCounters(t *testing.T) {
 	e := NewExporter(vtime.Epoch, func(b []byte) { exports = append(exports, b) })
 	dg := packet.NewDatagram(1, 123, 2, 80, make([]byte, 1000))
 	dg.Rep = 6_000_000_000 // ~6e12 octets: overflows uint32
-	e.Observe(dg, vtime.Epoch.Add(time.Second))
+	observeOne(e, dg, vtime.Epoch.Add(time.Second))
 	e.Flush(vtime.Epoch.Add(time.Minute))
 	var total int64
 	c := NewCollector()
@@ -152,7 +152,7 @@ func TestCollectorSequenceGapDetection(t *testing.T) {
 	e := NewExporter(vtime.Epoch, func(b []byte) { exports = append(exports, b) })
 	for i := 0; i < 100; i++ {
 		dg := packet.NewDatagram(netaddr.Addr(i), 123, netaddr.Addr(1000+i), 80, make([]byte, 100))
-		e.Observe(dg, vtime.Epoch.Add(time.Duration(i)*time.Millisecond))
+		observeOne(e, dg, vtime.Epoch.Add(time.Duration(i)*time.Millisecond))
 	}
 	e.Flush(vtime.Epoch.Add(time.Hour))
 	if len(exports) < 3 {
@@ -177,7 +177,7 @@ func makeExports(t *testing.T, n int) [][]byte {
 	e := NewExporter(vtime.Epoch, func(b []byte) { exports = append(exports, b) })
 	for i := 0; i < 40*n; i++ {
 		dg := packet.NewDatagram(netaddr.Addr(i), 123, netaddr.Addr(100000+i), 80, make([]byte, 100))
-		e.Observe(dg, vtime.Epoch.Add(time.Duration(i)*time.Millisecond))
+		observeOne(e, dg, vtime.Epoch.Add(time.Duration(i)*time.Millisecond))
 	}
 	e.Flush(vtime.Epoch.Add(time.Hour))
 	if len(exports) < n {
@@ -284,4 +284,14 @@ func TestFabricToCollector(t *testing.T) {
 	if c.ByDstPort[57915] == 0 {
 		t.Fatal("no response bytes back to the scanner in the flow data")
 	}
+}
+
+// observeOne shows tap one datagram the way the fabric does: as a
+// one-payload train under a header that carries no payload.
+func observeOne(tap interface {
+	ObserveTrain(hdr *packet.Datagram, payloads [][]byte, now time.Time)
+}, dg *packet.Datagram, now time.Time) {
+	hdr := *dg
+	hdr.Payload = nil
+	tap.ObserveTrain(&hdr, [][]byte{dg.Payload}, now)
 }

@@ -8,15 +8,20 @@
 // packet (the darknet telescope, the ISP flow collectors, the global
 // telemetry aggregator are all taps), and packets destined to unregistered
 // addresses simply vanish after the taps have seen them — which is exactly
-// what a darknet is.
+// what a darknet is. Dark space is decided when a train is sent: a train
+// reaches a host only if its destination has a host both when it is sent and
+// when it arrives. A train to an address with no host is observed, counted
+// dark and ends there, with no copy and no scheduler item; a train whose
+// host leaves in flight is counted dark on arrival.
 //
 // The fabric's unit of work is a train: one header and N payloads, the shape
 // of a fragmented reply such as a 100-packet monlist table. A train resolves
-// its path (spoof policy, hops, latency, link faults) once, is shown to each
-// tap in one ObserveTrain call, and occupies one scheduler item, yet stays
-// exactly the sequence of one-payload sends it replaces: each payload is
-// counted and handed to the destination host on its own, in send order, and
-// a tap's result is the same as if it had seen the payloads one at a time.
+// its path (spoof policy, hops, latency, link faults, host binding) once, is
+// shown to each tap in one ObserveTrain call, and occupies one scheduler
+// item, yet stays exactly the sequence of one-payload sends it replaces:
+// each payload is counted and handed to the destination host on its own, in
+// send order, and a tap's result is the same as if it had seen the payloads
+// one at a time.
 //
 // The tap contract: hdr is the delivered header (TTL already decremented,
 // Payload nil) and every payload carries hdr.Rep. payloads are the sender's
@@ -67,9 +72,11 @@ type SpoofPolicy func(origin, claimed netaddr.Addr) bool
 // Stats counts fabric activity. All counters honour the Rep batching
 // multiplier: one datagram with Rep = n counts as n packets.
 type Stats struct {
-	Sent         int64 // packets accepted from senders
-	Delivered    int64 // packets handed to a registered host
-	Dark         int64 // packets to unregistered addresses (incl. darknet)
+	Sent      int64 // packets accepted from senders
+	Delivered int64 // packets handed to a registered host
+	// Dark counts packets to unregistered addresses (incl. darknet): counted
+	// when sent, or on arrival if the host left in flight.
+	Dark         int64
 	DroppedSpoof int64 // spoofed packets blocked by BCP38 at the source
 	DroppedLoss  int64 // packets lost in transit by the impairment stage
 	DroppedFlap  int64 // packets swallowed whole by a downed-link flap window
@@ -82,13 +89,17 @@ type Stats struct {
 // scheduler, keeping the simulation deterministic.
 //
 // Datagram ownership: SendTrain (and SendFrom, a one-payload train) copies
-// the caller's header and payload bytes into a pooled train, so senders may
-// reuse their datagram and payload buffers the moment the call returns.
-// Taps see the sender's own payloads during the send, before it returns; the
-// copy serves delivery alone. Hosts are shown a fabric-owned datagram that
-// is re-pointed at the next payload once HandlePacket returns, and the train
-// is recycled once delivered: hosts and taps must not retain the *Datagram
-// or its payloads past the call — copy what must outlive it.
+// the caller's header and payload bytes into a pooled train when the
+// destination has a host, so senders may reuse their datagram and payload
+// buffers the moment the call returns. A train reaches a host only if its
+// destination has a host both when it is sent and when it arrives, so a
+// send to an address with no host is observed and counted dark without a
+// copy. Taps see the sender's own payloads during the send, before it
+// returns; the copy serves delivery alone. Hosts are shown a fabric-owned
+// datagram that is re-pointed at the next payload once HandlePacket
+// returns, and the train is recycled once delivered: hosts and taps must
+// not retain the *Datagram or its payloads past the call — copy what must
+// outlive it.
 type Network struct {
 	sched  *vtime.Scheduler
 	policy SpoofPolicy
@@ -106,7 +117,7 @@ type Network struct {
 	// beat sync.Pool.
 	trains [trainClasses][]*train
 
-	// tapView is the header taps are shown: the train's delivered header
+	// tapView is the header taps are shown: the sent header as delivered,
 	// carrying the Rep of the payloads in the call. It never holds a
 	// payload. deliverView is the datagram hosts are shown, re-pointed at
 	// one payload of a train per call and cleared afterwards, so it never
@@ -281,10 +292,16 @@ func (n *Network) SendFrom(origin netaddr.Addr, dg *packet.Datagram) bool {
 // resolved once, each tap observes the train in one call, the payloads are
 // copied into one pooled buffer, and the train occupies one scheduler item.
 //
+// The destination is looked up once, after the spoof and TTL checks. If no
+// host is bound there, the taps still see the train and every payload is
+// counted dark at once; nothing is copied or scheduled, so a host that binds
+// the address afterwards does not receive it.
+//
 // If the IP source differs from origin, the spoof policy decides whether the
 // train leaves the source network at all. SendTrain returns false when the
 // train was dropped at the source or expired in transit (or has no
-// payloads); faults injected in transit still return true.
+// payloads); faults injected in transit and dark destinations still return
+// true.
 func (n *Network) SendTrain(origin netaddr.Addr, hdr *packet.Datagram, payloads [][]byte) bool {
 	k := int64(len(payloads))
 	if k == 0 {
@@ -326,30 +343,36 @@ func (n *Network) SendTrain(origin netaddr.Addr, hdr *packet.Datagram, payloads 
 		}
 		return false // expired in transit
 	}
+	_, bound := n.hosts[dst]
 	now := n.Now()
 	arrive := now.Add(PathLatency(origin, dst))
 	if n.impair != nil {
-		n.sendImpaired(origin, hdr, payloads, hops, rep, size, now, arrive)
+		n.sendImpaired(origin, hdr, payloads, hops, rep, size, bound, now, arrive)
+		return true
+	}
+	n.observe(hdr, hops, rep, payloads, now)
+	if !bound {
+		n.countDark(rep * k)
 		return true
 	}
 	t := n.newTrain(hdr, hops, rep, size)
 	for _, p := range payloads {
 		t.add(p)
 	}
-	n.observe(&t.hdr, rep, payloads, now)
 	n.sched.AtBatch(arrive, n, t)
 	return true
 }
 
 // sendImpaired is SendTrain's transit stage under fault injection. The flap
 // window and per-link loss rate are properties of the path, decided once;
-// the loss, duplication and reorder draws stay per payload, in the order a
-// sequence of one-payload sends would make them, so the fault stream is the
-// same however the payloads were grouped. Survivors on the base path ride
-// one train; a reordered payload and every duplicate travel alone. Taps see
-// each survivor in its own call, right after its draws, so observation
-// interleaves with the fault stream as it does for one-payload sends.
-func (n *Network) sendImpaired(origin netaddr.Addr, hdr *packet.Datagram, payloads [][]byte, hops int, rep int64, size int, now, arrive time.Time) {
+// the loss, duplication and reorder draws, delays included, stay per
+// payload, in the order a sequence of one-payload sends would make them, so
+// the fault stream is the same however the payloads were grouped and
+// whether or not the destination has a host. Taps see each survivor in its
+// own call right after its draws, and its duplicate right after it. Then a
+// dark destination counts both; for a bound one, survivors on the base path
+// ride one train, and a reordered payload and every duplicate travel alone.
+func (n *Network) sendImpaired(origin netaddr.Addr, hdr *packet.Datagram, payloads [][]byte, hops int, rep int64, size int, bound bool, now, arrive time.Time) {
 	st := n.impair
 	dst := hdr.IP.Dst
 	// Flap windows swallow the train whole: the sender saw it leave.
@@ -384,15 +407,30 @@ func (n *Network) sendImpaired(origin netaddr.Addr, hdr *packet.Datagram, payloa
 			}
 		}
 		at := arrive
-		if st.cfg.Reorder > 0 && st.src.Bool(st.cfg.Reorder) {
+		reordered := st.cfg.Reorder > 0 && st.src.Bool(st.cfg.Reorder)
+		if reordered {
 			at = at.Add(time.Duration(st.src.Int64N(int64(st.cfg.ReorderDelay))) + time.Millisecond)
 			n.stats.Reordered += r
 			if n.m != nil {
 				n.m.Reordered.Add(r)
 			}
+		}
+		n.observe(hdr, hops, r, one, now)
+		var dupAt time.Time
+		if dups > 0 {
+			// Duplicates are real wire packets: taps see them right after
+			// the original, and they arrive on their own (slower) schedule.
+			n.observe(hdr, hops, dups, one, now)
+			dupAt = at.Add(time.Duration(st.src.Int64N(int64(100*time.Millisecond))) + time.Millisecond)
+		}
+
+		if !bound {
+			n.countDark(r + dups)
+			continue
+		}
+		if reordered {
 			t := n.newTrain(hdr, hops, r, len(p))
 			t.add(p)
-			n.observe(&t.hdr, r, one, now)
 			n.sched.AtBatch(at, n, t)
 		} else {
 			if base == nil {
@@ -400,30 +438,31 @@ func (n *Network) sendImpaired(origin netaddr.Addr, hdr *packet.Datagram, payloa
 				n.sched.AtBatch(arrive, n, base)
 			}
 			base.addRep(p, r)
-			n.observe(&base.hdr, r, one, now)
 		}
 		if dups > 0 {
-			// Duplicates are real wire packets: taps see them right after
-			// the original, and they arrive on their own (slower) schedule.
 			d := n.newTrain(hdr, hops, dups, len(p))
 			d.add(p)
-			n.observe(&d.hdr, dups, one, now)
-			extra := time.Duration(st.src.Int64N(int64(100*time.Millisecond))) + time.Millisecond
-			n.sched.AtBatch(at.Add(extra), n, d)
+			n.sched.AtBatch(dupAt, n, d)
 		}
 	}
 }
 
+// countDark counts packets that reach no host.
+func (n *Network) countDark(packets int64) {
+	n.stats.Dark += packets
+	if n.m != nil {
+		n.m.Dark.Add(packets)
+	}
+}
+
 // observe shows the sender's payloads, each carrying rep, to every tap in
-// one call per tap. hdr is a train's delivered header; taps get a copy, so
-// a train's own header never reaches them.
-func (n *Network) observe(hdr *packet.Datagram, rep int64, payloads [][]byte, now time.Time) {
+// one call per tap, under hdr's delivered header after hops.
+func (n *Network) observe(hdr *packet.Datagram, hops int, rep int64, payloads [][]byte, now time.Time) {
 	if len(n.taps) == 0 {
 		return
 	}
 	v := &n.tapView
-	*v = *hdr
-	v.Rep = rep
+	deliveredHeader(v, hdr, hops, rep)
 	for _, tap := range n.taps {
 		tap.ObserveTrain(v, payloads, now)
 	}
@@ -432,8 +471,17 @@ func (n *Network) observe(hdr *packet.Datagram, rep int64, payloads [][]byte, no
 	}
 }
 
+// deliveredHeader sets v to hdr as it arrives after hops: TTL decremented,
+// no payload, carrying rep.
+func deliveredHeader(v, hdr *packet.Datagram, hops int, rep int64) {
+	*v = *hdr
+	v.Payload = nil
+	v.IP.TTL -= uint8(hops)
+	v.Rep = rep
+}
+
 // RunBatch implements vtime.BatchSink: it delivers a batch of same-instant
-// trains. A train to an unregistered address is counted dark in one step; a
+// trains. A train whose host left in flight is counted dark in one step; a
 // registered host gets one HandlePacket per payload, in send order. Each
 // train returns to the pool once delivered.
 func (n *Network) RunBatch(now time.Time, items []any) {
@@ -457,11 +505,7 @@ func (n *Network) RunBatch(now time.Time, items []any) {
 		}
 		for i := range t.ends {
 			if !lastOK {
-				dark := t.repSum(i)
-				n.stats.Dark += dark
-				if n.m != nil {
-					n.m.Dark.Add(dark)
-				}
+				n.countDark(t.repSum(i))
 				break
 			}
 			*v = t.hdr

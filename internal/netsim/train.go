@@ -94,10 +94,7 @@ func (n *Network) newTrain(hdr *packet.Datagram, hops int, rep int64, size int) 
 	} else {
 		t = &train{buf: make([]byte, 0, 1<<(c+minTrainShift))}
 	}
-	t.hdr = *hdr
-	t.hdr.Payload = nil
-	t.hdr.IP.TTL -= uint8(hops)
-	t.hdr.Rep = rep
+	deliveredHeader(&t.hdr, hdr, hops, rep)
 	return t
 }
 

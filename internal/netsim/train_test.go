@@ -21,8 +21,16 @@ type trainCase struct {
 	ttl      uint8
 	register bool // bind a recording host at the destination
 	rebind   bool // the host re-binds, then unbinds, the destination mid-train
+	// lateBind binds a host at the destination 1ms after each send, while
+	// the train is in flight, and unbinds it before the next send.
+	lateBind bool
 	impair   Impairment
 }
+
+// allFaults turns every fault knob on, at rates that make each fire within
+// one trainPlan.
+var allFaults = Impairment{Loss: 0.3, Dup: 0.4, Reorder: 0.5, ReorderDelay: 50 * time.Millisecond,
+	FlapRate: 0.3, FlapPeriod: 10 * time.Second}
 
 // trainFabric is one side of the differential test: a fabric, its metrics
 // registry and fault stream, one log of every payload the first tap saw and
@@ -31,12 +39,14 @@ type trainFabric struct {
 	sched    *vtime.Scheduler
 	net      *Network
 	reg      *metrics.Registry
+	m        *Metrics
 	faults   *rng.Source
 	log      []string
 	sends    []bool
 	tapCalls [2][]int
-	// hdrPayload records a tap being shown a header that carries a payload.
-	hdrPayload bool
+	// hdrPayload records a tap being shown a header that carries a payload,
+	// and badTTL one whose TTL is not the sent TTL less the path's hops.
+	hdrPayload, badTTL bool
 }
 
 var (
@@ -53,14 +63,17 @@ func newTrainFabric(tc trainCase) *trainFabric {
 		policy = func(_, _ netaddr.Addr) bool { return false }
 	}
 	f.net = New(f.sched, policy)
-	f.net.SetMetrics(NewMetrics(f.reg))
+	f.m = NewMetrics(f.reg)
+	f.net.SetMetrics(f.m)
 	f.faults = rng.New(42).Fork("faults")
 	f.net.SetImpairment(tc.impair, f.faults)
+	wantTTL := int(tc.ttl) - PathHops(trainOrigin, trainDst)
 	for i := range f.tapCalls {
 		i := i
 		f.net.AddTap(tapFunc(func(hdr *packet.Datagram, payloads [][]byte, now time.Time) {
 			f.tapCalls[i] = append(f.tapCalls[i], len(payloads))
 			f.hdrPayload = f.hdrPayload || hdr.Payload != nil
+			f.badTTL = f.badTTL || int(hdr.IP.TTL) != wantTTL
 			if i > 0 {
 				return
 			}
@@ -125,6 +138,14 @@ func trainPlan(tc trainCase, send func(hdr *packet.Datagram, payloads [][]byte))
 					payloads[j] = []byte(strings.Repeat(string(rune('a'+j)), 8+13*j+i))
 				}
 				send(hdr, payloads)
+				if tc.lateBind {
+					f.sched.After(time.Millisecond, func(time.Time) {
+						f.net.Register(trainDst, HostFunc(func(_ *Network, dg *packet.Datagram, now time.Time) {
+							f.record("late-host", dg, now)
+						}))
+					})
+					f.sched.After(time.Second, func(time.Time) { f.net.Unregister(trainDst) })
+				}
 				// Copy-on-send: the sender may scribble on its buffers at once.
 				for _, p := range payloads {
 					for k := range p {
@@ -144,10 +165,9 @@ func trainPlan(tc trainCase, send func(hdr *packet.Datagram, payloads [][]byte))
 // pins how taps are called: once per tap per unimpaired train, and once per
 // surviving payload (duplicates included) under fault injection.
 func TestTrainMatchesOnePayloadSends(t *testing.T) {
-	allFaults := Impairment{Loss: 0.3, Dup: 0.4, Reorder: 0.5, ReorderDelay: 50 * time.Millisecond,
-		FlapRate: 0.3, FlapPeriod: 10 * time.Second}
 	cases := []trainCase{
 		{name: "dark", ttl: TTLLinux},
+		{name: "late-bind", ttl: TTLLinux, lateBind: true},
 		{name: "registered", ttl: TTLLinux, register: true},
 		{name: "spoof-blocked", ttl: TTLWindows, deny: true, spoof: true, register: true},
 		{name: "spoof-allowed", ttl: TTLWindows, spoof: true, register: true},
@@ -192,6 +212,15 @@ func TestTrainMatchesOnePayloadSends(t *testing.T) {
 			if tc.rebind && (st.Dark == 0 || !strings.Contains(strings.Join(trains.log, "\n"), "host2")) {
 				t.Fatalf("re-bind case never reached the second host and then dark space: %+v", st)
 			}
+			// A host that binds the destination after a train left does not
+			// receive that train: both fabrics count every packet dark.
+			if tc.lateBind {
+				for _, f := range []*trainFabric{trains, singles} {
+					if s := f.net.Stats(); s.Dark != s.Sent || strings.Contains(strings.Join(f.log, "\n"), "late-host") {
+						t.Fatalf("a host bound after the send was handed a payload: %+v", s)
+					}
+				}
+			}
 			if d := firstDiff(trains.log, singles.log); d != "" {
 				t.Errorf("event sequences differ: %s", d)
 			}
@@ -234,8 +263,90 @@ func TestTrainMatchesOnePayloadSends(t *testing.T) {
 			if trains.hdrPayload || singles.hdrPayload {
 				t.Error("a tap was shown a header carrying a payload")
 			}
+			if trains.badTTL || singles.badTTL {
+				t.Error("a tap was shown a header whose TTL is not decremented by the path")
+			}
 		})
 	}
+}
+
+// TestSendIsBindingInvariant pins that a destination's host changes
+// delivery and nothing else. The same trains, with every fault knob on, go
+// into a fabric whose destination is bound and one whose destination is
+// not. The two must leave identical tap events (under the delivered TTL),
+// the same fault-stream state, and the same Stats and metrics, except that
+// what the bound fabric delivers the other counts dark. So a dark send
+// still makes every fault draw, delays included, and counts every
+// reordered and duplicated packet.
+func TestSendIsBindingInvariant(t *testing.T) {
+	bound := newTrainFabric(trainCase{ttl: TTLLinux, register: true, impair: allFaults})
+	dark := newTrainFabric(trainCase{ttl: TTLLinux, impair: allFaults})
+	for _, f := range []*trainFabric{bound, dark} {
+		f := f
+		trainPlan(trainCase{ttl: TTLLinux}, func(hdr *packet.Datagram, payloads [][]byte) {
+			f.sends = append(f.sends, f.net.SendTrain(trainOrigin, hdr, payloads))
+		})(f)
+		f.sched.Drain()
+	}
+
+	b, d := bound.net.Stats(), dark.net.Stats()
+	if b.DroppedLoss == 0 || b.Duplicated == 0 || b.Reordered == 0 || b.DroppedFlap == 0 {
+		t.Fatalf("not every fault fired: %+v", b)
+	}
+	if b.Delivered == 0 || b.Dark != 0 || d.Delivered != 0 {
+		t.Fatalf("bound fabric delivered %d and counted %d dark; dark fabric delivered %d",
+			b.Delivered, b.Dark, d.Delivered)
+	}
+	b.Delivered, b.Dark = b.Dark, b.Delivered
+	if b != d {
+		t.Errorf("stats with delivered and dark swapped: bound %+v, dark %+v", b, d)
+	}
+	if bd, dd := bound.m.Delivered.Value(), dark.m.Dark.Value(); bd != dd || bound.m.Dark.Value() != 0 || dark.m.Delivered.Value() != 0 {
+		t.Errorf("delivered metric %d (bound) vs dark metric %d (dark)", bd, dd)
+	}
+	if a, b := otherFamilies(t, bound.reg), otherFamilies(t, dark.reg); a != b {
+		t.Errorf("metrics differ:\nbound:\n%s\ndark:\n%s", a, b)
+	}
+	if a, b := bound.faults.Uint64(), dark.faults.Uint64(); a != b {
+		t.Errorf("fault stream diverged: next draw %d vs %d", a, b)
+	}
+	if diff := firstDiff(tapEvents(bound.log), tapEvents(dark.log)); diff != "" {
+		t.Errorf("tap events differ (bound first): %s", diff)
+	}
+	if fmt.Sprint(bound.tapCalls) != fmt.Sprint(dark.tapCalls) || fmt.Sprint(bound.sends) != fmt.Sprint(dark.sends) {
+		t.Errorf("tap calls %v vs %v, send results %v vs %v", bound.tapCalls, dark.tapCalls, bound.sends, dark.sends)
+	}
+	if bound.badTTL || dark.badTTL || bound.hdrPayload || dark.hdrPayload {
+		t.Error("a tap was shown a header other than the delivered one")
+	}
+}
+
+// tapEvents keeps the tap lines of a trainFabric log.
+func tapEvents(log []string) []string {
+	var taps []string
+	for _, e := range log {
+		if strings.HasPrefix(e, "tap ") {
+			taps = append(taps, e)
+		}
+	}
+	return taps
+}
+
+// otherFamilies is a registry's exposition without the families a host
+// binding changes: the host gauge, and the delivered and dark counters that
+// a bound and a dark fabric swap.
+func otherFamilies(t *testing.T, reg *metrics.Registry) string {
+	var keep []string
+	for _, line := range strings.Split(exposition(t, reg), "\n") {
+		switch {
+		case strings.Contains(line, "ntpsim_fabric_hosts"),
+			strings.Contains(line, "_packets_delivered_total"),
+			strings.Contains(line, "_packets_dark_total"):
+		default:
+			keep = append(keep, line)
+		}
+	}
+	return strings.Join(keep, "\n")
 }
 
 // TestTapSeesDeliveredHeaderAndSendersPayloads pins the tap contract: one

@@ -143,11 +143,6 @@ func (c *Collector) ObserveTrain(hdr *packet.Datagram, payloads [][]byte, now ti
 	}
 }
 
-// Observe accrues one datagram.
-func (c *Collector) Observe(dg *packet.Datagram, now time.Time) {
-	c.observe(dg, len(dg.Payload), now)
-}
-
 // observe classifies one datagram (hdr's ports and Rep, a UDP payload of
 // payloadLen bytes) by port and accrues its on-wire bytes (scaled up by
 // 1/Visibility, since the tap effectively sees the visible share of the

@@ -54,10 +54,10 @@ func TestObserveClassifiesByPort(t *testing.T) {
 		dg.Rep = rep
 		return dg
 	}
-	c.Observe(mk(40000, 123, 1), now) // NTP query
-	c.Observe(mk(123, 80, 3), now)    // NTP reflection toward victim port 80
-	c.Observe(mk(40000, 53, 1), now)  // DNS
-	c.Observe(mk(40000, 9999, 1), now)
+	observeOne(c, mk(40000, 123, 1), now) // NTP query
+	observeOne(c, mk(123, 80, 3), now)    // NTP reflection toward victim port 80
+	observeOne(c, mk(40000, 53, 1), now)  // DNS
+	observeOne(c, mk(40000, 9999, 1), now)
 	ntpPts := c.NTPFractionSeries()
 	dnsPts := c.DNSFractionSeries()
 	if len(ntpPts) != 1 || len(dnsPts) != 1 {
@@ -123,4 +123,14 @@ func TestEmptyCollector(t *testing.T) {
 	if len(c.AttackFractions()) != 0 {
 		t.Fatal("empty collector has attack rows")
 	}
+}
+
+// observeOne shows tap one datagram the way the fabric does: as a
+// one-payload train under a header that carries no payload.
+func observeOne(tap interface {
+	ObserveTrain(hdr *packet.Datagram, payloads [][]byte, now time.Time)
+}, dg *packet.Datagram, now time.Time) {
+	hdr := *dg
+	hdr.Payload = nil
+	tap.ObserveTrain(&hdr, [][]byte{dg.Payload}, now)
 }

@@ -35,8 +35,9 @@ import (
 // from DefaultConfig or QuickConfig.
 type Config = scenario.Config
 
-// DefaultConfig returns the full-window benchmark configuration
-// (Scale 100; several minutes of CPU).
+// DefaultConfig returns the full-window benchmark configuration (Scale
+// 100). Build and Run take about 22 s of CPU and peak near 700 MB of live
+// heap on a two-core x86-64 VM.
 func DefaultConfig() Config { return scenario.DefaultConfig() }
 
 // QuickConfig returns a small configuration that runs the whole window in
