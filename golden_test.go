@@ -1,22 +1,35 @@
 package ntpddos
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"flag"
+	"fmt"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"sort"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"ntpddos/internal/detect"
+	"ntpddos/internal/report"
 	"ntpddos/internal/scenario"
+	"ntpddos/internal/sweep"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/golden_digests.json from the current code")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/golden_digests.json and testdata/golden_plane_digests.json from the current code")
 
-const goldenPath = "testdata/golden_digests.json"
+const (
+	goldenPath      = "testdata/golden_digests.json"
+	goldenPlanePath = "testdata/golden_plane_digests.json"
+)
 
 // goldenJobs defines the pinned corpus: nine small configurations chosen to
 // cover distinct code paths (baseline, resized honeypot fleet, the
@@ -100,15 +113,17 @@ func goldenJobs() []SweepJob {
 	}
 }
 
-func readGolden(t *testing.T) map[string]string {
+func readGolden(t *testing.T) map[string]string { return readDigests(t, goldenPath) }
+
+func readDigests(t *testing.T, path string) map[string]string {
 	t.Helper()
-	raw, err := os.ReadFile(goldenPath)
+	raw, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("reading golden corpus (run `go test -run TestGoldenDigests -update` to create it): %v", err)
+		t.Fatalf("reading %s (run `go test -run TestGoldenDigests -update` to create it): %v", path, err)
 	}
 	var want map[string]string
 	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatalf("corrupt %s: %v", goldenPath, err)
+		t.Fatalf("corrupt %s: %v", path, err)
 	}
 	return want
 }
@@ -118,11 +133,27 @@ func readGolden(t *testing.T) map[string]string {
 // testdata/golden_digests.json. A mismatch means some code change altered
 // simulation output — intended changes regenerate the corpus with -update;
 // unintended ones get a per-config diff naming exactly which worlds moved.
+//
+// The same worlds pin the planes the report digest leaves out on purpose
+// (attaching a detector must not change it): every config that attaches
+// the detector has a plane digest in testdata/golden_plane_digests.json.
 func TestGoldenDigests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation skipped in -short mode")
 	}
-	m, err := Sweep(goldenJobs(), SweepOptions{Workers: runtime.NumCPU()})
+	var mu sync.Mutex
+	planes := map[string]string{}
+	run := func(j SweepJob) (sweep.Result, error) {
+		s := Run(j.Cfg)
+		if j.Cfg.Detector != nil {
+			d := planeDigest(s)
+			mu.Lock()
+			planes[j.ID] = d
+			mu.Unlock()
+		}
+		return sweepResult(s), nil
+	}
+	m, err := sweep.Run(goldenJobs(), run, SweepOptions{Workers: runtime.NumCPU()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,23 +167,33 @@ func TestGoldenDigests(t *testing.T) {
 			t.Errorf("golden job %s rendered %v tables, want 33", rec.ID, rec.Values["tables"])
 		}
 	}
+	if len(planes) != 3 {
+		t.Errorf("%d golden configs attach the detector, want 3", len(planes))
+	}
+	checkDigests(t, goldenPath, got)
+	checkDigests(t, goldenPlanePath, planes)
+}
 
+// checkDigests compares got against the digests stored at path, naming
+// every config that drifted, or rewrites the file under -update.
+func checkDigests(t *testing.T, path string, got map[string]string) {
+	t.Helper()
 	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
 		blob, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenPath, append(blob, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(path, append(blob, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("rewrote %s with %d digests", goldenPath, len(got))
+		t.Logf("rewrote %s with %d digests", path, len(got))
 		return
 	}
 
-	want := readGolden(t)
+	want := readDigests(t, path)
 	var names []string
 	for name := range want {
 		names = append(names, name)
@@ -168,13 +209,83 @@ func TestGoldenDigests(t *testing.T) {
 		g, inGot := got[name]
 		switch {
 		case !inWant:
-			t.Errorf("%s: new config not in golden corpus (run with -update)", name)
+			t.Errorf("%s: new config not in %s (run with -update)", name, path)
 		case !inGot:
-			t.Errorf("%s: pinned config no longer produced by goldenJobs (run with -update)", name)
+			t.Errorf("%s: config in %s no longer produced by goldenJobs (run with -update)", name, path)
 		case g != w:
-			t.Errorf("%s: digest drift\n  want %s\n  got  %s\n(simulation output changed; if intended, run `go test -run TestGoldenDigests -update`)",
-				name, w, g)
+			t.Errorf("%s: %s digest drift\n  want %s\n  got  %s\n(simulation output changed; if intended, run `go test -run TestGoldenDigests -update`)",
+				name, path, w, g)
 		}
+	}
+}
+
+// planeDigest hashes what a world's detector planes report: the full
+// detect.Summary (alarm log, per-lane tallies, rankings, scanner
+// estimate), the time-integrity summary and its evaluation, each dumped
+// field by field with every float as its bits, then the detect, vector and
+// time-integrity tables.
+func planeDigest(s *Simulation) string {
+	h := sha256.New()
+	for _, v := range []any{s.Detection(), s.TimeIntegrity(), s.TimeIntegrityEval()} {
+		dumpValue(h, reflect.ValueOf(v))
+		h.Write([]byte{'\n'})
+	}
+	io.WriteString(h, report.Digest([]*Table{s.DetectReport(), s.DetectVectorReport(), s.TimeIntegrityReport()}))
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// dumpValue writes v to w canonically: struct fields by name, slices with
+// their length, map entries sorted by their dumped keys, floats as their
+// IEEE bits and times as Unix seconds and nanoseconds.
+func dumpValue(w io.Writer, v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Pointer, reflect.Interface:
+		if v.IsNil() {
+			io.WriteString(w, "nil;")
+			return
+		}
+		dumpValue(w, v.Elem())
+	case reflect.Struct:
+		if v.Type() == reflect.TypeOf(time.Time{}) {
+			t := v.Interface().(time.Time)
+			fmt.Fprintf(w, "%d.%09d;", t.Unix(), t.Nanosecond())
+			return
+		}
+		io.WriteString(w, "{")
+		for i := 0; i < v.NumField(); i++ {
+			io.WriteString(w, v.Type().Field(i).Name+":")
+			dumpValue(w, v.Field(i))
+		}
+		io.WriteString(w, "}")
+	case reflect.Slice, reflect.Array:
+		fmt.Fprintf(w, "[%d:", v.Len())
+		for i := 0; i < v.Len(); i++ {
+			dumpValue(w, v.Index(i))
+		}
+		io.WriteString(w, "]")
+	case reflect.Map:
+		entries := make([]string, 0, v.Len())
+		for it := v.MapRange(); it.Next(); {
+			var b strings.Builder
+			dumpValue(&b, it.Key())
+			b.WriteString("=")
+			dumpValue(&b, it.Value())
+			entries = append(entries, b.String())
+		}
+		sort.Strings(entries)
+		fmt.Fprintf(w, "map[%d:%s]", len(entries), strings.Join(entries, ""))
+	case reflect.Float32, reflect.Float64:
+		fmt.Fprintf(w, "%x;", math.Float64bits(v.Float()))
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		fmt.Fprintf(w, "%d;", v.Int())
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		fmt.Fprintf(w, "%d;", v.Uint())
+	case reflect.Bool:
+		fmt.Fprintf(w, "%t;", v.Bool())
+	case reflect.String:
+		fmt.Fprintf(w, "%q;", v.String())
+	default:
+		panic(fmt.Sprintf("planeDigest: cannot dump a %s", v.Type()))
 	}
 }
 

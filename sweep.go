@@ -66,7 +66,12 @@ func SweepContext(ctx context.Context, jobs []SweepJob, opt SweepOptions) (*Swee
 // callers composing their own sweep.Run invocations (custom engines,
 // partial job sets) use the exact same per-job semantics.
 func SweepRunner(j SweepJob) (sweep.Result, error) {
-	s := Run(j.Cfg)
+	return sweepResult(Run(j.Cfg)), nil
+}
+
+// sweepResult is one finished world's sweep result: the digest of every
+// table and the scalar outcomes.
+func sweepResult(s *Simulation) sweep.Result {
 	tables := s.All()
 	numTables := len(tables)
 	for _, r := range reports {
@@ -77,7 +82,7 @@ func SweepRunner(j SweepJob) (sweep.Result, error) {
 	return sweep.Result{
 		Digest: report.Digest(tables),
 		Values: sweepValues(s, numTables),
-	}, nil
+	}
 }
 
 // sweepValues extracts the scalar outcomes a sweep aggregates across runs.
