@@ -112,7 +112,8 @@ func watchPcap(d *detect.Detector, p *alarmPrinter, path string) error {
 	}
 	var read, decoded int
 	var last time.Time
-	var one [1][]byte // each datagram is fed as a one-payload train
+	var one [1][]byte // each datagram is fed as a one-payload train of Rep 1
+	reps := [1]int64{1}
 	for {
 		pkt, err := r.ReadPacket()
 		if errors.Is(err, io.EOF) {
@@ -129,7 +130,7 @@ func watchPcap(d *detect.Detector, p *alarmPrinter, path string) error {
 		decoded++
 		last = pkt.Timestamp
 		one[0], dg.Payload = dg.Payload, nil
-		d.ObserveTrain(dg, one[:], pkt.Timestamp)
+		d.ObserveTrain(dg, one[:], reps[:], pkt.Timestamp)
 		if decoded%1024 == 0 {
 			p.drain(d)
 		}

@@ -113,8 +113,6 @@ func goldenJobs() []SweepJob {
 	}
 }
 
-func readGolden(t *testing.T) map[string]string { return readDigests(t, goldenPath) }
-
 func readDigests(t *testing.T, path string) map[string]string {
 	t.Helper()
 	raw, err := os.ReadFile(path)
@@ -297,7 +295,7 @@ func TestGoldenDigestGOMAXPROCSInvariant(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation skipped in -short mode")
 	}
-	want := readGolden(t)
+	want := readDigests(t, goldenPath)
 	job := goldenJobs()[0]
 	prev := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prev)

@@ -185,7 +185,7 @@ func TestPrimingFillsTable(t *testing.T) {
 func TestTriggerTTLIsWindows(t *testing.T) {
 	nw, sched := harness()
 	var seen []uint8
-	nw.AddTap(tapFunc(func(hdr *packet.Datagram, payloads [][]byte, _ time.Time) {
+	nw.AddTap(tapFunc(func(hdr *packet.Datagram, payloads [][]byte, _ []int64, _ time.Time) {
 		if hdr.UDP.DstPort == ntp.Port && hdr.IP.Dst == netaddr.MustParseAddr("10.0.0.10") {
 			for range payloads {
 				seen = append(seen, hdr.IP.TTL)
@@ -208,10 +208,10 @@ func TestTriggerTTLIsWindows(t *testing.T) {
 	}
 }
 
-type tapFunc func(hdr *packet.Datagram, payloads [][]byte, now time.Time)
+type tapFunc func(hdr *packet.Datagram, payloads [][]byte, reps []int64, now time.Time)
 
-func (f tapFunc) ObserveTrain(hdr *packet.Datagram, payloads [][]byte, now time.Time) {
-	f(hdr, payloads, now)
+func (f tapFunc) ObserveTrain(hdr *packet.Datagram, payloads [][]byte, reps []int64, now time.Time) {
+	f(hdr, payloads, reps, now)
 }
 
 func TestLaunchNoAmplifiersNoBots(t *testing.T) {

@@ -81,19 +81,19 @@ func (t *Telescope) Covers(dst netaddr.Addr) bool {
 // ObserveTrain implements netsim.Tap. A train's payloads share its
 // destination, port and source, so the coverage test, the set inserts and
 // the map lookups happen once; the packet counts, whole numbers, take one
-// sum per train.
-func (t *Telescope) ObserveTrain(hdr *packet.Datagram, payloads [][]byte, now time.Time) {
+// sum of the Reps per train.
+func (t *Telescope) ObserveTrain(hdr *packet.Datagram, payloads [][]byte, reps []int64, now time.Time) {
 	if !t.Covers(hdr.IP.Dst) {
 		return
 	}
 	if hdr.UDP.DstPort != ntp.Port {
 		return // we analyze only the NTP slice of backscatter here
 	}
-	rep := hdr.Rep
-	if rep <= 0 {
-		rep = 1
+	var sum int64
+	for _, r := range reps {
+		sum += r
 	}
-	packets := float64(rep * int64(len(payloads)))
+	packets := float64(sum)
 	month := vtime.Month(now)
 	t.NTPPackets.Add(month, packets)
 	if t.benign[hdr.IP.Src] {

@@ -3,6 +3,7 @@ package darknet
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -17,7 +18,9 @@ import (
 // TestTrainMatchesOnePayloadCalls is the differential wall for the per-train
 // telescope: seeded random trains fed to one telescope as single
 // ObserveTrain calls and to a twin as one-payload calls must leave every
-// series, scanner set and source footprint bit-identical.
+// series, scanner set and source footprint bit-identical. Each payload has
+// its own Rep, as under fault injection: loss may thin it, and a duplicate
+// of Rep 1 or 2 may follow it, so Rep-40 trains carry Rep-1 payloads.
 func TestTrainMatchesOnePayloadCalls(t *testing.T) {
 	trains, singles := newScope(), newScope()
 	benign := netaddr.MustParseAddr("198.51.100.1")
@@ -27,6 +30,7 @@ func TestTrainMatchesOnePayloadCalls(t *testing.T) {
 
 	src := rng.New(20140210)
 	now := vtime.Epoch
+	mixed := 0
 	for i := 0; i < 4000; i++ {
 		if src.Bool(0.7) {
 			now = now.Add(time.Duration(src.IntN(6*3600)) * time.Second)
@@ -36,19 +40,32 @@ func TestTrainMatchesOnePayloadCalls(t *testing.T) {
 			dst = netaddr.Addr(36<<24 | uint32(src.IntN(1<<24))) // outside the prefix
 		}
 		hdr := packet.NewDatagram(srcs[src.IntN(len(srcs))], 40000, dst, []uint16{123, 123, 53}[src.IntN(3)], nil)
-		hdr.Rep = []int64{1, 1, 2, 40}[src.IntN(4)]
-		payloads := make([][]byte, 1+src.IntN(9))
-		for j := range payloads {
-			payloads[j] = make([]byte, src.IntN(480))
+		hdr.Rep = 0
+		rep := []int64{1, 1, 2, 40}[src.IntN(4)]
+		var payloads [][]byte
+		var reps []int64
+		for n := 1 + src.IntN(9); n > 0; n-- {
+			p := make([]byte, src.IntN(480))
+			r := rep
+			if src.Bool(0.2) {
+				r = 1 + src.Int64N(rep)
+			}
+			payloads, reps = append(payloads, p), append(reps, r)
+			if src.Bool(0.25) {
+				payloads, reps = append(payloads, p), append(reps, 1+src.Int64N(2))
+			}
 		}
-		trains.ObserveTrain(hdr, payloads, now)
+		if slices.Contains(reps, 1) && slices.Max(reps) > 1 {
+			mixed++
+		}
+		trains.ObserveTrain(hdr, payloads, reps, now)
 		for j := range payloads {
-			singles.ObserveTrain(hdr, payloads[j:j+1], now)
+			singles.ObserveTrain(hdr, payloads[j:j+1], reps[j:j+1], now)
 		}
 	}
-	if trains.BenignNTPPackets.Len() == 0 || trains.UniqueScanners().Len() < len(srcs) {
-		t.Fatalf("random trains miss a branch: %d benign months, %d scanners",
-			trains.BenignNTPPackets.Len(), trains.UniqueScanners().Len())
+	if trains.BenignNTPPackets.Len() == 0 || trains.UniqueScanners().Len() < len(srcs) || mixed < 500 {
+		t.Fatalf("random trains miss a branch: %d benign months, %d scanners, %d trains mixing Rep 1 and more",
+			trains.BenignNTPPackets.Len(), trains.UniqueScanners().Len(), mixed)
 	}
 	a, b := strings.Split(dumpScope(trains), "\n"), strings.Split(dumpScope(singles), "\n")
 	for i := 0; i < len(a) && i < len(b); i++ {

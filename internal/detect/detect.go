@@ -4,8 +4,7 @@
 // collector records, and honeypot/darknet sensor sightings — and maintains,
 // in bounded memory over internal/sketch structures:
 //
-//   - per-window heavy-hitter victims by reflected on-wire bytes
-//     (exponential-decay Count-Min + SpaceSaving top-k),
+//   - a victim top-k by reflected on-wire bytes (SpaceSaving),
 //   - an amplifier top-k by emitted bytes (SpaceSaving),
 //   - the unique-scanner cardinality (HyperLogLog — §5's darknet count,
 //     computed from the attack-facing vantage instead),
@@ -82,13 +81,8 @@ type Config struct {
 
 	// TopK sizes the victim and amplifier SpaceSaving summaries.
 	TopK int
-	// CMSEpsilon/CMSDelta dimension the victim-bytes Count-Min sketch.
-	CMSEpsilon float64
-	CMSDelta   float64
 	// HLLPrecision sizes the scanner-cardinality HyperLogLog.
 	HLLPrecision uint8
-	// WindowHalfLife is the sliding-window decay for the heavy-hitter view.
-	WindowHalfLife time.Duration
 
 	// The paper's §4.2 victim thresholds, applied online.
 	MinCount           int64
@@ -110,10 +104,7 @@ func DefaultConfig() Config {
 	return Config{
 		Seed:               1,
 		TopK:               64,
-		CMSEpsilon:         0.001,
-		CMSDelta:           0.01,
 		HLLPrecision:       12,
-		WindowHalfLife:     time.Hour,
 		MinCount:           3,                  // §4.2: at least 3 packets
 		MaxAvgInterarrival: 3600 * time.Second, // §4.2: more than one packet/hour
 		RateHalfLife:       10 * time.Minute,
@@ -207,10 +198,9 @@ const (
 type Detector struct {
 	cfg Config
 
-	victimBytes *sketch.DecayCMS
-	victimTop   *sketch.SpaceSaving
-	ampTop      *sketch.SpaceSaving
-	scannerHLL  *sketch.HLL
+	victimTop  *sketch.SpaceSaving
+	ampTop     *sketch.SpaceSaving
+	scannerHLL *sketch.HLL
 
 	victims  map[netaddr.Addr]*victimState
 	scanners netaddr.Set
@@ -255,14 +245,13 @@ func New(cfg Config) *Detector {
 		panic(fmt.Sprintf("detect: TopK %d < 1", cfg.TopK))
 	}
 	return &Detector{
-		cfg:         cfg,
-		victimBytes: sketch.NewDecayCMS(cfg.CMSEpsilon, cfg.CMSDelta, cfg.WindowHalfLife, cfg.Seed),
-		victimTop:   sketch.NewSpaceSaving(cfg.TopK),
-		ampTop:      sketch.NewSpaceSaving(cfg.TopK),
-		scannerHLL:  sketch.NewHLL(cfg.HLLPrecision, cfg.Seed),
-		victims:     make(map[netaddr.Addr]*victimState),
-		scanners:    netaddr.NewSet(0),
-		vantSalt:    vantMix(cfg.Seed ^ 0xd6e8feb86659fd93),
+		cfg:        cfg,
+		victimTop:  sketch.NewSpaceSaving(cfg.TopK),
+		ampTop:     sketch.NewSpaceSaving(cfg.TopK),
+		scannerHLL: sketch.NewHLL(cfg.HLLPrecision, cfg.Seed),
+		victims:    make(map[netaddr.Addr]*victimState),
+		scanners:   netaddr.NewSet(0),
+		vantSalt:   vantMix(cfg.Seed ^ 0xd6e8feb86659fd93),
 	}
 }
 
@@ -340,30 +329,29 @@ func classify(hdr *packet.Datagram, payload []byte) (lane Lane, dir streamDir, o
 	return 0, 0, false
 }
 
-// ObserveTrain implements netsim.Tap: each payload takes the per-datagram
-// path in order, because the sampling phase, the decaying sketches and the
-// prune cadence advance packet by packet.
-func (d *Detector) ObserveTrain(hdr *packet.Datagram, payloads [][]byte, now time.Time) {
-	for _, p := range payloads {
-		d.observe(hdr, p, now)
+// ObserveTrain implements netsim.Tap: each payload, with its Rep, takes the
+// per-datagram path in order, because the sampling phase and the prune
+// cadence advance packet by packet. The collector-outage test depends on
+// now alone, so it runs once per call.
+func (d *Detector) ObserveTrain(hdr *packet.Datagram, payloads [][]byte, reps []int64, now time.Time) {
+	dark := d.darkAt(now)
+	for i, p := range payloads {
+		d.observe(hdr, p, reps[i], dark, now)
 	}
 }
 
-// observe classifies one datagram (hdr's addressing and Rep, carrying
-// payload) into a protocol lane. NTP keeps its original mode 6/7 parse; DNS,
-// SSDP, and chargen reflections are recognized by service port plus a
-// payload sniff. Everything else is dropped after the port compares.
-func (d *Detector) observe(hdr *packet.Datagram, payload []byte, now time.Time) {
+// observe classifies one datagram (hdr's addressing, carrying payload, rep
+// times) into a protocol lane; dark says whether the collector is in an
+// outage. NTP keeps its original mode 6/7 parse; DNS, SSDP, and chargen
+// reflections are recognized by service port plus a payload sniff.
+// Everything else is dropped after the port compares.
+func (d *Detector) observe(hdr *packet.Datagram, payload []byte, rep int64, dark bool, now time.Time) {
 	lane, dir, ok := classify(hdr, payload)
 	if !ok {
 		return
 	}
-	rep := hdr.Rep
-	if rep <= 0 {
-		rep = 1
-	}
 	if d.cfg.Vantage.Degraded() {
-		if d.darkAt(now) {
+		if dark {
 			if d.m != nil {
 				d.m.OutageDropped.Add(rep)
 			}
@@ -434,7 +422,6 @@ func (d *Detector) ingestResponse(lane Lane, amp, victim netaddr.Addr, victimPor
 	}
 	d.reflected += nbytes
 	d.lanes[lane].reflected += nbytes
-	d.victimBytes.Add(uint64(victim), float64(nbytes), now)
 	d.victimTop.Add(uint64(victim), nbytes)
 	d.ampTop.Add(uint64(amp), nbytes)
 
@@ -631,12 +618,6 @@ func (d *Detector) TopVictims(n int) []HeavyHitter { return topEntries(d.victimT
 
 // TopAmplifiers returns the n heaviest amplifiers by emitted bytes.
 func (d *Detector) TopAmplifiers(n int) []HeavyHitter { return topEntries(d.ampTop, n) }
-
-// VictimWindowBytes returns the decayed (sliding-window) reflected-byte
-// estimate for one victim as of now.
-func (d *Detector) VictimWindowBytes(victim netaddr.Addr, now time.Time) float64 {
-	return d.victimBytes.Estimate(uint64(victim), now)
-}
 
 // ScannerCardinality returns the HLL estimate of distinct probing sources.
 func (d *Detector) ScannerCardinality() float64 { return d.scannerHLL.Estimate() }

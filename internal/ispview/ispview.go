@@ -277,25 +277,28 @@ func (v *View) AddBaseline(proto string, from, to time.Time, bytesPerHour float6
 // histograms, metrics and the series that only ever hold whole byte counts
 // (the ntp ProtoBytes, EgressNTP, IngressNTP, victim Hourly) take one sum
 // per train: sums of whole numbers below 2^53 are exact in any order. Only
-// the NTP mode parse and the series that also hold AddBaseline's fractional
-// volumes (billing, dns and other ProtoBytes) are touched per payload, in
+// the NTP mode parse, the scan-or-trigger split of an ingress request (by
+// its own Rep) and the series that also hold AddBaseline's fractional
+// volumes (billing, dns and other ProtoBytes) are decided per payload, in
 // order, so every result is bit-identical to observing the payloads one by
 // one.
-func (v *View) ObserveTrain(hdr *packet.Datagram, payloads [][]byte, now time.Time) {
+func (v *View) ObserveTrain(hdr *packet.Datagram, payloads [][]byte, reps []int64, now time.Time) {
 	srcIn := v.Contains(hdr.IP.Src)
 	dstIn := v.Contains(hdr.IP.Dst)
 	if !srcIn && !dstIn {
 		return
 	}
-	rep := hdr.Rep
-	if rep <= 0 {
-		rep = 1
+	if v.mPackets != nil {
+		var packets int64
+		for _, r := range reps {
+			packets += r
+		}
+		v.mPackets.Add(packets)
 	}
-	v.mPackets.Add(rep * int64(len(payloads)))
 	proto := v.protoSeries(hdr)
 	if hdr.UDP.SrcPort != ntp.Port && hdr.UDP.DstPort != ntp.Port {
-		for _, p := range payloads {
-			wire := float64(int64(packet.OnWireBytesForUDPPayload(len(p))) * rep)
+		for i, p := range payloads {
+			wire := float64(int64(packet.OnWireBytesForUDPPayload(len(p))) * reps[i])
 			proto.Add(now, wire)
 			v.billingBucket.Add(now, wire)
 		}
@@ -303,25 +306,37 @@ func (v *View) ObserveTrain(hdr *packet.Datagram, payloads [][]byte, now time.Ti
 	}
 
 	// Egress NTP: our host answering (sport=123) toward outside. Ingress
-	// NTP: outside traffic toward our hosts (dport=123). hits counts the
-	// payloads that are amplifier replies (mode 6/7) on egress, or mode 7
-	// requests on ingress.
+	// NTP: outside traffic toward our hosts (dport=123). A hit is a payload
+	// that is an amplifier reply (mode 6/7) on egress, or a mode 7 request
+	// on ingress; hitReps sums their Reps. On ingress, rate separates the
+	// two populations: scanners send single probes, attack triggers arrive
+	// in high-rate batches (Rep > 1), so trigger hits are summed apart.
 	egress := srcIn && !dstIn && hdr.UDP.SrcPort == ntp.Port
 	ingress := dstIn && !srcIn && hdr.UDP.DstPort == ntp.Port
-	var wire, payload, hits, hitWire, hitPayload int64
+	var wire, payload, hitReps, hitWire, hitPayload, trigReps, trigPayload int64
 	var m7 ntp.Mode7
-	for _, p := range payloads {
+	reps = reps[:len(payloads)] // one bounds check for the loop
+	for i, p := range payloads {
+		rep := reps[i]
 		w := int64(packet.OnWireBytesForUDPPayload(len(p))) * rep
 		n := int64(len(p)) * rep
 		wire += w
 		payload += n
 		v.billingBucket.Add(now, float64(w))
 		mode, _ := ntp.Mode(p)
-		if egress && (mode == ntp.ModePrivate || mode == ntp.ModeControl) ||
-			ingress && mode == ntp.ModePrivate && m7.DecodeFromBytes(p) == nil && !m7.Response {
-			hits++
+		switch {
+		case egress && (mode == ntp.ModePrivate || mode == ntp.ModeControl):
+			hitReps += rep
 			hitWire += w
 			hitPayload += n
+		case ingress && mode == ntp.ModePrivate && m7.DecodeFromBytes(p) == nil && !m7.Response:
+			if rep > 1 {
+				trigReps += rep
+				trigPayload += n
+			} else {
+				hitReps += rep
+				hitPayload += n
+			}
 		}
 	}
 	proto.Add(now, float64(wire))
@@ -329,7 +344,7 @@ func (v *View) ObserveTrain(hdr *packet.Datagram, payloads [][]byte, now time.Ti
 	if egress {
 		v.EgressNTP.Add(now, float64(wire))
 		v.mEgress.Add(wire)
-		if hits > 0 {
+		if hitReps > 0 {
 			amp := v.amp(hdr.IP.Src)
 			amp.PayloadOut += hitPayload
 			amp.WireOut += hitWire
@@ -341,13 +356,13 @@ func (v *View) ObserveTrain(hdr *packet.Datagram, payloads [][]byte, now time.Ti
 			vic := v.victim(hdr.IP.Dst, now)
 			vic.PayloadIn += hitPayload
 			vic.WireIn += hitWire
-			vic.Packets += rep * hits
+			vic.Packets += hitReps
 			if !vic.lastAmpOK || vic.lastAmp != hdr.IP.Src {
 				vic.Amplifiers.Add(hdr.IP.Src)
 				vic.lastAmp, vic.lastAmpOK = hdr.IP.Src, true
 			}
 			vic.Last = now
-			vic.Ports.Add(int(hdr.UDP.DstPort), rep*hits)
+			vic.Ports.Add(int(hdr.UDP.DstPort), hitReps)
 			vic.Hourly.Add(now, float64(hitWire))
 		}
 	}
@@ -356,25 +371,22 @@ func (v *View) ObserveTrain(hdr *packet.Datagram, payloads [][]byte, now time.Ti
 		v.IngressNTP.Add(now, float64(wire))
 		v.mIngress.Add(wire)
 		v.amp(hdr.IP.Dst).PayloadIn += payload
-		if hits == 0 {
+		if trigReps > 0 {
+			// Spoofed trigger "sources" are the victims.
+			v.TriggerTTL.Add(int(hdr.IP.TTL), trigReps)
+			v.victim(hdr.IP.Src, now).TriggerOut += trigPayload
+		}
+		if hitReps == 0 {
 			return
 		}
-		// Rate separates the two ingress populations: scanners send single
-		// probes; attack triggers arrive in high-rate batches (Rep > 1).
-		// Spoofed trigger "sources" are the victims.
-		if rep > 1 {
-			v.TriggerTTL.Add(int(hdr.IP.TTL), rep*hits)
-			v.victim(hdr.IP.Src, now).TriggerOut += hitPayload
-			return
-		}
-		v.ScanTTL.Add(int(hdr.IP.TTL), rep*hits)
+		v.ScanTTL.Add(int(hdr.IP.TTL), hitReps)
 		sc, ok := v.scanners[hdr.IP.Src]
 		if !ok {
 			sc = &ScannerStats{Addr: hdr.IP.Src, Dsts: netaddr.NewSet(0), First: now}
 			v.scanners[hdr.IP.Src] = sc
 			v.mScanners.SetInt(int64(len(v.scanners)))
 		}
-		sc.Packets += rep * hits
+		sc.Packets += hitReps
 		sc.Dsts.Add(hdr.IP.Dst)
 		sc.Last = now
 	}

@@ -3,6 +3,7 @@ package ispview
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -19,11 +20,14 @@ import (
 )
 
 // randomTrain draws one train: source and destination each inside or
-// outside the view, NTP, DNS or other ports, Rep 1 (scanner probes) or more
-// (attack batches), and 1 to 9 payloads of mixed lengths and NTP modes —
-// mode 7 and mode 6 requests and responses, mode 3, truncated and
-// undecodable mode 7, and empty payloads.
-func randomTrain(src *rng.Source, inside, outside []netaddr.Addr) (*packet.Datagram, [][]byte) {
+// outside the view, NTP, DNS or other ports, and 1 to 9 payloads of mixed
+// lengths and NTP modes — mode 7 and mode 6 requests and responses, mode 3,
+// truncated and undecodable mode 7, and empty payloads. Each payload has its
+// own Rep, as under fault injection: the train's Rep is 1 (scanner probes)
+// or more (attack batches), loss may thin a payload's, and a payload may be
+// followed by a duplicate of Rep 1 or 2, so Rep-40 trigger trains carry
+// Rep-1 payloads.
+func randomTrain(src *rng.Source, inside, outside []netaddr.Addr) (*packet.Datagram, [][]byte, []int64) {
 	pick := func() netaddr.Addr {
 		if src.Bool(0.5) {
 			return inside[src.IntN(len(inside))]
@@ -33,9 +37,11 @@ func randomTrain(src *rng.Source, inside, outside []netaddr.Addr) (*packet.Datag
 	ports := []uint16{ntp.Port, ntp.Port, 53, 40000}
 	hdr := packet.NewDatagram(pick(), ports[src.IntN(len(ports))], pick(), ports[src.IntN(len(ports))], nil)
 	hdr.IP.TTL = uint8(40 + src.IntN(80))
-	hdr.Rep = []int64{1, 1, 2, 40}[src.IntN(4)]
-	payloads := make([][]byte, 1+src.IntN(9))
-	for i := range payloads {
+	hdr.Rep = 0
+	rep := []int64{1, 1, 2, 40}[src.IntN(4)]
+	var payloads [][]byte
+	var reps []int64
+	for k := 1 + src.IntN(9); k > 0; k-- {
 		n := 8 + src.IntN(460)
 		if src.Bool(0.05) {
 			n = src.IntN(8) // empty or truncated
@@ -53,9 +59,16 @@ func randomTrain(src *rng.Source, inside, outside []netaddr.Addr) (*packet.Datag
 		if n > 1 && p[0] == 0x96 {
 			p[0], p[1] = 0x16, p[1]|0x80 // mode 6 carries its R bit in byte 1
 		}
-		payloads[i] = p
+		r := rep
+		if src.Bool(0.2) {
+			r = 1 + src.Int64N(rep)
+		}
+		payloads, reps = append(payloads, p), append(reps, r)
+		if src.Bool(0.25) {
+			payloads, reps = append(payloads, p), append(reps, 1+src.Int64N(2))
+		}
 	}
-	return hdr, payloads
+	return hdr, payloads, reps
 }
 
 // trainsEnd bounds the differential test's traffic and baselines: 4000
@@ -90,28 +103,31 @@ func TestTrainMatchesOnePayloadCalls(t *testing.T) {
 	}
 	src := rng.New(20140210)
 	now := vtime.Epoch
-	multi := 0
+	multi, mixed := 0, 0
 	for i := 0; i < 4000; i++ {
 		if src.Bool(0.7) {
 			now = now.Add(time.Duration(src.IntN(3600)) * time.Second)
 		}
-		hdr, payloads := randomTrain(src, inside, outside)
+		hdr, payloads, reps := randomTrain(src, inside, outside)
 		if len(payloads) > 1 {
 			multi++
 		}
-		trains.ObserveTrain(hdr, payloads, now)
+		if slices.Contains(reps, 1) && slices.Max(reps) > 1 {
+			mixed++
+		}
+		trains.ObserveTrain(hdr, payloads, reps, now)
 		for j := range payloads {
-			singles.ObserveTrain(hdr, payloads[j:j+1], now)
+			singles.ObserveTrain(hdr, payloads[j:j+1], reps[j:j+1], now)
 		}
 	}
 
 	// The stream must reach every branch the per-train code folds.
-	if multi < 1000 || len(trains.victims) == 0 || len(trains.scanners) == 0 ||
+	if multi < 1000 || mixed < 500 || len(trains.victims) == 0 || len(trains.scanners) == 0 ||
 		trains.TriggerTTL.Total() == 0 || trains.ScanTTL.Total() == 0 ||
 		trains.EgressNTP.Len() == 0 || trains.IngressNTP.Len() == 0 ||
 		trains.ProtoBytes["ntp"] == nil || now.After(trainsEnd) {
-		t.Fatalf("random trains miss a branch: %d multi-payload trains, %d victims, %d scanners, trigger TTLs %d, scan TTLs %d",
-			multi, len(trains.victims), len(trains.scanners), trains.TriggerTTL.Total(), trains.ScanTTL.Total())
+		t.Fatalf("random trains miss a branch: %d multi-payload trains, %d mixing Rep 1 and more, %d victims, %d scanners, trigger TTLs %d, scan TTLs %d",
+			multi, mixed, len(trains.victims), len(trains.scanners), trains.TriggerTTL.Total(), trains.ScanTTL.Total())
 	}
 	if a, b := dumpView(trains), dumpView(singles); a != b {
 		t.Errorf("view state differs: %s", firstLineDiff(a, b))

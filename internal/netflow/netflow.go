@@ -188,23 +188,19 @@ func NewExporter(boot time.Time, emit func([]byte)) *Exporter {
 }
 
 // ObserveTrain implements netsim.Tap: each payload is accounted in order,
-// as its own datagram.
-func (e *Exporter) ObserveTrain(hdr *packet.Datagram, payloads [][]byte, now time.Time) {
-	for _, p := range payloads {
-		e.observe(hdr, len(p), now)
+// as its own datagram, with its own Rep.
+func (e *Exporter) ObserveTrain(hdr *packet.Datagram, payloads [][]byte, reps []int64, now time.Time) {
+	for i, p := range payloads {
+		e.observe(hdr, len(p), reps[i], now)
 	}
 }
 
-// observe accounts one datagram with hdr's addressing and Rep and a UDP
-// payload of payloadLen bytes.
-func (e *Exporter) observe(hdr *packet.Datagram, payloadLen int, now time.Time) {
+// observe accounts rep datagrams with hdr's addressing and a UDP payload of
+// payloadLen bytes.
+func (e *Exporter) observe(hdr *packet.Datagram, payloadLen int, rep int64, now time.Time) {
 	e.advance(now)
 	key := flowKey{src: hdr.IP.Src, dst: hdr.IP.Dst,
 		srcPort: hdr.UDP.SrcPort, dstPort: hdr.UDP.DstPort, proto: hdr.IP.Protocol}
-	rep := hdr.Rep
-	if rep <= 0 {
-		rep = 1
-	}
 	f, ok := e.cache[key]
 	if !ok {
 		f = &flowState{first: now}

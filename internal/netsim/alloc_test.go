@@ -6,6 +6,7 @@ import (
 
 	"ntpddos/internal/netaddr"
 	"ntpddos/internal/packet"
+	"ntpddos/internal/rng"
 	"ntpddos/internal/vtime"
 )
 
@@ -13,7 +14,7 @@ import (
 // so an allocation budget measured with it attached is the fabric's own.
 type countTap struct{ calls, payloads int }
 
-func (c *countTap) ObserveTrain(_ *packet.Datagram, payloads [][]byte, _ time.Time) {
+func (c *countTap) ObserveTrain(_ *packet.Datagram, payloads [][]byte, _ []int64, _ time.Time) {
 	c.calls++
 	c.payloads += len(payloads)
 }
@@ -62,20 +63,33 @@ func TestFabricDeliveryAllocBudget(t *testing.T) {
 	// costs at most one allocation per warm train, observed in one call per
 	// tap and delivered payload by payload. To a dark address it costs none:
 	// it is observed and counted dark at the send, which makes no train and
-	// no scheduler item.
-	for _, registered := range []bool{false, true} {
-		name := "train-dark"
-		if registered {
-			name = "train-registered"
-		}
-		t.Run(name, func(t *testing.T) {
+	// no scheduler item. With every fault knob on, each train with a
+	// survivor is still one call per tap, carrying every survivor and
+	// duplicate out of fabric scratch: to a dark address that costs nothing
+	// once warm, and to a registered one the trains come from the pool, so
+	// what allocates is the scheduler's calendar buckets, at most once per
+	// scheduled item.
+	for _, tc := range []struct {
+		name                 string
+		registered, impaired bool
+		budget               float64
+	}{
+		{name: "train-dark"},
+		{name: "train-registered", registered: true, budget: 1},
+		{name: "train-impaired-dark", impaired: true},
+		{name: "train-impaired", registered: true, impaired: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			var clock vtime.Clock
 			sched := vtime.NewScheduler(&clock)
 			nw := New(sched, nil)
+			if tc.impaired {
+				nw.SetImpairment(allFaults, rng.New(7).Fork("faults"))
+			}
 			handled := 0
 			tap := &countTap{}
 			nw.AddTap(tap)
-			if registered {
+			if tc.registered {
 				nw.Register(dst, HostFunc(func(_ *Network, _ *packet.Datagram, _ time.Time) { handled++ }))
 			}
 			hdr := packet.NewDatagram(src, 123, dst, 80, nil)
@@ -83,31 +97,55 @@ func TestFabricDeliveryAllocBudget(t *testing.T) {
 			for i := range payloads {
 				payloads[i] = make([]byte, 440)
 			}
-			pendingAfterSend := 0
+			sends, items, pendingAfterSend := 0, 0, 0
 			run := func() {
 				nw.SendTrain(src, hdr, payloads)
+				sends++
+				items += sched.Pending()
 				pendingAfterSend = max(pendingAfterSend, sched.Pending())
-				sched.Drain()
+				if !tc.impaired {
+					sched.Drain()
+					return
+				}
+				// Past every delay, and now and then into the next flap window.
+				sched.RunUntil(clock.Now().Add(500 * time.Millisecond))
 			}
 			run()
-			budget := 0.0
-			if registered {
-				budget = 1
+			avg := testing.AllocsPerRun(50, run)
+			budget := tc.budget
+			if tc.impaired && tc.registered {
+				budget = float64(items) / float64(sends)
 			}
-			if avg := testing.AllocsPerRun(50, run); avg > budget {
-				t.Errorf("a 100-payload train costs %.2f allocs, budget is %.0f", avg, budget)
+			if avg > budget {
+				t.Errorf("a 100-payload train costs %.2f allocs, budget is %.2f", avg, budget)
 			}
-			if tap.calls == 0 || tap.payloads != 100*tap.calls || (registered && handled != tap.payloads) {
-				t.Fatalf("tap saw %d calls and %d payloads, host handled %d: want one call per train, each payload handled once",
-					tap.calls, tap.payloads, handled)
+			s := nw.Stats()
+			wantCalls, wantPayloads := sends, 100*sends
+			if tc.impaired {
+				// Every payload has Rep 1: a flap swallows a train's 100,
+				// and loss and duplication take and add one each.
+				wantCalls -= int(s.DroppedFlap / 100)
+				wantPayloads = int(s.Sent - s.DroppedFlap - s.DroppedLoss + s.Duplicated)
+				if s.DroppedFlap == 0 || s.DroppedLoss == 0 || s.Duplicated == 0 || s.Reordered == 0 {
+					t.Fatalf("not every fault fired: %+v", s)
+				}
+			}
+			if tap.calls != wantCalls || tap.payloads != wantPayloads || (tc.registered && handled != tap.payloads) {
+				t.Fatalf("tap saw %d calls and %d payloads, host handled %d: want %d calls and %d payloads, one call per train with a survivor, each payload handled once",
+					tap.calls, tap.payloads, handled, wantCalls, wantPayloads)
 			}
 			if nw.tapView.Payload != nil || nw.deliverView.Payload != nil || nw.sendOne[0] != nil {
 				t.Fatal("a tap, delivery or send view retains a payload buffer")
 			}
-			if registered {
+			for _, p := range nw.tapPayloads[:cap(nw.tapPayloads)] {
+				if p != nil {
+					t.Fatal("the tap scratch retains a sender's payload")
+				}
+			}
+			if tc.registered {
 				return
 			}
-			if s := nw.Stats(); pendingAfterSend != 0 || s.Dark != s.Sent || s.Dark != int64(tap.payloads) {
+			if pendingAfterSend != 0 || s.Dark != int64(tap.payloads) || (!tc.impaired && s.Dark != s.Sent) {
 				t.Errorf("a dark send left %d scheduler items pending, stats %+v: want none, every payload dark", pendingAfterSend, s)
 			}
 			for c, free := range nw.trains {

@@ -73,8 +73,10 @@ func TestImpairmentDuplicationInflatesDelivery(t *testing.T) {
 	src := netaddr.MustParseAddr("10.0.0.1")
 	dst := netaddr.MustParseAddr("10.0.0.2")
 	var got, tapped int64
-	net.AddTap(tapFunc(func(hdr *packet.Datagram, payloads [][]byte, _ time.Time) {
-		tapped += hdr.Rep * int64(len(payloads))
+	net.AddTap(tapFunc(func(_ *packet.Datagram, _ [][]byte, reps []int64, _ time.Time) {
+		for _, r := range reps {
+			tapped += r
+		}
 	}))
 	net.Register(dst, HostFunc(func(_ *Network, dg *packet.Datagram, _ time.Time) {
 		got += dg.Rep

@@ -24,12 +24,15 @@
 // one at a time.
 //
 // The tap contract: hdr is the delivered header (TTL already decremented,
-// Payload nil) and every payload carries hdr.Rep. payloads are the sender's
-// own slices, valid only during the call; a tap must neither retain nor
-// mutate them. Under fault injection each surviving payload is observed in
-// its own one-payload call carrying its post-loss Rep, and a duplicate right
-// after its original, so the loss and duplication draws interleave with
-// observation exactly as for one-payload sends.
+// Payload nil, Rep zero) and payload i carries reps[i], always at least 1.
+// payloads are the sender's own slices and reps the fabric's, both valid
+// only during the call; a tap must neither retain nor mutate them, and must
+// not send. An unimpaired train repeats its one Rep. Under fault injection
+// the call carries the train's survivors with their post-loss Reps, each
+// duplicate right after its original, after every fault draw of the train:
+// the (payload, Rep) sequence a tap sees is the one a sequence of
+// one-payload sends would show it, in one call per train that has a
+// survivor.
 package netsim
 
 import (
@@ -57,11 +60,11 @@ func (f HostFunc) HandlePacket(net *Network, dg *packet.Datagram, now time.Time)
 }
 
 // Tap observes every packet traversing the fabric (after TTL decrement,
-// before delivery), one train per call: payloads share hdr's addressing and
-// Rep (see the package doc for the full contract). Taps must not mutate or
-// retain hdr or payloads.
+// before delivery), one train per call: payloads share hdr's addressing, and
+// payload i stands for reps[i] datagrams (see the package doc for the full
+// contract). Taps must not mutate or retain hdr, payloads or reps.
 type Tap interface {
-	ObserveTrain(hdr *packet.Datagram, payloads [][]byte, now time.Time)
+	ObserveTrain(hdr *packet.Datagram, payloads [][]byte, reps []int64, now time.Time)
 }
 
 // SpoofPolicy reports whether a host at origin may emit a packet claiming
@@ -104,8 +107,8 @@ type Network struct {
 	sched  *vtime.Scheduler
 	policy SpoofPolicy
 	hosts  map[netaddr.Addr]Host
-	// hostsGen counts Register/Unregister calls so delivery loops can
-	// memoize host lookups and still notice mid-batch re-binds.
+	// hostsGen counts Register/Unregister calls, so a train can carry the
+	// host found at its send and delivery looks again only after a re-bind.
 	hostsGen uint64
 	taps     []Tap
 	stats    Stats
@@ -117,13 +120,16 @@ type Network struct {
 	// beat sync.Pool.
 	trains [trainClasses][]*train
 
-	// tapView is the header taps are shown: the sent header as delivered,
-	// carrying the Rep of the payloads in the call. It never holds a
-	// payload. deliverView is the datagram hosts are shown, re-pointed at
-	// one payload of a train per call and cleared afterwards, so it never
-	// pins a train's buffer. They are distinct because a host's
-	// HandlePacket may send, which observes.
+	// tapView is the header taps are shown: the sent header as delivered.
+	// It never holds a payload. tapReps backs the reps of a tap call, and
+	// tapPayloads an impaired train's survivors; it is cleared after each
+	// call so it never pins a sender's buffer. deliverView is the datagram
+	// hosts are shown, re-pointed at one payload of a train per call and
+	// cleared afterwards, so it never pins a train's buffer. The two views
+	// are distinct because a host's HandlePacket may send, which observes.
 	tapView     packet.Datagram
+	tapPayloads [][]byte
+	tapReps     []int64
 	deliverView packet.Datagram
 
 	// sendScratch backs the SendUDP/SendSpoofed convenience wrappers, and
@@ -343,19 +349,26 @@ func (n *Network) SendTrain(origin netaddr.Addr, hdr *packet.Datagram, payloads 
 		}
 		return false // expired in transit
 	}
-	_, bound := n.hosts[dst]
+	host := n.hosts[dst]
 	now := n.Now()
 	arrive := now.Add(PathLatency(origin, dst))
 	if n.impair != nil {
-		n.sendImpaired(origin, hdr, payloads, hops, rep, size, bound, now, arrive)
+		n.sendImpaired(origin, hdr, payloads, hops, rep, size, host, now, arrive)
 		return true
 	}
-	n.observe(hdr, hops, rep, payloads, now)
-	if !bound {
+	if len(n.taps) > 0 {
+		reps := n.tapReps[:0]
+		for range payloads {
+			reps = append(reps, rep)
+		}
+		n.tapReps = reps
+		n.observe(hdr, hops, payloads, reps, now)
+	}
+	if host == nil {
 		n.countDark(rep * k)
 		return true
 	}
-	t := n.newTrain(hdr, hops, rep, size)
+	t := n.newTrain(hdr, hops, rep, size, host)
 	for _, p := range payloads {
 		t.add(p)
 	}
@@ -368,11 +381,12 @@ func (n *Network) SendTrain(origin netaddr.Addr, hdr *packet.Datagram, payloads 
 // the loss, duplication and reorder draws, delays included, stay per
 // payload, in the order a sequence of one-payload sends would make them, so
 // the fault stream is the same however the payloads were grouped and
-// whether or not the destination has a host. Taps see each survivor in its
-// own call right after its draws, and its duplicate right after it. Then a
-// dark destination counts both; for a bound one, survivors on the base path
-// ride one train, and a reordered payload and every duplicate travel alone.
-func (n *Network) sendImpaired(origin netaddr.Addr, hdr *packet.Datagram, payloads [][]byte, hops int, rep int64, size int, bound bool, now, arrive time.Time) {
+// whether or not the destination has a host (nil host: dark). A dark
+// destination counts each survivor and its duplicates; for a bound one,
+// survivors on the base path ride one train, and a reordered payload and
+// every duplicate travel alone. Taps then see every survivor, each followed
+// by its duplicate, in one call.
+func (n *Network) sendImpaired(origin netaddr.Addr, hdr *packet.Datagram, payloads [][]byte, hops int, rep int64, size int, host Host, now, arrive time.Time) {
 	st := n.impair
 	dst := hdr.IP.Dst
 	// Flap windows swallow the train whole: the sender saw it leave.
@@ -385,9 +399,9 @@ func (n *Network) sendImpaired(origin netaddr.Addr, hdr *packet.Datagram, payloa
 		return
 	}
 	loss := st.linkLoss(origin, dst)
+	seen, reps := n.tapPayloads[:0], n.tapReps[:0]
 	var base *train
-	for i, p := range payloads {
-		one := payloads[i : i+1]
+	for _, p := range payloads {
 		r := rep
 		if lost := st.src.Binomial(r, loss); lost > 0 {
 			n.stats.DroppedLoss += lost
@@ -415,36 +429,41 @@ func (n *Network) sendImpaired(origin netaddr.Addr, hdr *packet.Datagram, payloa
 				n.m.Reordered.Add(r)
 			}
 		}
-		n.observe(hdr, hops, r, one, now)
+		seen, reps = append(seen, p), append(reps, r)
 		var dupAt time.Time
 		if dups > 0 {
 			// Duplicates are real wire packets: taps see them right after
 			// the original, and they arrive on their own (slower) schedule.
-			n.observe(hdr, hops, dups, one, now)
+			seen, reps = append(seen, p), append(reps, dups)
 			dupAt = at.Add(time.Duration(st.src.Int64N(int64(100*time.Millisecond))) + time.Millisecond)
 		}
 
-		if !bound {
+		if host == nil {
 			n.countDark(r + dups)
 			continue
 		}
 		if reordered {
-			t := n.newTrain(hdr, hops, r, len(p))
+			t := n.newTrain(hdr, hops, r, len(p), host)
 			t.add(p)
 			n.sched.AtBatch(at, n, t)
 		} else {
 			if base == nil {
-				base = n.newTrain(hdr, hops, rep, size)
+				base = n.newTrain(hdr, hops, rep, size, host)
 				n.sched.AtBatch(arrive, n, base)
 			}
 			base.addRep(p, r)
 		}
 		if dups > 0 {
-			d := n.newTrain(hdr, hops, dups, len(p))
+			d := n.newTrain(hdr, hops, dups, len(p), host)
 			d.add(p)
 			n.sched.AtBatch(dupAt, n, d)
 		}
 	}
+	if len(seen) > 0 {
+		n.observe(hdr, hops, seen, reps, now)
+	}
+	clear(seen)
+	n.tapPayloads, n.tapReps = seen[:0], reps[:0]
 }
 
 // countDark counts packets that reach no host.
@@ -455,16 +474,16 @@ func (n *Network) countDark(packets int64) {
 	}
 }
 
-// observe shows the sender's payloads, each carrying rep, to every tap in
-// one call per tap, under hdr's delivered header after hops.
-func (n *Network) observe(hdr *packet.Datagram, hops int, rep int64, payloads [][]byte, now time.Time) {
+// observe shows the sender's payloads, payload i carrying reps[i], to every
+// tap in one call per tap, under hdr's delivered header after hops.
+func (n *Network) observe(hdr *packet.Datagram, hops int, payloads [][]byte, reps []int64, now time.Time) {
 	if len(n.taps) == 0 {
 		return
 	}
 	v := &n.tapView
-	deliveredHeader(v, hdr, hops, rep)
+	deliveredHeader(v, hdr, hops)
 	for _, tap := range n.taps {
-		tap.ObserveTrain(v, payloads, now)
+		tap.ObserveTrain(v, payloads, reps, now)
 	}
 	if n.m != nil {
 		n.m.TapFanout.Add(int64(len(n.taps) * len(payloads)))
@@ -472,39 +491,32 @@ func (n *Network) observe(hdr *packet.Datagram, hops int, rep int64, payloads []
 }
 
 // deliveredHeader sets v to hdr as it arrives after hops: TTL decremented,
-// no payload, carrying rep.
-func deliveredHeader(v, hdr *packet.Datagram, hops int, rep int64) {
+// no payload and no Rep.
+func deliveredHeader(v, hdr *packet.Datagram, hops int) {
 	*v = *hdr
 	v.Payload = nil
+	v.Rep = 0
 	v.IP.TTL -= uint8(hops)
-	v.Rep = rep
 }
 
 // RunBatch implements vtime.BatchSink: it delivers a batch of same-instant
 // trains. A train whose host left in flight is counted dark in one step; a
-// registered host gets one HandlePacket per payload, in send order. Each
-// train returns to the pool once delivered.
+// registered host gets one HandlePacket per payload, in send order. A train
+// goes to the host found at its send unless an address was bound or
+// unbound since, and a re-bind by a handler mid-train reaches the next
+// payload. Each train returns to the pool once delivered.
 func (n *Network) RunBatch(now time.Time, items []any) {
-	// Same-instant batches are dominated by runs to one destination (trigger
-	// bursts, reflected replies); memoize the last host lookup, invalidated
-	// whenever a handler re-binds an address mid-batch.
-	var (
-		haveLast bool
-		lastDst  netaddr.Addr
-		lastHost Host
-		lastOK   bool
-	)
-	gen := n.hostsGen
 	v := &n.deliverView
 	for _, item := range items {
 		t := item.(*train)
 		dst := t.hdr.IP.Dst
-		if !haveLast || dst != lastDst {
-			lastHost, lastOK = n.hosts[dst]
-			haveLast, lastDst = true, dst
+		gen := n.hostsGen
+		host := t.host
+		if t.gen != gen {
+			host = n.hosts[dst]
 		}
 		for i := range t.ends {
-			if !lastOK {
+			if host == nil {
 				n.countDark(t.repSum(i))
 				break
 			}
@@ -515,10 +527,10 @@ func (n *Network) RunBatch(now time.Time, items []any) {
 			if n.m != nil {
 				n.m.Delivered.Add(v.Rep)
 			}
-			lastHost.HandlePacket(n, v, now)
+			host.HandlePacket(n, v, now)
 			if n.hostsGen != gen {
 				gen = n.hostsGen
-				lastHost, lastOK = n.hosts[dst]
+				host = n.hosts[dst]
 			}
 		}
 		n.freeTrain(t)

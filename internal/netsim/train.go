@@ -16,6 +16,10 @@ type train struct {
 	// reps holds per-payload Reps when in-transit loss made them differ
 	// (impaired trains only); empty means every payload carries hdr.Rep.
 	reps []int64
+	// host is the destination's host at the send, still the right one if
+	// the fabric's hostsGen is still gen on arrival.
+	host Host
+	gen  uint64
 }
 
 // add appends one payload carrying the train's common Rep.
@@ -82,8 +86,9 @@ func trainClass(size int) int {
 }
 
 // newTrain takes a train with room for size payload bytes off its class's
-// free list (or allocates one) and stamps it with hdr's delivered header.
-func (n *Network) newTrain(hdr *packet.Datagram, hops int, rep int64, size int) *train {
+// free list (or allocates one), stamps it with hdr's delivered header
+// carrying rep, and binds it to host, the destination's host now.
+func (n *Network) newTrain(hdr *packet.Datagram, hops int, rep int64, size int, host Host) *train {
 	var t *train
 	c := trainClass(size)
 	if c >= trainClasses {
@@ -94,13 +99,17 @@ func (n *Network) newTrain(hdr *packet.Datagram, hops int, rep int64, size int) 
 	} else {
 		t = &train{buf: make([]byte, 0, 1<<(c+minTrainShift))}
 	}
-	deliveredHeader(&t.hdr, hdr, hops, rep)
+	deliveredHeader(&t.hdr, hdr, hops)
+	t.hdr.Rep = rep
+	t.host, t.gen = host, n.hostsGen
 	return t
 }
 
-// freeTrain returns a delivered train to its class's free list, keeping its
-// buffers for reuse, unless the class is at its cap.
+// freeTrain drops a delivered train's host and returns the train to its
+// class's free list, keeping its buffers for reuse, unless the class is at
+// its cap.
 func (n *Network) freeTrain(t *train) {
+	t.host = nil
 	c := trainClass(cap(t.buf))
 	if c >= trainClasses || len(n.trains[c])<<(c+minTrainShift) >= trainPoolBytes {
 		return

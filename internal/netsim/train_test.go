@@ -22,7 +22,8 @@ type trainCase struct {
 	register bool // bind a recording host at the destination
 	rebind   bool // the host re-binds, then unbinds, the destination mid-train
 	// lateBind binds a host at the destination 1ms after each send, while
-	// the train is in flight, and unbinds it before the next send.
+	// the train is in flight, and unbinds it (or, with register, binds the
+	// first host again) before the next send.
 	lateBind bool
 	impair   Impairment
 }
@@ -33,21 +34,29 @@ var allFaults = Impairment{Loss: 0.3, Dup: 0.4, Reorder: 0.5, ReorderDelay: 50 *
 	FlapRate: 0.3, FlapPeriod: 10 * time.Second}
 
 // trainFabric is one side of the differential test: a fabric, its metrics
-// registry and fault stream, one log of every payload the first tap saw and
-// every host event, and the number of payloads in each call of both taps.
+// registry and fault stream, one log of every (payload, Rep) the first tap
+// saw and every host event, and each call of both taps as the index of the
+// send it belongs to and its number of payloads.
 type trainFabric struct {
 	sched    *vtime.Scheduler
 	net      *Network
 	reg      *metrics.Registry
 	m        *Metrics
 	faults   *rng.Source
+	host     Host // the host register binds, unless the case re-binds mid-train
 	log      []string
 	sends    []bool
-	tapCalls [2][]int
-	// hdrPayload records a tap being shown a header that carries a payload,
-	// and badTTL one whose TTL is not the sent TTL less the path's hops.
-	hdrPayload, badTTL bool
+	cur      int // index of the send in progress
+	tapCalls [2][]tapCall
+	// hdrPayload records a tap being shown a header that carries a payload
+	// or a Rep, and badTTL one whose TTL is not the sent TTL less the path's
+	// hops; badReps a call whose reps do not match its payloads one to one.
+	hdrPayload, badTTL, badReps bool
 }
+
+// tapCall is one ObserveTrain call: the send it was made in and how many
+// payloads it carried.
+type tapCall struct{ send, payloads int }
 
 var (
 	trainOrigin = netaddr.MustParseAddr("198.51.100.7")
@@ -70,16 +79,17 @@ func newTrainFabric(tc trainCase) *trainFabric {
 	wantTTL := int(tc.ttl) - PathHops(trainOrigin, trainDst)
 	for i := range f.tapCalls {
 		i := i
-		f.net.AddTap(tapFunc(func(hdr *packet.Datagram, payloads [][]byte, now time.Time) {
-			f.tapCalls[i] = append(f.tapCalls[i], len(payloads))
-			f.hdrPayload = f.hdrPayload || hdr.Payload != nil
+		f.net.AddTap(tapFunc(func(hdr *packet.Datagram, payloads [][]byte, reps []int64, now time.Time) {
+			f.tapCalls[i] = append(f.tapCalls[i], tapCall{send: f.cur, payloads: len(payloads)})
+			f.hdrPayload = f.hdrPayload || hdr.Payload != nil || hdr.Rep != 0
 			f.badTTL = f.badTTL || int(hdr.IP.TTL) != wantTTL
-			if i > 0 {
+			f.badReps = f.badReps || len(reps) != len(payloads)
+			if i > 0 || f.badReps {
 				return
 			}
-			for _, p := range payloads {
+			for j, p := range payloads {
 				dg := *hdr
-				dg.Payload = p
+				dg.Payload, dg.Rep = p, reps[j]
 				f.record("tap", &dg, now)
 			}
 		}))
@@ -88,9 +98,10 @@ func newTrainFabric(tc trainCase) *trainFabric {
 		return f
 	}
 	if !tc.rebind {
-		f.net.Register(trainDst, HostFunc(func(_ *Network, dg *packet.Datagram, now time.Time) {
+		f.host = HostFunc(func(_ *Network, dg *packet.Datagram, now time.Time) {
 			f.record("host", dg, now)
-		}))
+		})
+		f.net.Register(trainDst, f.host)
 		return f
 	}
 	// The first host re-binds the address on its second packet; the second
@@ -137,6 +148,7 @@ func trainPlan(tc trainCase, send func(hdr *packet.Datagram, payloads [][]byte))
 				for j := range payloads {
 					payloads[j] = []byte(strings.Repeat(string(rune('a'+j)), 8+13*j+i))
 				}
+				f.cur = i
 				send(hdr, payloads)
 				if tc.lateBind {
 					f.sched.After(time.Millisecond, func(time.Time) {
@@ -144,7 +156,13 @@ func trainPlan(tc trainCase, send func(hdr *packet.Datagram, payloads [][]byte))
 							f.record("late-host", dg, now)
 						}))
 					})
-					f.sched.After(time.Second, func(time.Time) { f.net.Unregister(trainDst) })
+					f.sched.After(time.Second, func(time.Time) {
+						if f.host != nil {
+							f.net.Register(trainDst, f.host)
+						} else {
+							f.net.Unregister(trainDst)
+						}
+					})
 				}
 				// Copy-on-send: the sender may scribble on its buffers at once.
 				for _, p := range payloads {
@@ -160,10 +178,11 @@ func trainPlan(tc trainCase, send func(hdr *packet.Datagram, payloads [][]byte))
 // TestTrainMatchesOnePayloadSends is the differential wall for the train
 // path: a k-payload SendTrain and k one-payload sends of the same datagrams,
 // into two fabrics fed the same fault stream, must be indistinguishable —
-// the same tap and host event sequence, the same Stats and metric counters,
-// the same send results and the same fault-stream state afterwards. It also
-// pins how taps are called: once per tap per unimpaired train, and once per
-// surviving payload (duplicates included) under fault injection.
+// the same flattened sequence of tap (payload, Rep) pairs and host events,
+// the same Stats and metric counters, the same send results and the same
+// fault-stream state afterwards. It also pins how taps are called: once per
+// tap for each train with a survivor, impaired or not, carrying every
+// payload (duplicates included) the one-payload sends showed one by one.
 func TestTrainMatchesOnePayloadSends(t *testing.T) {
 	cases := []trainCase{
 		{name: "dark", ttl: TTLLinux},
@@ -173,6 +192,7 @@ func TestTrainMatchesOnePayloadSends(t *testing.T) {
 		{name: "spoof-allowed", ttl: TTLWindows, spoof: true, register: true},
 		{name: "ttl-expired", ttl: 3, register: true},
 		{name: "rebind-mid-train", ttl: TTLLinux, register: true, rebind: true},
+		{name: "rebind-in-flight", ttl: TTLLinux, register: true, lateBind: true},
 		{name: "impaired-dark", ttl: TTLLinux, impair: allFaults},
 		{name: "impaired-registered", ttl: TTLLinux, register: true, impair: allFaults},
 		{name: "impaired-rebind", ttl: TTLLinux, register: true, rebind: true, impair: allFaults},
@@ -213,11 +233,20 @@ func TestTrainMatchesOnePayloadSends(t *testing.T) {
 				t.Fatalf("re-bind case never reached the second host and then dark space: %+v", st)
 			}
 			// A host that binds the destination after a train left does not
-			// receive that train: both fabrics count every packet dark.
-			if tc.lateBind {
+			// receive that train: both fabrics count every packet dark. A
+			// host that re-binds a bound destination in flight receives it.
+			if tc.lateBind && !tc.register {
 				for _, f := range []*trainFabric{trains, singles} {
 					if s := f.net.Stats(); s.Dark != s.Sent || strings.Contains(strings.Join(f.log, "\n"), "late-host") {
 						t.Fatalf("a host bound after the send was handed a payload: %+v", s)
+					}
+				}
+			}
+			if tc.lateBind && tc.register {
+				for _, f := range []*trainFabric{trains, singles} {
+					log := strings.Join(f.log, "\n")
+					if s := f.net.Stats(); s.Delivered != s.Sent || strings.Contains(log, "\nhost ") || !strings.Contains(log, "late-host") {
+						t.Fatalf("a host re-bound in flight did not get every payload: %+v", s)
 					}
 				}
 			}
@@ -237,31 +266,39 @@ func TestTrainMatchesOnePayloadSends(t *testing.T) {
 				t.Errorf("fault stream diverged: next draw %d vs %d", a, b)
 			}
 
-			// Unimpaired, each accepted train is one call per tap; under
-			// impairment every call carries one payload, in the order the
-			// one-payload sends make them (the logs above agree).
-			want := []int{}
-			for i, ok := range trains.sends {
-				if ok {
-					want = append(want, 1+i%9)
-				}
-			}
+			// Each train with a survivor is one call per tap, carrying every
+			// payload the one-payload sends of that train showed, one per
+			// call or, with a duplicate, two (the logs above agree on their
+			// order and Reps).
+			multi := false
 			for tap := range trains.tapCalls {
-				got, single := trains.tapCalls[tap], singles.tapCalls[tap]
-				if tc.impair.Enabled() {
-					want = single
-				}
-				if fmt.Sprint(got) != fmt.Sprint(want) {
-					t.Errorf("tap %d: payloads per call %v, want %v", tap, got, want)
-				}
-				for _, k := range single {
-					if k != 1 {
-						t.Fatalf("tap %d: a one-payload send was observed as %d payloads", tap, k)
+				var want []tapCall
+				for _, c := range singles.tapCalls[tap] {
+					if c.payloads != 1 && (c.payloads != 2 || tc.impair.Dup == 0) {
+						t.Fatalf("tap %d: a one-payload send was observed as %d payloads", tap, c.payloads)
+					}
+					if n := len(want); n > 0 && want[n-1].send == c.send {
+						want[n-1].payloads += c.payloads
+					} else {
+						want = append(want, c)
 					}
 				}
+				got := trains.tapCalls[tap]
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Errorf("tap %d: calls (send, payloads) %v, want %v", tap, got, want)
+				}
+				for _, c := range got {
+					multi = multi || c.payloads > 1
+				}
+			}
+			if !multi && len(trains.tapCalls[0]) > 0 {
+				t.Error("no tap call carried more than one payload: the case shows no train")
 			}
 			if trains.hdrPayload || singles.hdrPayload {
-				t.Error("a tap was shown a header carrying a payload")
+				t.Error("a tap was shown a header carrying a payload or a Rep")
+			}
+			if trains.badReps || singles.badReps {
+				t.Error("a tap was shown reps that do not match its payloads")
 			}
 			if trains.badTTL || singles.badTTL {
 				t.Error("a tap was shown a header whose TTL is not decremented by the path")
@@ -316,7 +353,7 @@ func TestSendIsBindingInvariant(t *testing.T) {
 	if fmt.Sprint(bound.tapCalls) != fmt.Sprint(dark.tapCalls) || fmt.Sprint(bound.sends) != fmt.Sprint(dark.sends) {
 		t.Errorf("tap calls %v vs %v, send results %v vs %v", bound.tapCalls, dark.tapCalls, bound.sends, dark.sends)
 	}
-	if bound.badTTL || dark.badTTL || bound.hdrPayload || dark.hdrPayload {
+	if bound.badTTL || dark.badTTL || bound.hdrPayload || dark.hdrPayload || bound.badReps || dark.badReps {
 		t.Error("a tap was shown a header other than the delivered one")
 	}
 }
@@ -351,21 +388,24 @@ func otherFamilies(t *testing.T, reg *metrics.Registry) string {
 
 // TestTapSeesDeliveredHeaderAndSendersPayloads pins the tap contract: one
 // call per train, a header with the TTL already decremented by the path, no
-// payload and the train's Rep, and the sender's own payload slices rather
-// than the fabric's copy.
+// payload and no Rep, the train's Rep once per payload, and the sender's own
+// payload slices rather than the fabric's copy.
 func TestTapSeesDeliveredHeaderAndSendersPayloads(t *testing.T) {
 	net, sched := newNet(nil)
 	hdr := packet.NewDatagram(trainOrigin, 123, trainDst, 80, nil)
 	hdr.Rep = 7
 	sent := [][]byte{[]byte("one"), []byte("two"), []byte("three")}
 	calls := 0
-	net.AddTap(tapFunc(func(h *packet.Datagram, payloads [][]byte, _ time.Time) {
+	net.AddTap(tapFunc(func(h *packet.Datagram, payloads [][]byte, reps []int64, _ time.Time) {
 		calls++
 		if want := 64 - PathHops(trainOrigin, trainDst); int(h.IP.TTL) != want {
 			t.Errorf("tap header TTL %d, want %d", h.IP.TTL, want)
 		}
-		if h.Payload != nil || h.Rep != 7 || h.IP.Dst != trainDst || h.UDP.SrcPort != 123 {
-			t.Errorf("tap header %+v: want the delivered header, Rep 7, no payload", *h)
+		if h.Payload != nil || h.Rep != 0 || h.IP.Dst != trainDst || h.UDP.SrcPort != 123 {
+			t.Errorf("tap header %+v: want the delivered header, no Rep, no payload", *h)
+		}
+		if fmt.Sprint(reps) != "[7 7 7]" {
+			t.Errorf("tap reps %v, want the train's Rep 7 for each payload", reps)
 		}
 		if len(payloads) != len(sent) {
 			t.Fatalf("tap saw %d payloads, want %d", len(payloads), len(sent))

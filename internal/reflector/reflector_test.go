@@ -77,14 +77,10 @@ type capTap struct {
 	bytes   int64
 }
 
-func (c *capTap) ObserveTrain(hdr *packet.Datagram, payloads [][]byte, now time.Time) {
-	rep := hdr.Rep
-	if rep <= 0 {
-		rep = 1
-	}
-	for _, p := range payloads {
-		c.packets += rep
-		c.bytes += int64(packet.OnWireBytesForUDPPayload(len(p))) * rep
+func (c *capTap) ObserveTrain(hdr *packet.Datagram, payloads [][]byte, reps []int64, now time.Time) {
+	for i, p := range payloads {
+		c.packets += reps[i]
+		c.bytes += int64(packet.OnWireBytesForUDPPayload(len(p))) * reps[i]
 	}
 }
 

@@ -1,17 +1,13 @@
 package sketch
 
-import (
-	"math"
-	"sort"
-	"time"
-)
+import "sort"
 
 // The exact twins answer the same queries as the sketches with unbounded
 // memory. They exist for the property tests — every published error bound is
 // asserted against them, not taken on faith — and for offline cross-checks
 // where memory is not a concern.
 
-// ExactCount is the exact twin of CMS.
+// ExactCount counts keys exactly; ExactTopK ranks by it.
 type ExactCount struct {
 	counts map[uint64]int64
 	total  int64
@@ -93,67 +89,4 @@ func (e *ExactTopK) Top(n int) []TopEntry {
 		out = out[:n]
 	}
 	return out
-}
-
-// ExactDecay is the exact twin of DecayCMS: per-key decayed counts with the
-// same weight-renormalization scheme, so twin and sketch agree to floating-
-// point error on the decay arithmetic and differ only by CMS collision
-// error.
-type ExactDecay struct {
-	halfLife time.Duration
-	anchor   time.Time
-	counts   map[uint64]float64
-	total    float64
-}
-
-// NewExactDecay builds an empty exact decayed counter.
-func NewExactDecay(halfLife time.Duration) *ExactDecay {
-	return &ExactDecay{halfLife: halfLife, counts: make(map[uint64]float64)}
-}
-
-func (e *ExactDecay) weight(now time.Time) float64 {
-	if e.anchor.IsZero() {
-		e.anchor = now
-		return 1
-	}
-	w := math.Exp2(float64(now.Sub(e.anchor)) / float64(e.halfLife))
-	if w >= maxWeight {
-		inv := 1 / w
-		for k := range e.counts {
-			e.counts[k] *= inv
-		}
-		e.total *= inv
-		e.anchor = now
-		return 1
-	}
-	if w < 1 {
-		return 1
-	}
-	return w
-}
-
-// Add records n occurrences of key at time now.
-func (e *ExactDecay) Add(key uint64, n float64, now time.Time) {
-	if n <= 0 {
-		return
-	}
-	w := e.weight(now)
-	e.counts[key] += n * w
-	e.total += n * w
-}
-
-// Estimate returns the true decayed count as of now.
-func (e *ExactDecay) Estimate(key uint64, now time.Time) float64 {
-	if e.anchor.IsZero() {
-		return 0
-	}
-	return e.counts[key] / e.weight(now)
-}
-
-// Total returns the true decayed mass as of now.
-func (e *ExactDecay) Total(now time.Time) float64 {
-	if e.anchor.IsZero() {
-		return 0
-	}
-	return e.total / e.weight(now)
 }

@@ -135,23 +135,19 @@ func New() *Collector {
 }
 
 // ObserveTrain implements netsim.Tap: each payload is accrued in order, as
-// its own datagram, because the scaled byte counts are fractional and float
-// sums depend on their order.
-func (c *Collector) ObserveTrain(hdr *packet.Datagram, payloads [][]byte, now time.Time) {
-	for _, p := range payloads {
-		c.observe(hdr, len(p), now)
+// its own datagram with its own Rep, because the scaled byte counts are
+// fractional and float sums depend on their order.
+func (c *Collector) ObserveTrain(hdr *packet.Datagram, payloads [][]byte, reps []int64, now time.Time) {
+	for i, p := range payloads {
+		c.observe(hdr, len(p), reps[i], now)
 	}
 }
 
-// observe classifies one datagram (hdr's ports and Rep, a UDP payload of
-// payloadLen bytes) by port and accrues its on-wire bytes (scaled up by
+// observe classifies rep datagrams (hdr's ports, a UDP payload of
+// payloadLen bytes) by port and accrues their on-wire bytes (scaled up by
 // 1/Visibility, since the tap effectively sees the visible share of the
 // simulated world).
-func (c *Collector) observe(hdr *packet.Datagram, payloadLen int, now time.Time) {
-	rep := hdr.Rep
-	if rep <= 0 {
-		rep = 1
-	}
+func (c *Collector) observe(hdr *packet.Datagram, payloadLen int, rep int64, now time.Time) {
 	bytes := float64(packet.OnWireBytesForUDPPayload(payloadLen)) * float64(rep)
 	if c.Visibility > 0 && c.Visibility < 1 {
 		bytes /= c.Visibility // the tap sees only the visible share of traffic

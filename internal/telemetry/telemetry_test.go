@@ -126,11 +126,12 @@ func TestEmptyCollector(t *testing.T) {
 }
 
 // observeOne shows tap one datagram the way the fabric does: as a
-// one-payload train under a header that carries no payload.
+// one-payload train under a header that carries no payload and no Rep, with
+// the datagram's Rep (at least 1) in reps.
 func observeOne(tap interface {
-	ObserveTrain(hdr *packet.Datagram, payloads [][]byte, now time.Time)
+	ObserveTrain(hdr *packet.Datagram, payloads [][]byte, reps []int64, now time.Time)
 }, dg *packet.Datagram, now time.Time) {
 	hdr := *dg
-	hdr.Payload = nil
-	tap.ObserveTrain(&hdr, [][]byte{dg.Payload}, now)
+	hdr.Payload, hdr.Rep = nil, 0
+	tap.ObserveTrain(&hdr, [][]byte{dg.Payload}, []int64{max(dg.Rep, 1)}, now)
 }
