@@ -45,7 +45,7 @@ func main() {
 		csv         = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		list        = flag.Bool("list", false, "list experiment ids and exit")
 		quick       = flag.Bool("quick", false, "use the quick test-scale configuration")
-		pcapDir     = flag.String("pcap", "", "directory to persist weekly monlist samples as .pcap files")
+		pcapDir     = flag.String("pcap", "", "existing directory to persist weekly monlist samples in as .pcap files (best effort: a capture that fails to write mid-run is skipped)")
 		metricsAddr = flag.String("metrics-addr", "", "serve Prometheus /metrics and /healthz on this address while the run progresses (e.g. :9091)")
 	)
 	showVersion := buildinfo.Flag()
@@ -69,6 +69,11 @@ func main() {
 		}
 	}
 	cfg := grid.Jobs()[0].Cfg
+	if *pcapDir != "" {
+		if fi, err := os.Stat(*pcapDir); err != nil || !fi.IsDir() {
+			fatalf("-pcap %q is not an existing directory", *pcapDir)
+		}
+	}
 	cfg.PCAPDir = *pcapDir
 	reports := ntpddos.Reports()
 	if *experiment != "" && !slices.ContainsFunc(reports, func(r ntpddos.Report) bool { return r.ID == *experiment }) {

@@ -18,8 +18,14 @@ func TestRejectsBadScale(t *testing.T) {
 }
 
 // TestRejectsBadKnobs checks that knob values the world cannot run are
-// usage errors naming the knob and value, before any world is built.
+// usage errors naming the knob and value, before any world is built. The
+// -pcap rows run a quick world, so a missed check still ends in seconds.
 func TestRejectsBadKnobs(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "capture.pcap")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	quick := []string{"-quick", "-scale", "4000", "-pcap"}
 	for _, c := range []struct {
 		want string
 		args []string
@@ -30,6 +36,8 @@ func TestRejectsBadKnobs(t *testing.T) {
 		{"loss[0] 1", []string{"-loss", "1"}},
 		{"sample[0] 0", []string{"-sample", "0"}},
 		{"-loss expands to 2 worlds", []string{"-loss", "0.1,0.2"}},
+		{"-pcap", append(quick, filepath.Join(t.TempDir(), "missing"))},
+		{"-pcap", append(quick, file)},
 	} {
 		clitest.ExpectUsageError(t, c.want, c.args...)
 	}

@@ -107,37 +107,3 @@ func medianDuration(ds []time.Duration) time.Duration {
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	return sorted[len(sorted)/2]
 }
-
-// MegaAmps returns the sample's mega amplifiers sorted by bytes descending.
-func (a *SampleAnalysis) MegaAmps() []*AmpRecord {
-	var out []*AmpRecord
-	for _, r := range a.Amps {
-		if r.Mega {
-			out = append(out, r)
-		}
-	}
-	sortAmpsByBytes(out)
-	return out
-}
-
-// TopAmpsByBytes returns the k largest responders — Figure 4a's right tail.
-func (a *SampleAnalysis) TopAmpsByBytes(k int) []*AmpRecord {
-	out := make([]*AmpRecord, 0, len(a.Amps))
-	for _, r := range a.Amps {
-		out = append(out, r)
-	}
-	sortAmpsByBytes(out)
-	if k < len(out) {
-		out = out[:k]
-	}
-	return out
-}
-
-func sortAmpsByBytes(amps []*AmpRecord) {
-	sort.Slice(amps, func(i, j int) bool {
-		if amps[i].Bytes != amps[j].Bytes {
-			return amps[i].Bytes > amps[j].Bytes
-		}
-		return amps[i].Addr < amps[j].Addr
-	})
-}

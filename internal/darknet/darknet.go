@@ -35,16 +35,7 @@ type Telescope struct {
 	// scannersByDay tracks unique source IPs sending NTP probes per day —
 	// the Figure 9 series.
 	scannersByDay map[time.Time]netaddr.Set
-	allScanners   netaddr.Set
-	// sourceBins is each source's dark-space footprint, bucketed by hashed
-	// /24, feeding the UniformityScore scanner heuristic.
-	sourceBins map[netaddr.Addr]*[scanBins]float64
 }
-
-// scanBins is the footprint resolution: enough buckets to separate broad
-// sweeps (even coverage) from targeted bursts, small enough to stay cheap
-// per source.
-const scanBins = 16
 
 // New builds a telescope over prefix with the given /24 coverage fraction.
 func New(prefix netaddr.Prefix, coverage float64) *Telescope {
@@ -55,8 +46,6 @@ func New(prefix netaddr.Prefix, coverage float64) *Telescope {
 		NTPPackets:       stats.NewTimeSeries(vtime.Epoch, 30*24*time.Hour),
 		BenignNTPPackets: stats.NewTimeSeries(vtime.Epoch, 30*24*time.Hour),
 		scannersByDay:    make(map[time.Time]netaddr.Set),
-		allScanners:      netaddr.NewSet(0),
-		sourceBins:       make(map[netaddr.Addr]*[scanBins]float64),
 	}
 }
 
@@ -79,7 +68,7 @@ func (t *Telescope) Covers(dst netaddr.Addr) bool {
 }
 
 // ObserveTrain implements netsim.Tap. A train's payloads share its
-// destination, port and source, so the coverage test, the set inserts and
+// destination, port and source, so the coverage test, the set insert and
 // the map lookups happen once; the packet counts, whole numbers, take one
 // sum of the Reps per train.
 func (t *Telescope) ObserveTrain(hdr *packet.Datagram, payloads [][]byte, reps []int64, now time.Time) {
@@ -106,38 +95,6 @@ func (t *Telescope) ObserveTrain(hdr *packet.Datagram, payloads [][]byte, reps [
 		t.scannersByDay[day] = s
 	}
 	s.Add(hdr.IP.Src)
-	t.allScanners.Add(hdr.IP.Src)
-
-	bins, ok := t.sourceBins[hdr.IP.Src]
-	if !ok {
-		bins = new([scanBins]float64)
-		t.sourceBins[hdr.IP.Src] = bins
-	}
-	bins[int(uint64(hdr.IP.Dst>>8)*0x9e3779b97f4a7c15>>60)] += packets
-}
-
-// SourceSpread returns a source's per-bin dark-space hit profile (hashed
-// /24 buckets) — the input to the UniformityScore heuristic.
-func (t *Telescope) SourceSpread(src netaddr.Addr) ([]float64, bool) {
-	bins, ok := t.sourceBins[src]
-	if !ok {
-		return nil, false
-	}
-	return bins[:], true
-}
-
-// ScannerLikeSources counts sources whose dark-space footprint passes the
-// ScannerLike heuristic: broad, even coverage of the telescope's space.
-// Sweeps touching most of dark space (research surveys, full list-building
-// passes) qualify; small targeted bursts do not.
-func (t *Telescope) ScannerLikeSources(minScore float64) int {
-	n := 0
-	for _, bins := range t.sourceBins {
-		if ScannerLike(bins[:], scanBins/2, minScore) {
-			n++
-		}
-	}
-	return n
 }
 
 // EffectiveDark24s returns the number of /24-equivalents the telescope
@@ -188,21 +145,3 @@ func (t *Telescope) ScannerSeries() []stats.Point {
 	}
 	return ts.Points()
 }
-
-// UniqueScanners returns all scanner sources ever seen.
-func (t *Telescope) UniqueScanners() netaddr.Set { return t.allScanners }
-
-// IPv6Telescope is the IPv6 darknet of §5.1: covering prefixes for four of
-// the five RIRs. The paper searched its captures for NTP scanning and found
-// only errant point-to-point connections — no broad scanning. Our IPv6
-// fabric does not exist, so the telescope simply reports what the paper
-// found: nothing.
-type IPv6Telescope struct {
-	// ErrantConnections counts stray non-scan NTP flows (settable by tests
-	// or scenarios modeling misconfigured dual-stack hosts).
-	ErrantConnections int64
-}
-
-// NTPScanEvidence reports whether broad NTP scanning was observed. It is
-// always false, matching §5.1.
-func (t *IPv6Telescope) NTPScanEvidence() bool { return false }

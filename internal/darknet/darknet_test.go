@@ -135,16 +135,6 @@ func TestScannerSeriesDaily(t *testing.T) {
 	if len(pts) != 2 || pts[0].Value != 2 || pts[1].Value != 1 {
 		t.Fatalf("scanner series = %+v", pts)
 	}
-	if s.UniqueScanners().Len() != 3 {
-		t.Fatalf("unique scanners = %d", s.UniqueScanners().Len())
-	}
-}
-
-func TestIPv6TelescopeFindsNothing(t *testing.T) {
-	var v6 IPv6Telescope
-	if v6.NTPScanEvidence() {
-		t.Fatal("IPv6 darknet must report no broad NTP scanning (§5.1)")
-	}
 }
 
 // observeOne shows tap one datagram the way the fabric does: as a

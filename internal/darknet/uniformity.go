@@ -2,12 +2,12 @@ package darknet
 
 import "math"
 
-// Scanner-uniformity heuristic, shared between the darknet telescope and the
-// honeypot fleet's scanner disambiguation (internal/honeypot): an
-// Internet-wide scanner spreads its probes evenly across whatever target set
-// a vantage point exposes (dark /24 blocks here, individual sensors there),
-// while attack traffic concentrates on the subset of targets an attacker's
-// harvested list happens to contain.
+// Scanner-uniformity heuristic, used by the honeypot fleet's scanner
+// disambiguation (internal/honeypot): an Internet-wide scanner spreads its
+// probes evenly across whatever target set a vantage point exposes (dark /24
+// blocks of a telescope, individual sensors of a fleet), while attack traffic
+// concentrates on the subset of targets an attacker's harvested list happens
+// to contain.
 
 // UniformityScore measures how evenly traffic is spread across a fixed set
 // of targets as the normalized Shannon entropy of the per-target hit counts,
@@ -54,7 +54,7 @@ func ScannerLike(counts []float64, minTargets int, minScore float64) bool {
 	return nonzero >= minTargets && UniformityScore(counts) >= minScore
 }
 
-// DefaultScannerScore is the uniformity threshold both vantages use: broad
+// DefaultScannerScore is the honeypot fleet's uniformity threshold: broad
 // sweeps score near 1, while attack bursts confined to a harvested subset of
 // targets stay well below it.
 const DefaultScannerScore = 0.85

@@ -1,8 +1,7 @@
 // Package detect is the streaming detection plane: the online counterpart of
-// internal/core's post-hoc victim classifier. It consumes the same event
-// streams the offline pipeline uses — fabric tap datagrams, NetFlow v5
-// collector records, and honeypot/darknet sensor sightings — and maintains,
-// in bounded memory over internal/sketch structures:
+// internal/core's post-hoc victim classifier. It consumes fabric tap
+// datagrams, polled monlist tables and darknet scanner sightings, and
+// maintains, in bounded memory over internal/sketch structures:
 //
 //   - a victim top-k by reflected on-wire bytes (SpaceSaving),
 //   - an amplifier top-k by emitted bytes (SpaceSaving),
@@ -36,6 +35,7 @@ import (
 	"ntpddos/internal/ntp"
 	"ntpddos/internal/packet"
 	"ntpddos/internal/reflector"
+	"ntpddos/internal/rng"
 	"ntpddos/internal/sketch"
 )
 
@@ -194,7 +194,7 @@ const (
 )
 
 // Detector is the streaming detection plane. It implements netsim.Tap; the
-// NetFlow and sensor-event paths feed the same state.
+// monlist-table and scanner-sighting paths feed the same state.
 type Detector struct {
 	cfg Config
 
@@ -216,12 +216,10 @@ type Detector struct {
 	// lanes is the per-protocol breakdown of the totals above.
 	lanes [numLanes]laneStats
 
-	// Degraded-vantage state: the outage-schedule hash salt, the systematic
-	// sampling phase accumulator, and the export-sequence dedup cursor.
+	// Degraded-vantage state: the outage-schedule hash salt and the
+	// systematic sampling phase accumulator.
 	vantSalt    uint64
 	samplePhase int64
-	seqExpected uint32
-	seqStarted  bool
 
 	m *Metrics
 }
@@ -251,7 +249,7 @@ func New(cfg Config) *Detector {
 		scannerHLL: sketch.NewHLL(cfg.HLLPrecision, cfg.Seed),
 		victims:    make(map[netaddr.Addr]*victimState),
 		scanners:   netaddr.NewSet(0),
-		vantSalt:   vantMix(cfg.Seed ^ 0xd6e8feb86659fd93),
+		vantSalt:   rng.Mix64(cfg.Seed ^ 0xd6e8feb86659fd93),
 	}
 }
 
@@ -618,9 +616,6 @@ func (d *Detector) TopVictims(n int) []HeavyHitter { return topEntries(d.victimT
 
 // TopAmplifiers returns the n heaviest amplifiers by emitted bytes.
 func (d *Detector) TopAmplifiers(n int) []HeavyHitter { return topEntries(d.ampTop, n) }
-
-// ScannerCardinality returns the HLL estimate of distinct probing sources.
-func (d *Detector) ScannerCardinality() float64 { return d.scannerHLL.Estimate() }
 
 // ScannersMarked returns the exact count of suppressed prober addresses.
 func (d *Detector) ScannersMarked() int { return d.scanners.Len() }

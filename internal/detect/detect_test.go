@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"ntpddos/internal/netaddr"
-	"ntpddos/internal/netflow"
 	"ntpddos/internal/ntp"
 	"ntpddos/internal/packet"
 	"ntpddos/internal/vtime"
@@ -117,35 +116,6 @@ func TestScannerSuppression(t *testing.T) {
 	}
 }
 
-// TestNetFlowParity routes the same attack through a NetFlow exporter and
-// asserts the flow path reaches the same verdict as the packet path.
-func TestNetFlowParity(t *testing.T) {
-	d := New(DefaultConfig())
-	t0 := vtime.Epoch
-	exp := netflow.NewExporter(t0, func(data []byte) {
-		if err := d.IngestExport(data); err != nil {
-			t.Fatalf("export rejected: %v", err)
-		}
-	})
-	for i := 0; i < 5; i++ {
-		observeOne(exp, monlistResponse(amp, victim, 80, 100), t0.Add(time.Duration(i)*30*time.Second))
-	}
-	// Honest time service must not register: 76-byte mode 4 responses.
-	client := netaddr.MustParseAddr("8.8.8.8")
-	small := packet.NewDatagram(amp, ntp.Port, client, 123, make([]byte, 48))
-	for i := 0; i < 10; i++ {
-		observeOne(exp, small, t0.Add(time.Duration(i)*time.Second))
-	}
-	exp.Flush(t0.Add(time.Hour))
-	sum := d.Summarize(t0.Add(6 * time.Hour))
-	if len(sum.Victims) != 1 || sum.Victims[0] != victim {
-		t.Fatalf("flow-path victims = %v, want [%v]", sum.Victims, victim)
-	}
-	if sum.Packets != 500 {
-		t.Fatalf("flow-path packets = %d, want 500 (time service filtered)", sum.Packets)
-	}
-}
-
 func TestIngestMonEntry(t *testing.T) {
 	d := New(DefaultConfig())
 	now := vtime.Epoch.Add(24 * time.Hour)
@@ -166,13 +136,23 @@ func TestIngestMonEntry(t *testing.T) {
 
 func TestSensorAndDarknetIngest(t *testing.T) {
 	d := New(DefaultConfig())
-	t0 := vtime.Epoch
+	now := vtime.Epoch.Add(24 * time.Hour)
 	d.IngestScannerSighting(scanner)
-	d.IngestSensorEvent(victim, 80, t0, t0.Add(time.Minute), 4000)
-	d.IngestSensorEvent(scanner, 80, t0, t0.Add(time.Minute), 4000) // suppressed
-	sum := d.Summarize(t0.Add(6 * time.Hour))
+	// Both polled table entries read as victims; the sighted scanner's is
+	// suppressed, as cmd/ntpwatch's live mode relies on.
+	for _, a := range []netaddr.Addr{victim, scanner} {
+		d.IngestMonEntry(amp, ntp.MonEntry{
+			Addr: a, Port: 80, Mode: ntp.ModePrivate, Count: 5000, AvgInterval: 1, LastSeen: 60,
+		}, now)
+	}
+	sum := d.Summarize(now.Add(6 * time.Hour))
 	if len(sum.Victims) != 1 || sum.Victims[0] != victim {
 		t.Fatalf("victims = %v, want [%v]", sum.Victims, victim)
+	}
+	for _, a := range sum.Alarms {
+		if a.Victim == scanner {
+			t.Fatalf("sighted scanner raised an alarm: %+v", a)
+		}
 	}
 	if sum.ScannersMarked != 1 {
 		t.Fatalf("scanners marked = %d, want 1", sum.ScannersMarked)

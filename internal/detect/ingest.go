@@ -5,101 +5,13 @@ import (
 
 	"ntpddos/internal/core"
 	"ntpddos/internal/netaddr"
-	"ntpddos/internal/netflow"
 	"ntpddos/internal/ntp"
-	"ntpddos/internal/reflector"
 )
 
 // The non-tap ingestion paths: a real deployment rarely sits on a full
-// packet tap. NetFlow exports, periodic monlist polls, and amppot/darknet
-// sensor feeds all fold into the same per-victim state the tap maintains,
-// so a collector can mix vantages freely.
-
-// minReflectedPacketSize is the flow-path stand-in for the payload sniff the
-// tap performs: NetFlow v5 carries no payload, so service-port response
-// flows are classified by average packet size. Monlist fragments run ~500
-// bytes of UDP payload, DNS-ANY answers kilobytes, SSDP service responses
-// ~300 bytes, and chargen replies ~500 — while honest mode 4 time responses
-// are 48 bytes and ordinary DNS answers under ~100. A 200-byte threshold
-// cleanly separates amplification backscatter from legitimate service.
-const minReflectedPacketSize = 200
-
-// flowLane maps a response-direction flow's source port onto its protocol
-// lane; ok=false flows are not reflection candidates.
-func flowLane(srcPort uint16) (Lane, bool) {
-	switch srcPort {
-	case ntp.Port:
-		return LaneNTP, true
-	case reflector.DNSPort:
-		return LaneDNS, true
-	case reflector.SSDPPort:
-		return LaneSSDP, true
-	case reflector.ChargenPort:
-		return LaneChargen, true
-	}
-	return 0, false
-}
-
-// IngestExport decodes one NetFlow v5 export datagram and folds every
-// record into the detector. Flow times are reconstructed from the export
-// header's wall clock and the records' sysUptime offsets, the standard
-// collector arithmetic.
-func (d *Detector) IngestExport(data []byte) error {
-	h, records, err := netflow.Decode(data)
-	if err != nil {
-		return err
-	}
-	// Export-sequence dedup: a datagram whose FlowSequence is strictly behind
-	// the expectation is a duplicated or retransmitted export (the fabric's
-	// duplication fault, or a flaky collector path). Folding it again would
-	// double-count every record — the classic duplicate-inflation error that
-	// flips dominant-lane attribution — so it is dropped whole. Ahead-of-
-	// expectation exports (some were lost) resync forward.
-	if d.seqStarted && int32(h.FlowSequence-d.seqExpected) < 0 {
-		if d.m != nil {
-			d.m.DupExports.Inc()
-		}
-		return nil
-	}
-	d.seqStarted = true
-	d.seqExpected = h.FlowSequence + uint32(len(records))
-	exportTime := time.Unix(int64(h.UnixSecs), int64(h.UnixNsecs)).UTC()
-	for _, r := range records {
-		age := time.Duration(h.SysUptimeMs-r.Last) * time.Millisecond
-		d.IngestFlow(r, exportTime.Add(-age))
-	}
-	return nil
-}
-
-// IngestFlow folds one v5 flow record, whose last packet was seen at
-// flowEnd. Only the reflected response direction matters here — any of the
-// catalogued service ports, not just 123: request flows carry no TTL in v5,
-// so scanner unmasking is left to the tap/pcap path.
-func (d *Detector) IngestFlow(r netflow.Record, flowEnd time.Time) {
-	lane, ok := flowLane(r.SrcPort)
-	if !ok || r.Packets == 0 {
-		return
-	}
-	if r.Octets/r.Packets < minReflectedPacketSize {
-		return // legitimate-service chatter, not amplification
-	}
-	if d.cfg.Vantage.OutageFraction > 0 && d.darkAt(flowEnd) {
-		// Collector outage: the flow ended while the vantage was dark.
-		if d.m != nil {
-			d.m.OutageDropped.Add(int64(r.Packets))
-		}
-		return
-	}
-	d.packets += int64(r.Packets)
-	if d.m != nil {
-		d.m.Packets.Add(int64(r.Packets))
-	}
-	// Octets are IP-layer; OnWire accounting adds the Ethernet overhead the
-	// BAF denominators use (≈38 bytes per packet at these sizes).
-	bytes := int64(r.Octets) + 38*int64(r.Packets)
-	d.ingestResponse(lane, r.SrcAddr, r.DstAddr, r.DstPort, bytes, int64(r.Packets), flowEnd)
-	d.maybePrune(flowEnd)
-}
+// packet tap. Periodic monlist polls and darknet scanner sightings fold into
+// the same per-victim state the tap maintains, so a collector can mix
+// vantages freely.
 
 // IngestMonEntry folds one polled monitor-table entry (the cmd/ntpwatch
 // live mode: repeatedly monlist a daemon and classify what its table says).
@@ -140,39 +52,6 @@ func (d *Detector) IngestMonEntry(amp netaddr.Addr, e ntp.MonEntry, now time.Tim
 		}
 	}
 	_ = amp // reflected-byte attribution needs packet sizes the table lacks
-}
-
-// IngestSensorEvent folds one amppot-style attack event (victim, port,
-// observed extent, Rep-weighted trigger packets) from a honeypot fleet.
-// Sensor events are trigger-side evidence: they count toward the victim's
-// packet threshold but contribute no reflected bytes.
-func (d *Detector) IngestSensorEvent(victim netaddr.Addr, port uint16, first, last time.Time, packets int64) {
-	if d.scanners.Has(victim) || packets <= 0 {
-		return
-	}
-	st, ok := d.victims[victim]
-	if !ok {
-		st = &victimState{first: first, last: last, port: port}
-		d.victims[victim] = st
-	}
-	st.count += packets
-	if last.After(st.last) {
-		st.last = last
-	}
-	st.port = port
-	if !st.active && st.count >= d.cfg.MinCount {
-		st.active = true
-		st.alarmed = true
-		d.alarms = append(d.alarms, Alarm{
-			Onset: true, Victim: victim, Port: port,
-			Vector: st.dominantLane().String(), At: last, Count: st.count,
-			Confidence: d.confidence(st, last),
-		})
-		if d.m != nil {
-			d.m.Onsets.Inc()
-			d.m.Active.Inc()
-		}
-	}
 }
 
 // IngestScannerSighting folds one darknet-telescope sighting of a probing

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"ntpddos/internal/netaddr"
-	"ntpddos/internal/netflow"
 	"ntpddos/internal/packet"
 	"ntpddos/internal/reflector"
 	"ntpddos/internal/vtime"
@@ -131,54 +130,6 @@ func TestLaneScannerSuppression(t *testing.T) {
 	for _, row := range sum.Vectors {
 		if row.Vector == "ssdp" && row.Suppressed != 500 {
 			t.Fatalf("ssdp lane suppressed = %d, want 500", row.Suppressed)
-		}
-	}
-}
-
-// TestNonNTPFlowIngestion pins the collector path for reflected traffic on
-// the catalogued non-123 service ports: fat response flows from 53, 1900,
-// and 19 reach the victim tracker, while off-catalogue ports and small
-// legitimate-service flows are ignored.
-func TestNonNTPFlowIngestion(t *testing.T) {
-	d := New(DefaultConfig())
-	t0 := vtime.Epoch
-	fat := func(srcPort uint16, dst netaddr.Addr, packets, octets uint32) netflow.Record {
-		return netflow.Record{
-			SrcAddr: amp, DstAddr: dst, SrcPort: srcPort, DstPort: 80,
-			Packets: packets, Octets: octets,
-		}
-	}
-	lanes := map[uint16]netaddr.Addr{
-		reflector.DNSPort:     netaddr.MustParseAddr("198.18.0.53"),
-		reflector.SSDPPort:    netaddr.MustParseAddr("198.18.0.19"),
-		reflector.ChargenPort: netaddr.MustParseAddr("198.18.0.90"),
-	}
-	for port, dst := range lanes {
-		for i := 0; i < 5; i++ {
-			d.IngestFlow(fat(port, dst, 100, 100*600), t0.Add(time.Duration(i)*30*time.Second))
-		}
-	}
-	// Off-catalogue source port: never a reflection candidate.
-	d.IngestFlow(fat(443, netaddr.MustParseAddr("198.18.0.99"), 100, 100*600), t0)
-	// Small packets from a catalogued port: legitimate service, filtered.
-	d.IngestFlow(fat(reflector.DNSPort, netaddr.MustParseAddr("198.18.0.98"), 100, 100*80), t0)
-	sum := d.Summarize(t0.Add(6 * time.Hour))
-	if len(sum.Victims) != 3 {
-		t.Fatalf("victims = %v, want the 3 lane targets", sum.Victims)
-	}
-	if sum.Packets != 1500 {
-		t.Fatalf("packets = %d, want 1500 (filtered flows uncounted)", sum.Packets)
-	}
-	for port, dst := range lanes {
-		lane, _ := flowLane(port)
-		found := false
-		for _, a := range sum.Alarms {
-			if a.Victim == dst && a.Onset && a.Vector == lane.String() {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("no %s onset for %v", lane, dst)
 		}
 	}
 }

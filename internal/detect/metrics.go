@@ -16,7 +16,6 @@ type Metrics struct {
 	Offsets         *metrics.Counter
 	SampledOut      *metrics.Counter
 	OutageDropped   *metrics.Counter
-	DupExports      *metrics.Counter
 	Active          *metrics.Gauge
 	Tracked         *metrics.Gauge
 	ScannerEstimate *metrics.Gauge
@@ -45,8 +44,6 @@ func NewMetrics(r *metrics.Registry) *Metrics {
 			"Rep-weighted packets dropped by 1-in-N vantage sampling."),
 		OutageDropped: r.NewCounter("ntpsim_detect_outage_dropped_packets_total",
 			"Rep-weighted packets dropped during collector outage windows."),
-		DupExports: r.NewCounter("ntpsim_detect_duplicate_exports_total",
-			"NetFlow export datagrams dropped as sequence-behind duplicates."),
 		Active: r.NewGauge("ntpsim_detect_active_victims",
 			"Victims currently between onset and offset."),
 		Tracked: r.NewGauge("ntpsim_detect_tracked_victims",

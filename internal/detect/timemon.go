@@ -24,42 +24,29 @@ import (
 	"ntpddos/internal/netaddr"
 )
 
-// TimeMonitorConfig tunes the integrity lane.
-type TimeMonitorConfig struct {
-	// ResidualThreshold is the smoothed |offset| beyond which a server's
+// The integrity lane's tuning.
+const (
+	// residualThreshold is the smoothed |offset| beyond which a server's
 	// disagreement counts as manipulation evidence. Benign steady-state
 	// offsets stay under ~120 ms (half the worst-case path asymmetry), so
-	// the default 300 ms clears them with margin.
-	ResidualThreshold time.Duration
-	// EWMAAlpha is the smoothing weight for fresh samples.
-	EWMAAlpha float64
-	// WarmupSamples per (client, server) are ignored: the initial
+	// 300 ms clears them with margin.
+	residualThreshold = 300 * time.Millisecond
+	// ewmaAlpha is the smoothing weight for fresh samples.
+	ewmaAlpha = 0.3
+	// warmupSamples per (client, server) are ignored: the initial
 	// convergence transient (seconds of InitOffset before the first step)
 	// must not trip the alarm.
-	WarmupSamples int
-	// MinSamples is the post-warmup sample floor before the residual
-	// alarm may fire.
-	MinSamples int
-	// KissThreshold kisses seen at one client raise the KoD-storm alarm.
-	KissThreshold int
-	// QuorumLossThreshold no-majority events raise the voting alarm.
-	QuorumLossThreshold int
-	// LeapThreshold leap-arm events raise the leap-injection alarm.
-	LeapThreshold int
-}
-
-// DefaultTimeMonitorConfig returns the tuned defaults.
-func DefaultTimeMonitorConfig() TimeMonitorConfig {
-	return TimeMonitorConfig{
-		ResidualThreshold:   300 * time.Millisecond,
-		EWMAAlpha:           0.3,
-		WarmupSamples:       4,
-		MinSamples:          8,
-		KissThreshold:       3,
-		QuorumLossThreshold: 3,
-		LeapThreshold:       2,
-	}
-}
+	warmupSamples = 4
+	// minSamples is the post-warmup sample floor before the residual alarm
+	// may fire.
+	minSamples = 8
+	// kissThreshold kisses seen at one client raise the KoD-storm alarm.
+	kissThreshold = 3
+	// quorumLossThreshold no-majority events raise the voting alarm.
+	quorumLossThreshold = 3
+	// leapThreshold leap-arm events raise the leap-injection alarm.
+	leapThreshold = 2
+)
 
 // tmAssoc is the per-(client, server) residual state.
 type tmAssoc struct {
@@ -88,35 +75,12 @@ const (
 // TimeMonitor is the integrity lane. It draws no randomness and sends no
 // packets; attaching it never perturbs the simulation.
 type TimeMonitor struct {
-	cfg     TimeMonitorConfig
 	clients map[netaddr.Addr]*tmClient
 }
 
-// NewTimeMonitor builds the lane. Zero-valued config fields get defaults.
-func NewTimeMonitor(cfg TimeMonitorConfig) *TimeMonitor {
-	def := DefaultTimeMonitorConfig()
-	if cfg.ResidualThreshold == 0 {
-		cfg.ResidualThreshold = def.ResidualThreshold
-	}
-	if cfg.EWMAAlpha == 0 {
-		cfg.EWMAAlpha = def.EWMAAlpha
-	}
-	if cfg.WarmupSamples == 0 {
-		cfg.WarmupSamples = def.WarmupSamples
-	}
-	if cfg.MinSamples == 0 {
-		cfg.MinSamples = def.MinSamples
-	}
-	if cfg.KissThreshold == 0 {
-		cfg.KissThreshold = def.KissThreshold
-	}
-	if cfg.QuorumLossThreshold == 0 {
-		cfg.QuorumLossThreshold = def.QuorumLossThreshold
-	}
-	if cfg.LeapThreshold == 0 {
-		cfg.LeapThreshold = def.LeapThreshold
-	}
-	return &TimeMonitor{cfg: cfg, clients: make(map[netaddr.Addr]*tmClient)}
+// NewTimeMonitor builds the lane.
+func NewTimeMonitor() *TimeMonitor {
+	return &TimeMonitor{clients: make(map[netaddr.Addr]*tmClient)}
 }
 
 func (tm *TimeMonitor) client(addr netaddr.Addr) *tmClient {
@@ -138,16 +102,15 @@ func (tm *TimeMonitor) ObserveSample(client, server netaddr.Addr, offset, delay 
 		c.assocs[server] = a
 	}
 	a.n++
-	if a.n <= tm.cfg.WarmupSamples {
+	if a.n <= warmupSamples {
 		return
 	}
 	abs := offset.Seconds()
 	if abs < 0 {
 		abs = -abs
 	}
-	a.ewma = tm.cfg.EWMAAlpha*abs + (1-tm.cfg.EWMAAlpha)*a.ewma
-	if a.n >= tm.cfg.WarmupSamples+tm.cfg.MinSamples &&
-		a.ewma > tm.cfg.ResidualThreshold.Seconds() {
+	a.ewma = ewmaAlpha*abs + (1-ewmaAlpha)*a.ewma
+	if a.n >= warmupSamples+minSamples && a.ewma > residualThreshold.Seconds() {
 		c.flags |= flagResidual
 	}
 }
@@ -156,7 +119,7 @@ func (tm *TimeMonitor) ObserveSample(client, server netaddr.Addr, offset, delay 
 func (tm *TimeMonitor) ObserveKiss(client, server netaddr.Addr, code string, now time.Time) {
 	c := tm.client(client)
 	c.kisses++
-	if c.kisses >= tm.cfg.KissThreshold {
+	if c.kisses >= kissThreshold {
 		c.flags |= flagKissStorm
 	}
 }
@@ -167,12 +130,12 @@ func (tm *TimeMonitor) ObserveEvent(client netaddr.Addr, kind string, magnitude 
 	switch kind {
 	case "no-majority":
 		c.quorumLoss++
-		if c.quorumLoss >= tm.cfg.QuorumLossThreshold {
+		if c.quorumLoss >= quorumLossThreshold {
 			c.flags |= flagQuorumLoss
 		}
 	case "leap":
 		c.leaps++
-		if c.leaps >= tm.cfg.LeapThreshold {
+		if c.leaps >= leapThreshold {
 			c.flags |= flagLeap
 		}
 	case "panic":

@@ -3,14 +3,16 @@ package detect
 import (
 	"time"
 
+	"ntpddos/internal/rng"
 	"ntpddos/internal/vtime"
 )
 
 // Vantage models the degraded telemetry path between the fabric and this
 // detector: NetFlow-style 1-in-N packet sampling and deterministic collector
-// outage windows. The zero value is a perfect vantage and is provably inert —
-// every gate below is behind a rate check, so an undegraded detector runs the
-// exact instruction sequence it ran before Vantage existed.
+// outage windows, aligned to the simulation epoch. The zero value is a
+// perfect vantage and is provably inert — every gate below is behind a rate
+// check, so an undegraded detector runs the exact instruction sequence it ran
+// before Vantage existed.
 type Vantage struct {
 	// SampleN applies 1-in-N systematic packet sampling to the tap stream.
 	// Kept batches are re-inflated ×N (the standard NetFlow scaling), so
@@ -25,9 +27,6 @@ type Vantage struct {
 	OutageFraction float64
 	// OutagePeriod is the outage scheduling window. Zero means 6h.
 	OutagePeriod time.Duration
-	// Anchor aligns outage windows; the zero value anchors at the simulation
-	// epoch. Scenarios anchor at their start time.
-	Anchor time.Time
 }
 
 // Degraded reports whether this vantage loses any telemetry.
@@ -40,34 +39,11 @@ func (v Vantage) period() time.Duration {
 	return 6 * time.Hour
 }
 
-func (v Vantage) anchorTime() time.Time {
-	if !v.Anchor.IsZero() {
-		return v.Anchor
-	}
-	return vtime.Epoch
-}
-
-// vantMix is a murmur-style finalizer (same mix netsim's pairHash uses) for
-// deriving outage schedules by pure hashing, never RNG draws — the schedule
-// must be a function of (seed, window index) alone so replaying a stream
-// reproduces it exactly.
-func vantMix(x uint64) uint64 {
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	x *= 0xc4ceb9fe1a85ec53
-	x ^= x >> 33
-	return x
-}
-
-// vantUnit maps a 64-bit hash onto [0, 1).
-func vantUnit(h uint64) float64 {
-	return float64(h>>11) * 0x1p-53
-}
-
 // darkSpan returns window w's outage placement: the offset of the dark
 // stretch inside the window and its length. The offset is hash-jittered per
-// window so outages don't beat against periodic traffic.
+// window so outages don't beat against periodic traffic; the schedule is a
+// pure hash of (seed, window index), never an RNG draw, so replaying a
+// stream reproduces it exactly.
 func (d *Detector) darkSpan(w int64) (off, length time.Duration) {
 	v := d.cfg.Vantage
 	p := v.period()
@@ -75,13 +51,14 @@ func (d *Detector) darkSpan(w int64) (off, length time.Duration) {
 		return 0, p
 	}
 	length = time.Duration(v.OutageFraction * float64(p))
-	off = time.Duration(vantUnit(vantMix(uint64(w)*0x9e3779b97f4a7c15^d.vantSalt)) * float64(p-length))
+	off = time.Duration(rng.Unit(rng.Mix64(uint64(w)*0x9e3779b97f4a7c15^d.vantSalt)) * float64(p-length))
 	return off, length
 }
 
-// windowOf floor-divides a time offset into (window index, remainder).
-func windowOf(since time.Time, anchor time.Time, p time.Duration) (int64, time.Duration) {
-	rel := since.Sub(anchor)
+// windowOf floor-divides t's offset from the epoch into (window index,
+// remainder).
+func windowOf(t time.Time, p time.Duration) (int64, time.Duration) {
+	rel := t.Sub(vtime.Epoch)
 	w := int64(rel / p)
 	rem := rel % p
 	if rem < 0 {
@@ -97,7 +74,7 @@ func (d *Detector) darkAt(t time.Time) bool {
 	if v.OutageFraction <= 0 {
 		return false
 	}
-	w, rem := windowOf(t, v.anchorTime(), v.period())
+	w, rem := windowOf(t, v.period())
 	off, length := d.darkSpan(w)
 	return rem >= off && rem < off+length
 }
@@ -111,15 +88,14 @@ func (d *Detector) darkOverlap(from, to time.Time) time.Duration {
 		return 0
 	}
 	p := v.period()
-	anchor := v.anchorTime()
-	w0, _ := windowOf(from, anchor, p)
-	w1, _ := windowOf(to, anchor, p)
+	w0, _ := windowOf(from, p)
+	w1, _ := windowOf(to, p)
 	if w1-w0 > 1<<16 {
 		// Absurdly wide ranges (a backdated first-seen) fall back to the
 		// long-run expectation; still deterministic.
 		return time.Duration(v.OutageFraction * float64(to.Sub(from)))
 	}
-	a, b := from.Sub(anchor), to.Sub(anchor)
+	a, b := from.Sub(vtime.Epoch), to.Sub(vtime.Epoch)
 	var total time.Duration
 	for w := w0; w <= w1; w++ {
 		off, length := d.darkSpan(w)

@@ -41,20 +41,24 @@ const DefaultSensors = 24
 // informative.
 const DefaultInclusionProb = 0.3
 
+// Every sensor's bait table and response-rate limit.
+const (
+	// monEntries is the synthetic monitor-table size each sensor discloses:
+	// enough entries to look like a worthwhile amplifier to a list-building
+	// scanner, few enough to keep the response in one fragment.
+	monEntries = 6
+	// rrlRate is the per-source response budget in packets/second averaged
+	// over rrlWindow. Scan probes (one packet) always get answered; trigger
+	// floods are clamped to the budget — attract, don't amplify.
+	rrlRate = 2
+	// rrlWindow is the budget refill interval.
+	rrlWindow = 10 * time.Second
+)
+
 // Config sizes a fleet and its detector.
 type Config struct {
 	// NumSensors is the fleet size.
 	NumSensors int
-	// MonEntries is the synthetic monitor-table size each sensor discloses:
-	// enough entries to look like a worthwhile amplifier to a list-building
-	// scanner, few enough to keep the response in one fragment.
-	MonEntries int
-	// RRLRate is the per-source response budget in packets/second averaged
-	// over RRLWindow. Scan probes (one packet) always get answered; trigger
-	// floods are clamped to the budget — attract, don't amplify.
-	RRLRate float64
-	// RRLWindow is the budget refill interval.
-	RRLWindow time.Duration
 
 	// BlackoutFraction models sensor downtime (reboots, upstream filtering,
 	// deployment churn): each sensor is dark for this fraction of every
@@ -63,11 +67,9 @@ type Config struct {
 	// event detector. Zero is provably inert — the packet path never reaches
 	// the blackout check's arithmetic.
 	BlackoutFraction float64
-	// BlackoutPeriod is the downtime scheduling window. Zero means 6h.
+	// BlackoutPeriod is the downtime scheduling window, aligned to the
+	// simulation epoch. Zero means 6h.
 	BlackoutPeriod time.Duration
-	// BlackoutAnchor aligns windows; the zero value anchors at the
-	// simulation epoch. Scenarios anchor at their start time.
-	BlackoutAnchor time.Time
 
 	Detector DetectorConfig
 }
@@ -80,9 +82,6 @@ func DefaultConfig(n int) Config {
 	}
 	return Config{
 		NumSensors: n,
-		MonEntries: 6,
-		RRLRate:    2,
-		RRLWindow:  10 * time.Second,
 		Detector:   DefaultDetectorConfig(n),
 	}
 }
@@ -178,22 +177,12 @@ func (f *Fleet) BlackoutDropped() int64 {
 	return n
 }
 
-// hpMix is the murmur-style finalizer used for per-sensor blackout phases —
-// pure hashing, never RNG draws, so sensor downtime is a function of
-// (sensor index, window) alone.
-func hpMix(x uint64) uint64 {
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	x *= 0xc4ceb9fe1a85ec53
-	x ^= x >> 33
-	return x
-}
-
 // sensorDark reports whether sensor idx is inside its blackout window at
 // now. Each sensor's dark stretch sits at a hash-derived phase within the
 // period, fixed for that sensor, so coverage degrades smoothly with the
-// fraction instead of collapsing fleet-wide.
+// fraction instead of collapsing fleet-wide. The phase is a pure hash, never
+// an RNG draw, so sensor downtime is a function of (sensor index, window)
+// alone.
 func (f *Fleet) sensorDark(idx int, now time.Time) bool {
 	frac := f.Cfg.BlackoutFraction
 	if frac <= 0 {
@@ -206,16 +195,12 @@ func (f *Fleet) sensorDark(idx int, now time.Time) bool {
 	if p <= 0 {
 		p = 6 * time.Hour
 	}
-	anchor := f.Cfg.BlackoutAnchor
-	if anchor.IsZero() {
-		anchor = vtime.Epoch
-	}
-	rem := now.Sub(anchor) % p
+	rem := now.Sub(vtime.Epoch) % p
 	if rem < 0 {
 		rem += p
 	}
 	dark := time.Duration(frac * float64(p))
-	off := time.Duration(float64(hpMix(uint64(idx)*0x9e3779b97f4a7c15+1)>>11) * 0x1p-53 * float64(p-dark))
+	off := time.Duration(rng.Unit(rng.Mix64(uint64(idx)*0x9e3779b97f4a7c15+1)) * float64(p-dark))
 	return rem >= off && rem < off+dark
 }
 
@@ -254,7 +239,7 @@ func newSensor(f *Fleet, idx int, addr netaddr.Addr, src *rng.Source) *Sensor {
 	s := &Sensor{Addr: addr, Index: idx, fleet: f, rrl: make(map[netaddr.Addr]*rrlState)}
 	// The bait table: plausible client entries so list-building scanners see
 	// a responsive, populated amplifier worth keeping.
-	for i := 0; i < f.Cfg.MonEntries; i++ {
+	for i := 0; i < monEntries; i++ {
 		s.mru = append(s.mru, ntp.MonEntry{
 			Addr:        netaddr.Addr(src.Uint32()),
 			DAddr:       addr,
@@ -461,16 +446,13 @@ func (s *Sensor) reply(nw *netsim.Network, trigger *packet.Datagram, srcPort uin
 
 // grant debits up to rep packets from the source's current budget window.
 func (s *Sensor) grant(src netaddr.Addr, rep int64, now time.Time) int64 {
-	budget := int64(s.fleet.Cfg.RRLRate * s.fleet.Cfg.RRLWindow.Seconds())
-	if budget <= 0 {
-		return rep // RRL disabled
-	}
+	const budget = rrlRate * int64(rrlWindow/time.Second)
 	st, ok := s.rrl[src]
 	if !ok {
 		st = &rrlState{windowStart: now}
 		s.rrl[src] = st
 	}
-	if now.Sub(st.windowStart) >= s.fleet.Cfg.RRLWindow {
+	if now.Sub(st.windowStart) >= rrlWindow {
 		st.windowStart = now
 		st.used = 0
 	}

@@ -65,22 +65,6 @@ func (n *Network) SetImpairment(cfg Impairment, src *rng.Source) {
 	n.impair = &impairState{cfg: cfg, src: src, salt: src.Uint64()}
 }
 
-// mix64 is the murmur-style finalizer pairHash uses, exposed for salting
-// hash-derived per-link properties without consuming randomness.
-func mix64(x uint64) uint64 {
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	x *= 0xc4ceb9fe1a85ec53
-	x ^= x >> 33
-	return x
-}
-
-// unitFloat maps a 64-bit hash onto [0, 1).
-func unitFloat(h uint64) float64 {
-	return float64(h>>11) * 0x1p-53
-}
-
 // linkDown reports whether the (origin, dst) link is inside a flap window at
 // the given time. The decision is a pure hash of (link, window index, world
 // salt): consistent for the whole window, uncorrelated across windows and
@@ -91,8 +75,8 @@ func (st *impairState) linkDown(origin, dst netaddr.Addr, now time.Time) bool {
 		return false
 	}
 	w := uint64(now.Sub(vtime.Epoch) / st.cfg.FlapPeriod)
-	h := mix64(pairHash(origin, dst) ^ st.salt ^ w*0x9e3779b97f4a7c15)
-	return unitFloat(h) < st.cfg.FlapRate
+	h := rng.Mix64(pairHash(origin, dst) ^ st.salt ^ w*0x9e3779b97f4a7c15)
+	return rng.Unit(h) < st.cfg.FlapRate
 }
 
 // linkLoss returns the per-link effective loss probability: the configured
@@ -101,7 +85,7 @@ func (st *impairState) linkLoss(origin, dst netaddr.Addr) float64 {
 	if st.cfg.Loss <= 0 {
 		return 0
 	}
-	factor := 0.5 + unitFloat(mix64(pairHash(origin, dst)^st.salt^0xc2b2ae3d27d4eb4f))
+	factor := 0.5 + rng.Unit(rng.Mix64(pairHash(origin, dst)^st.salt^0xc2b2ae3d27d4eb4f))
 	p := st.cfg.Loss * factor
 	if p > 1 {
 		p = 1

@@ -41,6 +41,7 @@ import (
 	"ntpddos/internal/metrics"
 	"ntpddos/internal/netaddr"
 	"ntpddos/internal/packet"
+	"ntpddos/internal/rng"
 	"ntpddos/internal/vtime"
 )
 
@@ -258,13 +259,7 @@ func (n *Network) Stats() Stats { return n.stats }
 // pairHash mixes a (src, dst) pair into a deterministic 64-bit value used to
 // derive per-path properties without consuming randomness.
 func pairHash(a, b netaddr.Addr) uint64 {
-	x := uint64(a)<<32 | uint64(b)
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	x *= 0xc4ceb9fe1a85ec53
-	x ^= x >> 33
-	return x
+	return rng.Mix64(uint64(a)<<32 | uint64(b))
 }
 
 // PathHops returns the deterministic hop count between two addresses,

@@ -42,6 +42,24 @@ func fnv64(name string) uint64 {
 	return h
 }
 
+// Mix64 is the murmur3 64-bit finalizer. Subsystems hash a structured key (an
+// address pair, a window index) through it to derive a per-key property —
+// path length, a flap or outage schedule, a poll phase — without drawing
+// from any stream, so the property never shifts when draws elsewhere change.
+func Mix64(x uint64) uint64 {
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	x ^= x >> 33
+	return x
+}
+
+// Unit maps a 64-bit hash onto [0, 1) by its top 53 bits.
+func Unit(h uint64) float64 {
+	return float64(h>>11) * 0x1p-53
+}
+
 // Bool returns true with probability p.
 func (s *Source) Bool(p float64) bool {
 	if p <= 0 {
@@ -68,11 +86,6 @@ func (s *Source) Pareto(xm, alpha float64) float64 {
 // of the underlying normal.
 func (s *Source) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(mu + sigma*s.NormFloat64())
-}
-
-// Exponential draws from an exponential distribution with the given mean.
-func (s *Source) Exponential(mean float64) float64 {
-	return s.ExpFloat64() * mean
 }
 
 // Poisson draws from a Poisson distribution with the given mean, using

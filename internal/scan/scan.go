@@ -269,15 +269,6 @@ func (p *Prober) Sweep(nw *netsim.Network, targets []netaddr.Addr, dstPort uint1
 // Responses returns the accumulated responses keyed by target.
 func (p *Prober) Responses() map[netaddr.Addr]*Response { return p.responses }
 
-// ResponderSet returns the set of addresses that answered at all.
-func (p *Prober) ResponderSet() netaddr.Set {
-	s := netaddr.NewSet(len(p.responses))
-	for a := range p.responses {
-		s.Add(a)
-	}
-	return s
-}
-
 // Clear resets collected responses (between weekly samples) without
 // forgetting the prober's identity.
 func (p *Prober) Clear() {

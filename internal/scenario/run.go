@@ -18,6 +18,7 @@ import (
 	"ntpddos/internal/scan"
 	"ntpddos/internal/timeattack"
 	"ntpddos/internal/timesync"
+	"ntpddos/internal/vtime"
 )
 
 // Results carries everything the experiment harness consumes.
@@ -143,9 +144,9 @@ func (w *World) Run() *Results {
 	w.scheduleSiteEvents()
 
 	if w.TimeSync != nil {
-		w.TimeSync.Start(w.Net, cfg.Start, cfg.End)
+		w.TimeSync.Start(w.Net, vtime.Epoch, cfg.End)
 		if w.TimeAttack != nil {
-			w.TimeAttack.Start(w.Net, cfg.Start, cfg.End)
+			w.TimeAttack.Start(w.Net, vtime.Epoch, cfg.End)
 		}
 	}
 
@@ -155,13 +156,13 @@ func (w *World) Run() *Results {
 	for name, gbps := range map[string]float64{"Merit": 20, "CSU": 4, "FRGP": 8} {
 		v := w.Views[name]
 		perHour := gbps * 1e9 / 8 * 3600
-		v.AddBaseline("http", cfg.Start, cfg.End, perHour*0.55)
-		v.AddBaseline("https", cfg.Start, cfg.End, perHour*0.25)
-		v.AddBaseline("other", cfg.Start, cfg.End, perHour*0.18)
-		v.AddBaseline("dns", cfg.Start, cfg.End, perHour*0.02)
+		v.AddBaseline("http", vtime.Epoch, cfg.End, perHour*0.55)
+		v.AddBaseline("https", vtime.Epoch, cfg.End, perHour*0.25)
+		v.AddBaseline("other", vtime.Epoch, cfg.End, perHour*0.18)
+		v.AddBaseline("dns", vtime.Epoch, cfg.End, perHour*0.02)
 	}
 
-	for day := cfg.Start; day.Before(cfg.End); day = day.AddDate(0, 0, 1) {
+	for day := vtime.Epoch; day.Before(cfg.End); day = day.AddDate(0, 0, 1) {
 		if day.Day() == 1 {
 			w.runTelemetryMonth(day)
 		}

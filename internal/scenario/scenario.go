@@ -45,8 +45,8 @@ type Config struct {
 	// tests use 500–2000; 1 is a full-size (slow, memory-heavy) world.
 	Scale int
 
-	Start time.Time
-	End   time.Time
+	// End closes the run; every run starts at vtime.Epoch (2013-09-01).
+	End time.Time
 
 	// Real-world (unscaled) population calibration, from the paper.
 	InitialAmplifiers int // monlist pool at the first ONP sample (1.4M)
@@ -160,23 +160,10 @@ type Config struct {
 type TimeSyncConfig struct {
 	// Clients is the number of disciplined hosts (0 disables the plane).
 	Clients int
-	// Servers sizes the dedicated stratum-2 pool the clients poll (default
-	// 8). These daemons are registered on the fabric but deliberately NOT in
-	// the survey population and live outside the §7 site networks, so the
-	// classic vantages never see them.
-	Servers int
-	// ServersPerClient is each client's association count (default 4).
-	ServersPerClient int
-	// MinPoll and MaxPoll override the discipline's poll-exponent bounds
-	// (defaults 6 and 10: 64 s to 1024 s).
-	MinPoll, MaxPoll int8
 }
 
-// Enabled reports whether the disciplined-client plane is configured.
-func (t TimeSyncConfig) Enabled() bool { return t.Clients > 0 }
-
 // FaultConfig groups the fault-injection knobs. Rates are probabilities in
-// [0, 1); durations and counts fall back to sensible defaults when zero.
+// [0, 1); the zero value injects no fault.
 type FaultConfig struct {
 	// Loss is the mean per-link drop probability applied to fabric
 	// deliveries (each link hashes a stable factor in [0.5, 1.5)).
@@ -188,25 +175,22 @@ type FaultConfig struct {
 	// delay, arriving after later traffic.
 	Reorder float64
 	// FlapRate is the fraction of (link, window) pairs that are down; flap
-	// windows tile virtual time with period FlapPeriod (default 1h).
-	FlapRate   float64
-	FlapPeriod time.Duration
+	// windows tile virtual time hourly.
+	FlapRate float64
 
 	// FlowSampleN enables systematic 1-in-N NetFlow sampling at the
 	// detector's vantage (0 or 1 disables); kept packets are re-inflated
 	// and alarm confidence drops to 1/N.
 	FlowSampleN int
-	// CollectorOutage is the dark fraction of each OutagePeriod (default
-	// 6h) during which the detector's collector sees nothing. The detector
-	// knows the schedule and holds episodes across the gaps.
+	// CollectorOutage is the dark fraction of each 6-hour window during
+	// which the detector's collector sees nothing. The detector knows the
+	// schedule and holds episodes across the gaps.
 	CollectorOutage float64
-	OutagePeriod    time.Duration
 
-	// SensorBlackout is the dark fraction of each BlackoutPeriod (default
-	// 6h) during which a honeypot sensor neither answers nor records;
-	// per-sensor phases are hashed so the fleet never goes dark at once.
+	// SensorBlackout is the dark fraction of each 6-hour window during which
+	// a honeypot sensor neither answers nor records; per-sensor phases are
+	// hashed so the fleet never goes dark at once.
 	SensorBlackout float64
-	BlackoutPeriod time.Duration
 }
 
 // fabricEnabled reports whether any packet-level impairment is configured.
@@ -224,7 +208,6 @@ func DefaultConfig() Config {
 	return Config{
 		Seed:  1,
 		Scale: 100,
-		Start: vtime.Epoch, // 2013-09-01
 		End:   time.Date(2014, 5, 1, 0, 0, 0, 0, time.UTC),
 
 		InitialAmplifiers: 1_405_000,
@@ -429,7 +412,6 @@ func Build(cfg Config) *World {
 		nw.SetImpairment(netsim.Impairment{
 			Loss: cfg.Faults.Loss, Dup: cfg.Faults.Dup,
 			Reorder: cfg.Faults.Reorder, FlapRate: cfg.Faults.FlapRate,
-			FlapPeriod: cfg.Faults.FlapPeriod,
 		}, rng.New(cfg.Seed).Fork("faults"))
 	}
 
@@ -509,8 +491,6 @@ func Build(cfg Config) *World {
 			dcfg.Vantage = detect.Vantage{
 				SampleN:        cfg.Faults.FlowSampleN,
 				OutageFraction: cfg.Faults.CollectorOutage,
-				OutagePeriod:   cfg.Faults.OutagePeriod,
-				Anchor:         cfg.Start,
 			}
 		}
 		if dcfg.Seed == 0 {
@@ -573,11 +553,7 @@ func (w *World) placeSensors() {
 		addrs = append(addrs, addr)
 	}
 	hcfg := honeypot.DefaultConfig(len(addrs))
-	if w.Cfg.Faults.SensorBlackout > 0 {
-		hcfg.BlackoutFraction = w.Cfg.Faults.SensorBlackout
-		hcfg.BlackoutPeriod = w.Cfg.Faults.BlackoutPeriod
-		hcfg.BlackoutAnchor = w.Cfg.Start
-	}
+	hcfg.BlackoutFraction = w.Cfg.Faults.SensorBlackout
 	w.Honeypots = honeypot.NewFleet(hcfg, addrs, w.hpSrc.Fork("fleet"))
 	w.Honeypots.Register(w.Net)
 }

@@ -10,6 +10,7 @@ import (
 	"ntpddos/internal/rng"
 	"ntpddos/internal/timeattack"
 	"ntpddos/internal/timesync"
+	"ntpddos/internal/vtime"
 )
 
 // timesyncASWeights places disciplined clients and their dedicated servers
@@ -20,6 +21,15 @@ var timesyncASWeights = map[asdb.ASType]float64{
 	asdb.Hosting: 0.3, asdb.Education: 0.3, asdb.Enterprise: 0.4,
 }
 
+// The dedicated stratum-2 pool the clients poll, and each client's
+// association count. The pool's daemons are registered on the fabric but
+// deliberately NOT in the survey population and live outside the §7 site
+// networks, so the classic vantages never see them.
+const (
+	timesyncServers  = 8
+	serversPerClient = 4
+)
+
 // buildTimeSync deploys the disciplined-client plane: a dedicated stratum-2
 // server pool, the client fleet, the optional time-integrity attack plane,
 // and the drift-aware monitor. Every draw comes from private streams forked
@@ -29,18 +39,9 @@ var timesyncASWeights = map[asdb.ASType]float64{
 // ignores mode 3/4 traffic — enabling this plane leaves all classic report
 // digests byte-identical.
 func (w *World) buildTimeSync() {
-	tc := w.Cfg.TimeSync
-	if !tc.Enabled() {
+	clients := w.Cfg.TimeSync.Clients
+	if clients <= 0 {
 		return
-	}
-	if tc.Servers <= 0 {
-		tc.Servers = 8
-	}
-	if tc.ServersPerClient <= 0 {
-		tc.ServersPerClient = 4
-	}
-	if tc.ServersPerClient > tc.Servers {
-		tc.ServersPerClient = tc.Servers
 	}
 
 	src := rng.New(w.Cfg.Seed).Fork("timesync")
@@ -52,7 +53,7 @@ func (w *World) buildTimeSync() {
 			return timesyncASWeights[as.Type]
 		})
 	}
-	seen := netaddr.NewSet(tc.Servers + tc.Clients)
+	seen := netaddr.NewSet(timesyncServers + clients)
 	pickAddr := func(budget int) (netaddr.Addr, bool) {
 		for tries := 0; tries < budget; tries++ {
 			as := pickAS()
@@ -74,8 +75,8 @@ func (w *World) buildTimeSync() {
 
 	// The dedicated stratum-2 pool: plain daemons, no monlist, no mode 6 —
 	// they exist to serve time, not to amplify.
-	pool := make([]netaddr.Addr, 0, tc.Servers)
-	for len(pool) < tc.Servers {
+	pool := make([]netaddr.Addr, 0, timesyncServers)
+	for len(pool) < timesyncServers {
 		addr, ok := pickAddr(50)
 		if !ok {
 			break
@@ -89,7 +90,7 @@ func (w *World) buildTimeSync() {
 		w.Net.Register(addr, srv)
 		pool = append(pool, addr)
 	}
-	if len(pool) < tc.ServersPerClient {
+	if len(pool) < serversPerClient {
 		return // address space exhausted; no fleet without a quorum's worth
 	}
 
@@ -99,7 +100,7 @@ func (w *World) buildTimeSync() {
 	}
 	fleet := timesync.NewFleet()
 	perm := make([]netaddr.Addr, len(pool))
-	for i := 0; i < tc.Clients; i++ {
+	for i := 0; i < clients; i++ {
 		addr, ok := pickAddr(50)
 		if !ok {
 			break
@@ -107,23 +108,21 @@ func (w *World) buildTimeSync() {
 		// Partial Fisher-Yates: each client polls a distinct random subset
 		// of the pool, with a fixed per-client draw count.
 		copy(perm, pool)
-		for j := 0; j < tc.ServersPerClient; j++ {
+		for j := 0; j < serversPerClient; j++ {
 			k := j + src.IntN(len(perm)-j)
 			perm[j], perm[k] = perm[k], perm[j]
 		}
-		servers := make([]netaddr.Addr, tc.ServersPerClient)
-		copy(servers, perm[:tc.ServersPerClient])
+		servers := make([]netaddr.Addr, serversPerClient)
+		copy(servers, perm[:serversPerClient])
 		fleet.Add(timesync.NewClient(timesync.Config{
 			Addr:    addr,
 			Servers: servers,
-			MinPoll: tc.MinPoll,
-			MaxPoll: tc.MaxPoll,
 			// Boot-time clock state: up to ±2 s initial phase error and
 			// ±50 ppm hardware frequency error.
 			InitOffset: time.Duration((src.Float64()*4 - 2) * float64(time.Second)),
 			FreqPPM:    src.Float64()*100 - 50,
 			Metrics:    tsm,
-		}, w.Cfg.Start))
+		}, vtime.Epoch))
 	}
 	fleet.Register(w.Net)
 	w.TimeSync = fleet
@@ -144,7 +143,7 @@ func (w *World) buildTimeSync() {
 		w.TimeAttack = plane
 	}
 	if w.Cfg.Detector != nil {
-		w.TimeMon = detect.NewTimeMonitor(detect.TimeMonitorConfig{})
+		w.TimeMon = detect.NewTimeMonitor()
 		fleet.SetMonitor(w.TimeMon)
 	}
 }

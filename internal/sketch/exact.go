@@ -33,16 +33,6 @@ func (e *ExactCount) Estimate(key uint64) int64 { return e.counts[key] }
 // Total returns the true N.
 func (e *ExactCount) Total() int64 { return e.total }
 
-// Keys returns every observed key, sorted.
-func (e *ExactCount) Keys() []uint64 {
-	out := make([]uint64, 0, len(e.counts))
-	for k := range e.counts {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // ExactDistinct is the exact twin of HLL.
 type ExactDistinct struct {
 	seen map[uint64]struct{}

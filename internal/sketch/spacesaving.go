@@ -40,9 +40,6 @@ func NewSpaceSaving(k int) *SpaceSaving {
 	return &SpaceSaving{k: k, entries: make(map[uint64]*ssEntry, k)}
 }
 
-// K returns the capacity.
-func (s *SpaceSaving) K() int { return s.k }
-
 // Len returns the number of monitored keys.
 func (s *SpaceSaving) Len() int { return len(s.entries) }
 

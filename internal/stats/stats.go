@@ -314,9 +314,6 @@ func (ts *TimeSeries) Len() int {
 	return len(ts.data)
 }
 
-// Bucket returns the series granularity.
-func (ts *TimeSeries) Bucket() time.Duration { return ts.bucket }
-
 // Percentile95 implements the 95th-percentile billing rule used by transit
 // providers (and by Merit, per §7.1): sort the interval samples, drop the
 // top 5%, and bill at the highest remaining sample.

@@ -75,13 +75,14 @@ func (m Model) String() string {
 	return "unknown"
 }
 
+// warmup delays attack onset past run start so detectors see a clean
+// baseline first.
+const warmup = 3 * 24 * time.Hour
+
 // Config parameterizes the plane.
 type Config struct {
 	// Share is the fraction of disciplined clients attacked.
 	Share float64
-	// Warmup delays attack onset past run start so detectors see a clean
-	// baseline first. Default 3 days.
-	Warmup time.Duration
 	// Origins are spoofing-capable source addresses for the off-path
 	// models (the scenario hands in its bot pool).
 	Origins []netaddr.Addr
@@ -117,9 +118,6 @@ type Plane struct {
 
 // New builds an empty plane.
 func New(cfg Config) *Plane {
-	if cfg.Warmup == 0 {
-		cfg.Warmup = 3 * 24 * time.Hour
-	}
 	p := &Plane{cfg: cfg, attacked: netaddr.NewSet(0)}
 	for i := range p.byModel {
 		p.byModel[i] = netaddr.NewSet(0)
@@ -181,7 +179,7 @@ func (p *Plane) Start(nw *netsim.Network, start, end time.Time) {
 	if len(p.targets) == 0 {
 		return
 	}
-	at := start.Add(p.cfg.Warmup)
+	at := start.Add(warmup)
 	if !at.Before(end) {
 		return
 	}
@@ -230,7 +228,7 @@ func (p *Plane) fireBurst(nw *netsim.Network, t *target, now time.Time) {
 				p.cfg.Metrics.ForgedKisses.Inc()
 			}
 		}
-		nw.SendSpoofed(t.origin, s, ntp.Port, t.client.Addr(), t.client.Port(),
+		nw.SendSpoofed(t.origin, s, ntp.Port, t.client.Addr(), timesync.Port,
 			netsim.TTLWindows, h.AppendTo(nil))
 	}
 	t.kodFlip = !t.kodFlip
@@ -238,9 +236,6 @@ func (p *Plane) fireBurst(nw *netsim.Network, t *target, now time.Time) {
 
 // Attacked returns the ground-truth set of attacked client addresses.
 func (p *Plane) Attacked() netaddr.Set { return p.attacked }
-
-// AttackedBy returns the ground truth for one model.
-func (p *Plane) AttackedBy(m Model) netaddr.Set { return p.byModel[m] }
 
 // Summary is the plane's end-of-run accounting.
 type Summary struct {

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"ntpddos/internal/netsim"
+	"ntpddos/internal/rng"
 )
 
 // Fleet is the set of disciplined clients in a world, with the scheduling
@@ -44,7 +45,7 @@ func (f *Fleet) Start(nw *netsim.Network, start, end time.Time) {
 		for _, a := range c.assocs {
 			a := a
 			c := c
-			phase := time.Duration(pairPhase(uint64(c.cfg.Addr)<<32|uint64(a.server)) % uint64(pollInterval(c.cfg.MinPoll)))
+			phase := time.Duration(rng.Mix64(uint64(c.cfg.Addr)<<32|uint64(a.server)) % uint64(pollInterval(MinPoll)))
 			nw.Scheduler().At(start.Add(time.Second+phase), func(now time.Time) {
 				c.pollAssoc(nw, a, now)
 			})
@@ -83,7 +84,7 @@ func (f *Fleet) Summarize(now time.Time) *Summary {
 		if e > s.MaxAbsErr {
 			s.MaxAbsErr = e
 		}
-		if e < c.cfg.StepThreshold {
+		if e < StepThreshold {
 			s.Synced++
 		}
 		if c.Stopped() {
@@ -116,15 +117,4 @@ func (f *Fleet) Summarize(now time.Time) *Summary {
 		s.MeanAbsErr = sumErr / time.Duration(len(f.clients))
 	}
 	return s
-}
-
-// pairPhase is a small FNV-style mix for deterministic poll phases,
-// independent of any RNG stream.
-func pairPhase(x uint64) uint64 {
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	x *= 0xc4ceb9fe1a85ec53
-	x ^= x >> 33
-	return x
 }

@@ -19,22 +19,21 @@ import (
 	"ntpddos/internal/packet"
 )
 
-// Discipline thresholds and defaults, straight from RFC 5905 §11 and the
-// ntpd reference implementation.
+// Discipline thresholds, straight from RFC 5905 §11 and the ntpd reference
+// implementation.
 const (
-	// DefaultStepThreshold: offsets at or above this are stepped, below are
+	// StepThreshold: offsets at or above this are stepped, below are
 	// slewed (ntpd's STEPT, 128 ms).
-	DefaultStepThreshold = 128 * time.Millisecond
-	// DefaultPanicThreshold: offsets above this are never applied once the
-	// clock has been set (ntpd's PANICT, 1000 s). Gradual-drift attacks
-	// stay under it on purpose.
-	DefaultPanicThreshold = 1000 * time.Second
-	// DefaultMinPoll/DefaultMaxPoll bound the poll exponent: 2^6 = 64 s to
-	// 2^10 = 1024 s.
-	DefaultMinPoll int8 = 6
-	DefaultMaxPoll int8 = 10
-	// DefaultPort is the client's ephemeral source port for polls.
-	DefaultPort uint16 = 50123
+	StepThreshold = 128 * time.Millisecond
+	// PanicThreshold: offsets above this are never applied once the clock
+	// has been set (ntpd's PANICT, 1000 s). Gradual-drift attacks stay
+	// under it on purpose.
+	PanicThreshold = 1000 * time.Second
+	// MinPoll/MaxPoll bound the poll exponent: 2^6 = 64 s to 2^10 = 1024 s.
+	MinPoll int8 = 6
+	MaxPoll int8 = 10
+	// Port is every client's ephemeral source port for polls.
+	Port uint16 = 50123
 	// filterDepth is the clock-filter shift register size (RFC 5905 §10).
 	filterDepth = 8
 	// maxFreqCorr caps the discipline's frequency correction at ±500 ppm,
@@ -128,15 +127,10 @@ func (c *LocalClock) Slew(now time.Time, delta time.Duration, freqAdj float64) {
 
 // Config describes one disciplined client.
 type Config struct {
-	// Addr is the client's fabric address; Port its poll source port.
+	// Addr is the client's fabric address.
 	Addr netaddr.Addr
-	Port uint16
 	// Servers are the time sources, one association each.
 	Servers []netaddr.Addr
-	// MinPoll/MaxPoll bound the poll exponent (defaults 6 and 10).
-	MinPoll, MaxPoll int8
-	// StepThreshold and PanicThreshold override the RFC defaults.
-	StepThreshold, PanicThreshold time.Duration
 	// InitOffset is the clock's phase error at start; FreqPPM its hardware
 	// drift in parts per million.
 	InitOffset time.Duration
@@ -239,28 +233,13 @@ type Client struct {
 
 // NewClient builds a client; start seeds the local clock model.
 func NewClient(cfg Config, start time.Time) *Client {
-	if cfg.Port == 0 {
-		cfg.Port = DefaultPort
-	}
-	if cfg.MinPoll == 0 {
-		cfg.MinPoll = DefaultMinPoll
-	}
-	if cfg.MaxPoll == 0 {
-		cfg.MaxPoll = DefaultMaxPoll
-	}
-	if cfg.StepThreshold == 0 {
-		cfg.StepThreshold = DefaultStepThreshold
-	}
-	if cfg.PanicThreshold == 0 {
-		cfg.PanicThreshold = DefaultPanicThreshold
-	}
 	c := &Client{
 		cfg:      cfg,
 		clk:      NewLocalClock(start, cfg.InitOffset, cfg.FreqPPM),
 		byServer: make(map[netaddr.Addr]*assoc, len(cfg.Servers)),
 	}
 	for _, s := range cfg.Servers {
-		a := &assoc{server: s, poll: cfg.MinPoll}
+		a := &assoc{server: s, poll: MinPoll}
 		c.assocs = append(c.assocs, a)
 		c.byServer[s] = a
 	}
@@ -308,7 +287,7 @@ func (c *Client) pollAssoc(nw *netsim.Network, a *assoc, now time.Time) {
 	a.inflight = true
 	a.reach <<= 1
 	req := ntp.NewPollRequest(a.poll, a.xmt)
-	nw.SendUDP(c.cfg.Addr, c.cfg.Port, a.server, ntp.Port, netsim.TTLLinux, req.AppendTo(nil))
+	nw.SendUDP(c.cfg.Addr, Port, a.server, ntp.Port, netsim.TTLLinux, req.AppendTo(nil))
 	c.stats.Polls++
 	if c.cfg.Metrics != nil {
 		c.cfg.Metrics.Polls.Inc()
@@ -322,7 +301,7 @@ func (c *Client) pollAssoc(nw *netsim.Network, a *assoc, now time.Time) {
 // HandlePacket implements netsim.Host: decode a candidate mode 4 reply,
 // validate its origin, feed the clock filter, and run the discipline.
 func (c *Client) HandlePacket(nw *netsim.Network, dg *packet.Datagram, now time.Time) {
-	if dg.UDP.DstPort != c.cfg.Port {
+	if dg.UDP.DstPort != Port {
 		return
 	}
 	a := c.byServer[dg.IP.Src]
@@ -413,7 +392,7 @@ func (c *Client) handleKiss(a *assoc, r *ntp.SyncReply, now time.Time) {
 	case ntp.KissRATE:
 		c.stats.KodRate++
 		a.inflight = false
-		if a.poll < c.cfg.MaxPoll {
+		if a.poll < MaxPoll {
 			a.poll++
 		}
 	case ntp.KissDENY, ntp.KissRSTR:
@@ -515,7 +494,7 @@ func (c *Client) updateClock(now time.Time) {
 func (c *Client) discipline(theta float64, now time.Time) {
 	abs := math.Abs(theta)
 	switch {
-	case abs > c.cfg.PanicThreshold.Seconds() && c.clk.everSet:
+	case abs > PanicThreshold.Seconds() && c.clk.everSet:
 		c.panicked = true
 		c.stats.Panics++
 		if c.cfg.Metrics != nil {
@@ -525,7 +504,7 @@ func (c *Client) discipline(theta float64, now time.Time) {
 			c.cfg.Monitor.ObserveEvent(c.cfg.Addr, EventPanic, dur(theta), now)
 		}
 		return
-	case abs >= c.cfg.StepThreshold.Seconds() || !c.clk.everSet:
+	case abs >= StepThreshold.Seconds() || !c.clk.everSet:
 		c.clk.Step(now, dur(theta))
 		c.stats.Steps++
 		if c.cfg.Metrics != nil {
@@ -538,7 +517,7 @@ func (c *Client) discipline(theta float64, now time.Time) {
 		// against the pre-step clock) and restarts poll adaptation.
 		for _, a := range c.assocs {
 			a.clear()
-			a.poll = c.cfg.MinPoll
+			a.poll = MinPoll
 		}
 		c.streak = 0
 	default:
@@ -560,21 +539,21 @@ func (c *Client) discipline(theta float64, now time.Time) {
 	// Poll adaptation: widen after sustained small offsets, snap back to
 	// minpoll when the offset grows.
 	switch {
-	case abs < c.cfg.StepThreshold.Seconds()/4:
+	case abs < StepThreshold.Seconds()/4:
 		c.streak++
 		if c.streak >= 4 {
 			c.streak = 0
 			for _, a := range c.assocs {
-				if !a.stopped && a.poll < c.cfg.MaxPoll {
+				if !a.stopped && a.poll < MaxPoll {
 					a.poll++
 				}
 			}
 		}
-	case abs > c.cfg.StepThreshold.Seconds()/2:
+	case abs > StepThreshold.Seconds()/2:
 		c.streak = 0
 		for _, a := range c.assocs {
 			if !a.stopped {
-				a.poll = c.cfg.MinPoll
+				a.poll = MinPoll
 			}
 		}
 	}
@@ -583,7 +562,7 @@ func (c *Client) discipline(theta float64, now time.Time) {
 // sysPoll is the shortest active poll exponent, used as the discipline's
 // time constant.
 func (c *Client) sysPoll() int8 {
-	p := c.cfg.MaxPoll
+	p := MaxPoll
 	for _, a := range c.assocs {
 		if !a.stopped && a.poll < p {
 			p = a.poll
@@ -602,6 +581,3 @@ func dur(secs float64) time.Duration {
 
 // Servers returns the client's configured time sources.
 func (c *Client) Servers() []netaddr.Addr { return c.cfg.Servers }
-
-// Port returns the client's poll source port.
-func (c *Client) Port() uint16 { return c.cfg.Port }

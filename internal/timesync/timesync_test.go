@@ -81,7 +81,7 @@ func TestBenignConvergence(t *testing.T) {
 	if sum.Synced != 1 {
 		t.Fatalf("client not synced at end: clock error %v", c.ClockErr(end))
 	}
-	if e := c.ClockErr(end); e >= DefaultStepThreshold || e <= -DefaultStepThreshold {
+	if e := c.ClockErr(end); e >= StepThreshold || e <= -StepThreshold {
 		t.Fatalf("steady-state clock error %v breaches the step threshold", e)
 	}
 	if sum.NoMajority != 0 {
@@ -91,7 +91,7 @@ func TestBenignConvergence(t *testing.T) {
 		t.Fatalf("benign run panicked")
 	}
 	// Poll adaptation must have widened intervals beyond minpoll.
-	if got := c.sysPoll(); got <= DefaultMinPoll {
+	if got := c.sysPoll(); got <= MinPoll {
 		t.Errorf("poll exponent never backed off: still %d", got)
 	}
 }
@@ -99,7 +99,7 @@ func TestBenignConvergence(t *testing.T) {
 // deliver injects a crafted reply from server into the client as if it
 // arrived off the fabric.
 func deliver(c *Client, nw *netsim.Network, server netaddr.Addr, h *ntp.Header, now time.Time) {
-	dg := packet.NewDatagram(server, ntp.Port, c.cfg.Addr, c.cfg.Port, h.AppendTo(nil))
+	dg := packet.NewDatagram(server, ntp.Port, c.cfg.Addr, Port, h.AppendTo(nil))
 	c.HandlePacket(nw, dg, now)
 }
 
@@ -118,17 +118,17 @@ func TestKoDHandling(t *testing.T) {
 		wantStopped bool
 		wantCounted func(s Stats) int64
 	}{
-		{"RATE backs off poll", ntp.KissRATE, false, false, DefaultMinPoll + 1, false,
+		{"RATE backs off poll", ntp.KissRATE, false, false, MinPoll + 1, false,
 			func(s Stats) int64 { return s.KodRate }},
-		{"DENY stops association", ntp.KissDENY, false, false, DefaultMinPoll, true,
+		{"DENY stops association", ntp.KissDENY, false, false, MinPoll, true,
 			func(s Stats) int64 { return s.KodDeny }},
-		{"RSTR stops association", ntp.KissRSTR, false, false, DefaultMinPoll, true,
+		{"RSTR stops association", ntp.KissRSTR, false, false, MinPoll, true,
 			func(s Stats) int64 { return s.KodDeny }},
-		{"unknown code ignored", "STEP", false, false, DefaultMinPoll, false,
+		{"unknown code ignored", "STEP", false, false, MinPoll, false,
 			func(s Stats) int64 { return s.KodOther }},
-		{"forged RATE rejected by hardened client", ntp.KissRATE, false, true, DefaultMinPoll, false,
+		{"forged RATE rejected by hardened client", ntp.KissRATE, false, true, MinPoll, false,
 			func(s Stats) int64 { return s.KodRejected }},
-		{"forged DENY honored by insecure client", ntp.KissDENY, true, true, DefaultMinPoll, true,
+		{"forged DENY honored by insecure client", ntp.KissDENY, true, true, MinPoll, true,
 			func(s Stats) int64 { return s.KodDeny }},
 	}
 	for _, tc := range cases {
