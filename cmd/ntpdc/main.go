@@ -30,6 +30,10 @@ func main() {
 	showVersion := buildinfo.Flag()
 	flag.Parse()
 	buildinfo.Handle("ntpdc", *showVersion)
+	if *wait <= 0 {
+		fmt.Fprintf(os.Stderr, "ntpdc: bad -wait %v: want a positive response window\n", *wait)
+		os.Exit(2)
+	}
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: ntpdc -c <command> host:port")
 		os.Exit(2)

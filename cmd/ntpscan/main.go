@@ -45,6 +45,10 @@ func main() {
 	showVersion := buildinfo.Flag()
 	flag.Parse()
 	buildinfo.Handle("ntpscan", *showVersion)
+	if *wait <= 0 {
+		fmt.Fprintf(os.Stderr, "ntpscan: bad -wait %v: want a positive response window\n", *wait)
+		os.Exit(2)
+	}
 
 	// Sweep instrumentation: the same ntpsim_scan_* families the simulated
 	// surveys export, labeled by probe kind.

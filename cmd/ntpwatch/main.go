@@ -49,9 +49,16 @@ func main() {
 	showVersion := buildinfo.Flag()
 	flag.Parse()
 	buildinfo.Handle("ntpwatch", *showVersion)
+	switch {
+	case *polls < 0:
+		badFlag("-polls %d: want 0 (poll until interrupted) or more", *polls)
+	case *interval <= 0:
+		badFlag("-interval %v: want a positive poll spacing", *interval)
+	case *topk < 0:
+		badFlag("-topk %d: want 0 or more heavy hitters", *topk)
+	}
 
-	cfg := detect.DefaultConfig()
-	d := detect.New(cfg)
+	d := detect.New(detect.DefaultConfig())
 	printer := &alarmPrinter{}
 
 	switch {
@@ -70,6 +77,12 @@ func main() {
 	}
 
 	summarize(d, printer, *topk)
+}
+
+// badFlag reports an out-of-range flag value and exits 2.
+func badFlag(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "ntpwatch: bad "+format+"\n", args...)
+	os.Exit(2)
 }
 
 // alarmPrinter prints each alarm once, as soon as it appears in the

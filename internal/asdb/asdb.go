@@ -123,11 +123,6 @@ type Config struct {
 	SpooferFraction float64
 }
 
-// DefaultConfig returns the config used by scaled benchmark worlds.
-func DefaultConfig() Config {
-	return Config{NumASes: 1500, SpooferFraction: 0.25}
-}
-
 // DB is the built registry.
 type DB struct {
 	ASes  []*AS

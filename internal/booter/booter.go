@@ -18,33 +18,9 @@ import (
 	"time"
 
 	"ntpddos/internal/attack"
-	"ntpddos/internal/metrics"
 	"ntpddos/internal/netaddr"
 	"ntpddos/internal/rng"
 )
-
-// Metrics is the storefront's live instrumentation, labeled by service name
-// so several storefronts share one registry. Revenue is a gauge (it only
-// grows, but cents make it non-integral and a counter's monotonic contract
-// is better reserved for event counts).
-type Metrics struct {
-	Orders     *metrics.CounterVec // by service, outcome: launched|rejected
-	Subs       *metrics.CounterVec // subscriptions sold, by service
-	RevenueUSD *metrics.GaugeVec   // cumulative revenue, by service
-}
-
-// NewMetrics registers the booter family on r (nil r yields no-op metrics).
-func NewMetrics(r *metrics.Registry) *Metrics {
-	return &Metrics{
-		Orders: r.NewCounterVec("ntpsim_booter_orders_total",
-			"Attack orders placed, by storefront and outcome.",
-			"service", "outcome"),
-		Subs: r.NewCounterVec("ntpsim_booter_subscriptions_total",
-			"Subscriptions sold, by storefront.", "service"),
-		RevenueUSD: r.NewGaugeVec("ntpsim_booter_revenue_usd",
-			"Cumulative storefront revenue in USD.", "service"),
-	}
-}
 
 // Tier is a subscription level.
 type Tier struct {
@@ -101,23 +77,6 @@ type Service struct {
 	customers  map[string]*customer
 	orders     []*Order
 	RevenueUSD float64
-
-	mLaunched *metrics.Counter
-	mRejected *metrics.Counter
-	mSubs     *metrics.Counter
-	mRevenue  *metrics.Gauge
-}
-
-// SetMetrics attaches live instrumentation under this storefront's name.
-func (s *Service) SetMetrics(m *Metrics) {
-	if m == nil {
-		s.mLaunched, s.mRejected, s.mSubs, s.mRevenue = nil, nil, nil, nil
-		return
-	}
-	s.mLaunched = m.Orders.With(s.Name, "launched")
-	s.mRejected = m.Orders.With(s.Name, "rejected")
-	s.mSubs = m.Subs.With(s.Name)
-	s.mRevenue = m.RevenueUSD.With(s.Name)
 }
 
 type customer struct {
@@ -140,8 +99,6 @@ func (s *Service) Subscribe(name, tierName string, now time.Time) error {
 		if t.Name == tierName {
 			s.customers[name] = &customer{tier: t, expires: now.AddDate(0, 1, 0)}
 			s.RevenueUSD += t.PriceUSD
-			s.mSubs.Inc()
-			s.mRevenue.Set(s.RevenueUSD)
 			return nil
 		}
 	}
@@ -167,7 +124,6 @@ func (s *Service) PlaceOrder(customerName string, victim netaddr.Addr, port uint
 		o.Rejected = "no amplifiers harvested"
 	}
 	if o.Rejected != "" {
-		s.mRejected.Inc()
 		return o
 	}
 	if o.Seconds > c.tier.MaxSeconds {
@@ -195,7 +151,6 @@ func (s *Service) PlaceOrder(customerName string, victim netaddr.Addr, port uint
 		c.active--
 	})
 	o.Launched = true
-	s.mLaunched.Inc()
 	return o
 }
 

@@ -22,10 +22,12 @@ const (
 	Victim
 )
 
-// Classification thresholds from §4.2.
+// The §4.2 victim thresholds: a mode 6/7 client is a victim once it has
+// sent at least VictimMinCount packets at an average inter-arrival of at
+// most VictimMaxInterarrival. The streaming detector applies the same two.
 const (
-	victimMinCount       = 3
-	victimMaxInterarrSec = 3600
+	VictimMinCount        = 3
+	VictimMaxInterarrival = 3600 * time.Second
 )
 
 // ClassifyEntry applies the paper's filter to one table entry. The probing
@@ -37,7 +39,7 @@ func ClassifyEntry(e ntp.MonEntry, probeAddr netaddr.Addr) EntryClass {
 	if e.Mode < ntp.ModeControl { // modes 0..5
 		return NonVictim
 	}
-	if e.Count < victimMinCount || e.AvgInterval > victimMaxInterarrSec {
+	if e.Count < VictimMinCount || e.AvgInterval > uint32(VictimMaxInterarrival/time.Second) {
 		return ScannerOrLowVolume
 	}
 	return Victim

@@ -19,12 +19,13 @@ import (
 	"ntpddos/internal/vtime"
 )
 
+// coverage is the fraction of the prefix's /24s that are effectively dark
+// and capturable — "roughly 75% of an IPv4 /8" for Merit's.
+const coverage = 0.75
+
 // Telescope observes a dark prefix. It implements netsim.Tap.
 type Telescope struct {
 	Prefix netaddr.Prefix
-	// Coverage is the fraction of the prefix's /24s that are effectively
-	// dark and capturable — "roughly 75% of an IPv4 /8" for Merit's.
-	Coverage float64
 
 	benign map[netaddr.Addr]bool
 
@@ -37,11 +38,10 @@ type Telescope struct {
 	scannersByDay map[time.Time]netaddr.Set
 }
 
-// New builds a telescope over prefix with the given /24 coverage fraction.
-func New(prefix netaddr.Prefix, coverage float64) *Telescope {
+// New builds a telescope over prefix.
+func New(prefix netaddr.Prefix) *Telescope {
 	return &Telescope{
 		Prefix:           prefix,
-		Coverage:         coverage,
 		benign:           make(map[netaddr.Addr]bool),
 		NTPPackets:       stats.NewTimeSeries(vtime.Epoch, 30*24*time.Hour),
 		BenignNTPPackets: stats.NewTimeSeries(vtime.Epoch, 30*24*time.Hour),
@@ -64,7 +64,7 @@ func (t *Telescope) Covers(dst netaddr.Addr) bool {
 		return false
 	}
 	h := uint64(dst>>8) * 0x9e3779b97f4a7c15 >> 40
-	return float64(h%1000) < t.Coverage*1000
+	return float64(h%1000) < coverage*1000
 }
 
 // ObserveTrain implements netsim.Tap. A train's payloads share its
@@ -102,7 +102,7 @@ func (t *Telescope) ObserveTrain(hdr *packet.Datagram, payloads [][]byte, reps [
 // /24 block".
 func (t *Telescope) EffectiveDark24s() float64 {
 	total := float64(t.Prefix.NumAddrs() / 256)
-	return total * t.Coverage
+	return total * coverage
 }
 
 // MonthlyRow is one Figure 8 bar: packets per dark /24 in a month, split by

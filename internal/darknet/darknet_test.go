@@ -16,7 +16,7 @@ func probe(src, dst netaddr.Addr, dstPort uint16, rep int64) *packet.Datagram {
 }
 
 func newScope() *Telescope {
-	return New(netaddr.MustParsePrefix("35.0.0.0/8"), 0.75)
+	return New(netaddr.MustParsePrefix("35.0.0.0/8"))
 }
 
 func TestCoversOnlyInsidePrefix(t *testing.T) {

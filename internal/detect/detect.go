@@ -8,7 +8,7 @@
 //   - the unique-scanner cardinality (HyperLogLog — §5's darknet count,
 //     computed from the attack-facing vantage instead),
 //   - EWMA-based onset/offset alarms reproducing the paper's §4.2 victim
-//     thresholds (mode ≥ 6, count ≥ 3, average inter-arrival ≤ 3600 s)
+//     thresholds (mode ≥ 6, core.VictimMinCount, core.VictimMaxInterarrival)
 //     online, per victim, as traffic arrives.
 //
 // Scanners are disambiguated from victims the way §7.2 does: a mode 6/7
@@ -19,18 +19,21 @@
 // scanner, which receives millions of mode 7 response packets, out of the
 // victim set.
 //
-// The detector is a passive tap: it never sends, never touches the
-// simulation RNG or scheduler, and is seeded independently, so enabling it
-// cannot perturb a run (the root-package digest test pins this).
+// The detector is a passive tap: it never sends and never touches the
+// simulation RNG or scheduler, so enabling it cannot perturb a run (the
+// root-package digest test pins this). Its sketch hashing and outage
+// schedule are keyed by sketchKey, one fixed key in every world: no world
+// ever forked a key of its own from the seed, and the plane digests pin
+// this key's outputs.
 package detect
 
 import (
 	"bytes"
-	"fmt"
 	"math"
 	"sort"
 	"time"
 
+	"ntpddos/internal/core"
 	"ntpddos/internal/netaddr"
 	"ntpddos/internal/ntp"
 	"ntpddos/internal/packet"
@@ -72,45 +75,38 @@ func (l Lane) String() string {
 // Lanes returns every lane in presentation order.
 func Lanes() []Lane { return []Lane{LaneNTP, LaneDNS, LaneSSDP, LaneChargen} }
 
-// Config parameterizes the detector. The zero value is not usable; start
-// from DefaultConfig.
+// Config parameterizes the detector. The zero value is a detector with a
+// perfect vantage.
 type Config struct {
-	// Seed drives the sketch hash functions. The scenario forks it from the
-	// world seed on an isolated stream.
-	Seed uint64
-
-	// TopK sizes the victim and amplifier SpaceSaving summaries.
-	TopK int
-	// HLLPrecision sizes the scanner-cardinality HyperLogLog.
-	HLLPrecision uint8
-
-	// The paper's §4.2 victim thresholds, applied online.
-	MinCount           int64
-	MaxAvgInterarrival time.Duration
-	// RateHalfLife is the EWMA half-life of the per-victim packet-rate
-	// estimate backing the onset/offset alarms.
-	RateHalfLife time.Duration
-	// OffsetGap is the silence after which an active victim gets an offset
-	// alarm.
-	OffsetGap time.Duration
-
 	// Vantage degrades the telemetry feeding this detector (packet sampling,
 	// collector outages). The zero value is a perfect vantage; see Vantage.
 	Vantage Vantage
 }
 
-// DefaultConfig returns the paper-threshold calibration.
-func DefaultConfig() Config {
-	return Config{
-		Seed:               1,
-		TopK:               64,
-		HLLPrecision:       12,
-		MinCount:           3,                  // §4.2: at least 3 packets
-		MaxAvgInterarrival: 3600 * time.Second, // §4.2: more than one packet/hour
-		RateHalfLife:       10 * time.Minute,
-		OffsetGap:          2 * time.Hour,
-	}
-}
+// DefaultConfig returns a detector with a perfect vantage.
+func DefaultConfig() Config { return Config{} }
+
+// The detector's calibration. The §4.2 count and inter-arrival thresholds
+// are core's; these size the sketches and time the alarms.
+const (
+	// topK sizes the victim and amplifier SpaceSaving summaries.
+	topK = 64
+	// hllPrecision sizes the scanner-cardinality HyperLogLog.
+	hllPrecision = 12
+	// rateHalfLife is the EWMA half-life of the per-victim packet-rate
+	// estimate backing the onset/offset alarms.
+	rateHalfLife = 10 * time.Minute
+	// offsetGap is the silence after which an active victim gets an offset
+	// alarm.
+	offsetGap = 2 * time.Hour
+	// sketchKey keys the HyperLogLog hash and salts the collector-outage
+	// schedule. It is the same in every world, as it always was; changing
+	// it would move every detector output.
+	sketchKey = 1
+)
+
+// vantSalt salts the collector-outage schedule hash.
+var vantSalt = rng.Mix64(sketchKey ^ 0xd6e8feb86659fd93)
 
 // Alarm is one onset or offset detection.
 type Alarm struct {
@@ -162,7 +158,7 @@ type victimState struct {
 
 	// Pulse tracking: gapEWMA is the learned inter-burst silence (seconds),
 	// gapN how many such gaps were observed. A resumption after silence in
-	// (minPulseGap, pulseLearnCap×OffsetGap] reveals the wave's rotation
+	// (minPulseGap, pulseLearnCap×offsetGap] reveals the wave's rotation
 	// period; the offset deadline stretches to ride out further gaps of
 	// that size instead of flapping once per burst.
 	gapEWMA float64
@@ -185,7 +181,7 @@ func (st *victimState) dominantLane() Lane {
 // trigger batching interval a sustained campaign uses (20 minutes), so
 // batch spacing is never mistaken for a rotation period; pulseHold sizes
 // the deadline stretch per learned gap; pulseLearnCap bounds both what is
-// learnable and the stretched deadline (silence beyond a few OffsetGaps is
+// learnable and the stretched deadline (silence beyond a few offsetGaps is
 // a separate attack, not a rotation).
 const (
 	minPulseGap   = 30 * time.Minute
@@ -216,9 +212,8 @@ type Detector struct {
 	// lanes is the per-protocol breakdown of the totals above.
 	lanes [numLanes]laneStats
 
-	// Degraded-vantage state: the outage-schedule hash salt and the
-	// systematic sampling phase accumulator.
-	vantSalt    uint64
+	// samplePhase is the degraded vantage's systematic sampling phase
+	// accumulator.
 	samplePhase int64
 
 	m *Metrics
@@ -239,22 +234,15 @@ const pruneEvery = 8192
 
 // New builds a detector.
 func New(cfg Config) *Detector {
-	if cfg.TopK < 1 {
-		panic(fmt.Sprintf("detect: TopK %d < 1", cfg.TopK))
-	}
 	return &Detector{
 		cfg:        cfg,
-		victimTop:  sketch.NewSpaceSaving(cfg.TopK),
-		ampTop:     sketch.NewSpaceSaving(cfg.TopK),
-		scannerHLL: sketch.NewHLL(cfg.HLLPrecision, cfg.Seed),
+		victimTop:  sketch.NewSpaceSaving(topK),
+		ampTop:     sketch.NewSpaceSaving(topK),
+		scannerHLL: sketch.NewHLL(hllPrecision, sketchKey),
 		victims:    make(map[netaddr.Addr]*victimState),
 		scanners:   netaddr.NewSet(0),
-		vantSalt:   rng.Mix64(cfg.Seed ^ 0xd6e8feb86659fd93),
 	}
 }
-
-// Config returns the detector's calibration.
-func (d *Detector) Config() Config { return d.cfg }
 
 // SetMetrics attaches (or, with nil, detaches) live instrumentation.
 func (d *Detector) SetMetrics(m *Metrics) { d.m = m }
@@ -433,16 +421,16 @@ func (d *Detector) ingestResponse(lane Lane, amp, victim netaddr.Addr, victimPor
 	}
 	// EWMA rate: decay to now, then add this batch's impulse. In steady
 	// state at r packets/second the estimate converges to r.
-	hl := d.cfg.RateHalfLife.Seconds()
+	hl := rateHalfLife.Seconds()
 	if dt := now.Sub(st.last).Seconds(); dt > 0 {
 		st.rate *= math.Exp2(-dt / hl)
 		// Pulse learning: traffic resuming after a long silence on an
 		// already-alarmed victim reveals a burst rotation period. Learn it
 		// (EWMA, first observation seeds) so the offset deadline can stretch
 		// to ride the wave. Bounded below by minPulseGap so sustained-flood
-		// batching never registers, above by pulseLearnCap×OffsetGap so a
+		// batching never registers, above by pulseLearnCap×offsetGap so a
 		// genuinely separate later attack doesn't.
-		if st.alarmed && dt >= minPulseGap.Seconds() && dt <= (pulseLearnCap*d.cfg.OffsetGap).Seconds() {
+		if st.alarmed && dt >= minPulseGap.Seconds() && dt <= (pulseLearnCap*offsetGap).Seconds() {
 			if st.gapN == 0 {
 				st.gapEWMA = dt
 			} else {
@@ -476,12 +464,12 @@ func (d *Detector) ingestResponse(lane Lane, amp, victim netaddr.Addr, victimPor
 
 // qualifies applies the §4.2 victim thresholds online: enough packets, and
 // both the lifetime average inter-arrival and the instantaneous EWMA rate
-// above one packet per MaxAvgInterarrival.
+// above one packet per core.VictimMaxInterarrival.
 func (d *Detector) qualifies(st *victimState, now time.Time) bool {
-	if st.count < d.cfg.MinCount {
+	if st.count < core.VictimMinCount {
 		return false
 	}
-	maxGap := d.cfg.MaxAvgInterarrival.Seconds()
+	maxGap := core.VictimMaxInterarrival.Seconds()
 	if avg := now.Sub(st.first).Seconds() / float64(st.count-1); avg > maxGap {
 		return false
 	}
@@ -501,19 +489,19 @@ func (d *Detector) maybePrune(now time.Time) {
 }
 
 // offsetDeadline is the silence that ends a victim's active episode. For
-// sustained floods it is the configured OffsetGap; once inter-burst gaps
-// have been learned, it stretches to pulseHold× the gap EWMA (capped at
-// pulseLearnCap×OffsetGap) so a pulse wave reads as one episode instead of
+// sustained floods it is offsetGap; once inter-burst gaps have been
+// learned, it stretches to pulseHold× the gap EWMA (capped at
+// pulseLearnCap×offsetGap) so a pulse wave reads as one episode instead of
 // one onset/offset flap per burst. The first long-gap cycle still flaps
 // once — the gap is only observable after traffic resumes — after which the
 // tracker converges.
 func (d *Detector) offsetDeadline(st *victimState) time.Duration {
-	deadline := d.cfg.OffsetGap
+	deadline := offsetGap
 	if st.gapN > 0 {
 		if learned := time.Duration(pulseHold * st.gapEWMA * float64(time.Second)); learned > deadline {
 			deadline = learned
 		}
-		if max := pulseLearnCap * d.cfg.OffsetGap; deadline > max {
+		if max := pulseLearnCap * offsetGap; deadline > max {
 			deadline = max
 		}
 	}
@@ -556,7 +544,7 @@ func (d *Detector) sweep(now time.Time, final bool) {
 				d.m.Active.Dec()
 			}
 		}
-		if !st.alarmed && idle >= 2*d.cfg.OffsetGap {
+		if !st.alarmed && idle >= 2*offsetGap {
 			delete(d.victims, addr)
 		}
 	}
@@ -616,6 +604,3 @@ func (d *Detector) TopVictims(n int) []HeavyHitter { return topEntries(d.victimT
 
 // TopAmplifiers returns the n heaviest amplifiers by emitted bytes.
 func (d *Detector) TopAmplifiers(n int) []HeavyHitter { return topEntries(d.ampTop, n) }
-
-// ScannersMarked returns the exact count of suppressed prober addresses.
-func (d *Detector) ScannersMarked() int { return d.scanners.Len() }

@@ -56,8 +56,8 @@ func TestOnsetAndOffsetAlarms(t *testing.T) {
 	if !onset.Onset || !onset.At.Equal(t0) || onset.Victim != victim || onset.Port != 80 {
 		t.Fatalf("bad onset %+v", onset)
 	}
-	// The last packet lands at t0+120s; the offset fires OffsetGap later.
-	wantOff := t0.Add(120 * time.Second).Add(DefaultConfig().OffsetGap)
+	// The last packet lands at t0+120s; the offset fires offsetGap later.
+	wantOff := t0.Add(120 * time.Second).Add(offsetGap)
 	if offset.Onset || !offset.At.Equal(wantOff) {
 		t.Fatalf("offset at %v, want %v (%+v)", offset.At, wantOff, offset)
 	}
@@ -189,8 +189,7 @@ func TestDetectorDeterminism(t *testing.T) {
 // TestPruneBoundsMemory drives many one-shot below-threshold victims
 // through and checks the sweep drops their state.
 func TestPruneBoundsMemory(t *testing.T) {
-	cfg := DefaultConfig()
-	d := New(cfg)
+	d := New(DefaultConfig())
 	t0 := vtime.Epoch
 	for i := 0; i < 100_000; i++ {
 		v := netaddr.Addr(0x20000000 + uint32(i))

@@ -134,7 +134,7 @@ func TestLaneScannerSuppression(t *testing.T) {
 	}
 }
 
-// TestPulseWaveTracker drives a 3-hour-period pulse wave (gap > OffsetGap)
+// TestPulseWaveTracker drives a 3-hour-period pulse wave (gap > offsetGap)
 // with periodic sweeps and checks the tracker flaps once — the unavoidable
 // first long-gap cycle — then learns the rotation and holds the episode
 // open across later gaps.
@@ -170,7 +170,7 @@ func TestPulseWaveTracker(t *testing.T) {
 			offsets++
 		}
 	}
-	// Burst 1: onset. Gap 1 silences past OffsetGap before the rotation is
+	// Burst 1: onset. Gap 1 silences past offsetGap before the rotation is
 	// learnable → one offset+onset flap at burst 2. From then on the learned
 	// deadline (2× the ~3h gap EWMA) rides out every later gap.
 	if onsets != 2 || offsets != 2 {
@@ -181,10 +181,9 @@ func TestPulseWaveTracker(t *testing.T) {
 
 // TestSustainedOffsetUnchanged pins that the pulse tracker leaves classic
 // sustained-flood offsets alone: no gap ≥ minPulseGap ever occurs, so the
-// deadline stays at OffsetGap exactly.
+// deadline stays at offsetGap exactly.
 func TestSustainedOffsetUnchanged(t *testing.T) {
-	cfg := DefaultConfig()
-	d := New(cfg)
+	d := New(DefaultConfig())
 	t0 := vtime.Epoch
 	// 20-minute batch spacing — the coarsest classic campaign interval.
 	var last time.Time
@@ -192,11 +191,11 @@ func TestSustainedOffsetUnchanged(t *testing.T) {
 		last = t0.Add(time.Duration(i) * 20 * time.Minute)
 		observeOne(d, monlistResponse(amp, victim, 80, 100), last)
 	}
-	sum := d.Summarize(last.Add(cfg.OffsetGap + time.Hour))
+	sum := d.Summarize(last.Add(offsetGap + time.Hour))
 	if len(sum.Alarms) != 2 {
 		t.Fatalf("alarms = %+v, want onset+offset", sum.Alarms)
 	}
-	if off := sum.Alarms[1]; off.Onset || !off.At.Equal(last.Add(cfg.OffsetGap)) {
-		t.Fatalf("offset at %v, want last+OffsetGap %v", off.At, last.Add(cfg.OffsetGap))
+	if off := sum.Alarms[1]; off.Onset || !off.At.Equal(last.Add(offsetGap)) {
+		t.Fatalf("offset at %v, want last+offsetGap %v", off.At, last.Add(offsetGap))
 	}
 }

@@ -79,8 +79,8 @@ func (d *Detector) Summarize(now time.Time) *Summary {
 		ScannerEstimate: d.scannerHLL.Estimate(),
 		Alarms:          d.Alarms(),
 		Victims:         d.VictimSet().Sorted(),
-		TopVictims:      d.TopVictims(d.cfg.TopK),
-		TopAmplifiers:   d.TopAmplifiers(d.cfg.TopK),
+		TopVictims:      d.TopVictims(topK),
+		TopAmplifiers:   d.TopAmplifiers(topK),
 	}
 }
 

@@ -17,27 +17,21 @@ type Vantage struct {
 	// SampleN applies 1-in-N systematic packet sampling to the tap stream.
 	// Kept batches are re-inflated ×N (the standard NetFlow scaling), so
 	// totals stay calibrated while small flows can vanish entirely — exactly
-	// the failure mode that erodes the §4.2 MinCount threshold. 0 or 1 means
-	// unsampled.
+	// the failure mode that erodes the §4.2 core.VictimMinCount threshold.
+	// 0 or 1 means unsampled.
 	SampleN int
-	// OutageFraction is the fraction of each OutagePeriod the collector is
+	// OutageFraction is the fraction of each outagePeriod the collector is
 	// dark. Everything observed while dark is dropped; the offset sweep
 	// subtracts dark time from victim idleness so an outage mid-campaign
 	// cannot flap an episode.
 	OutageFraction float64
-	// OutagePeriod is the outage scheduling window. Zero means 6h.
-	OutagePeriod time.Duration
 }
+
+// outagePeriod is the collector-outage scheduling window.
+const outagePeriod = 6 * time.Hour
 
 // Degraded reports whether this vantage loses any telemetry.
 func (v Vantage) Degraded() bool { return v.SampleN > 1 || v.OutageFraction > 0 }
-
-func (v Vantage) period() time.Duration {
-	if v.OutagePeriod > 0 {
-		return v.OutagePeriod
-	}
-	return 6 * time.Hour
-}
 
 // darkSpan returns window w's outage placement: the offset of the dark
 // stretch inside the window and its length. The offset is hash-jittered per
@@ -45,36 +39,34 @@ func (v Vantage) period() time.Duration {
 // pure hash of (seed, window index), never an RNG draw, so replaying a
 // stream reproduces it exactly.
 func (d *Detector) darkSpan(w int64) (off, length time.Duration) {
-	v := d.cfg.Vantage
-	p := v.period()
-	if v.OutageFraction >= 1 {
-		return 0, p
+	frac := d.cfg.Vantage.OutageFraction
+	if frac >= 1 {
+		return 0, outagePeriod
 	}
-	length = time.Duration(v.OutageFraction * float64(p))
-	off = time.Duration(rng.Unit(rng.Mix64(uint64(w)*0x9e3779b97f4a7c15^d.vantSalt)) * float64(p-length))
+	length = time.Duration(frac * float64(outagePeriod))
+	off = time.Duration(rng.Unit(rng.Mix64(uint64(w)*0x9e3779b97f4a7c15^vantSalt)) * float64(outagePeriod-length))
 	return off, length
 }
 
-// windowOf floor-divides t's offset from the epoch into (window index,
-// remainder).
-func windowOf(t time.Time, p time.Duration) (int64, time.Duration) {
+// windowOf floor-divides t's offset from the epoch into (outage window
+// index, remainder).
+func windowOf(t time.Time) (int64, time.Duration) {
 	rel := t.Sub(vtime.Epoch)
-	w := int64(rel / p)
-	rem := rel % p
+	w := int64(rel / outagePeriod)
+	rem := rel % outagePeriod
 	if rem < 0 {
 		w--
-		rem += p
+		rem += outagePeriod
 	}
 	return w, rem
 }
 
 // darkAt reports whether the collector is inside an outage window at t.
 func (d *Detector) darkAt(t time.Time) bool {
-	v := d.cfg.Vantage
-	if v.OutageFraction <= 0 {
+	if d.cfg.Vantage.OutageFraction <= 0 {
 		return false
 	}
-	w, rem := windowOf(t, v.period())
+	w, rem := windowOf(t)
 	off, length := d.darkSpan(w)
 	return rem >= off && rem < off+length
 }
@@ -87,9 +79,8 @@ func (d *Detector) darkOverlap(from, to time.Time) time.Duration {
 	if v.OutageFraction <= 0 || !to.After(from) {
 		return 0
 	}
-	p := v.period()
-	w0, _ := windowOf(from, p)
-	w1, _ := windowOf(to, p)
+	w0, _ := windowOf(from)
+	w1, _ := windowOf(to)
 	if w1-w0 > 1<<16 {
 		// Absurdly wide ranges (a backdated first-seen) fall back to the
 		// long-run expectation; still deterministic.
@@ -99,7 +90,7 @@ func (d *Detector) darkOverlap(from, to time.Time) time.Duration {
 	var total time.Duration
 	for w := w0; w <= w1; w++ {
 		off, length := d.darkSpan(w)
-		ds := time.Duration(w)*p + off
+		ds := time.Duration(w)*outagePeriod + off
 		de := ds + length
 		lo, hi := ds, de
 		if a > lo {

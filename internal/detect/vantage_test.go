@@ -15,7 +15,7 @@ import (
 func TestCollectorOutageHoldsEpisode(t *testing.T) {
 	cfg := DefaultConfig()
 	t0 := vtime.Epoch
-	cfg.Vantage = Vantage{OutageFraction: 0.75, OutagePeriod: 4 * time.Hour}
+	cfg.Vantage = Vantage{OutageFraction: 0.75}
 	d := New(cfg)
 	naive := New(DefaultConfig())
 
@@ -113,11 +113,11 @@ func TestSampledOffsetDeadlineWidens(t *testing.T) {
 	cfg.Vantage = Vantage{SampleN: 2}
 	d := New(cfg)
 	st := &victimState{}
-	if got, want := d.offsetDeadline(st), 2*cfg.OffsetGap; got != want {
+	if got, want := d.offsetDeadline(st), 2*offsetGap; got != want {
 		t.Fatalf("deadline = %v, want %v (2x widening)", got, want)
 	}
 	cfg.Vantage = Vantage{SampleN: 64}
-	if got, want := New(cfg).offsetDeadline(st), 4*cfg.OffsetGap; got != want {
+	if got, want := New(cfg).offsetDeadline(st), 4*offsetGap; got != want {
 		t.Fatalf("deadline = %v, want %v (capped 4x widening)", got, want)
 	}
 }

@@ -11,7 +11,7 @@ import (
 // BenchmarkDetectorIngestAttack measures the hot path under attack load:
 // one victim key, batched triggers arriving across the fleet.
 func BenchmarkDetectorIngestAttack(b *testing.B) {
-	d := NewDetector(DefaultDetectorConfig(24))
+	d := NewDetector(24)
 	victim := netaddr.MustParseAddr("203.0.113.9")
 	now := vtime.Epoch
 	b.ReportAllocs()
@@ -24,7 +24,7 @@ func BenchmarkDetectorIngestAttack(b *testing.B) {
 // every probe is a fresh (source, port) key, exercising map churn and the
 // periodic prune.
 func BenchmarkDetectorIngestScan(b *testing.B) {
-	d := NewDetector(DefaultDetectorConfig(24))
+	d := NewDetector(24)
 	now := vtime.Epoch
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -37,7 +37,7 @@ func BenchmarkDetectorIngestScan(b *testing.B) {
 // a dense packet train inside one window so every ingest both appends and
 // compacts.
 func BenchmarkDetectorWindowAggregation(b *testing.B) {
-	d := NewDetector(DefaultDetectorConfig(24))
+	d := NewDetector(24)
 	victim := netaddr.MustParseAddr("203.0.113.9")
 	now := vtime.Epoch
 	b.ReportAllocs()

@@ -52,52 +52,24 @@ func NewMetrics(r *metrics.Registry) *Metrics {
 	}
 }
 
-// DetectorConfig tunes event detection.
-type DetectorConfig struct {
-	// Window is the sliding aggregation window.
-	Window time.Duration
-	// MinPackets is the Rep-weighted request count inside Window that opens
-	// an event. The smallest fabric campaigns deliver rate×duration ≥ 20
-	// packets per included sensor in a single trigger batch; scan probes
-	// deliver exactly one packet per (source, port) key.
-	MinPackets int64
-	// EventGap closes an event after this much silence on its key. It must
+// The event detector's calibration.
+const (
+	// eventWindow is the sliding aggregation window.
+	eventWindow = time.Minute
+	// eventMinPackets is the Rep-weighted request count inside eventWindow
+	// that opens an event. The smallest fabric campaigns deliver
+	// rate×duration ≥ 20 packets per included sensor in a single trigger
+	// batch; scan probes deliver exactly one packet per (source, port) key.
+	eventMinPackets = 15
+	// eventGap closes an event after this much silence on its key. It must
 	// exceed the coarsest trigger batching interval (long site campaigns
 	// batch at 20 minutes), or one campaign shatters into many events.
-	EventGap time.Duration
-	// BurstGap is the sub-event granularity: quiet spells longer than this
-	// but shorter than EventGap are merged into the open event and counted —
+	eventGap = 45 * time.Minute
+	// burstGap is the sub-event granularity: quiet spells longer than this
+	// but shorter than eventGap are merged into the open event and counted —
 	// the flow-level attack count a honeypot event can hide.
-	BurstGap time.Duration
-
-	// NumSensors sizes the per-source fan-out profile for scanner
-	// disambiguation.
-	NumSensors int
-	// ScannerFanout is the distinct-sensor count at which a source becomes a
-	// scanner candidate (broad coverage of the fleet).
-	ScannerFanout int
-	// ScannerUniformity is the darknet.UniformityScore threshold for the
-	// scanner classification.
-	ScannerUniformity float64
-}
-
-// DefaultDetectorConfig returns the thresholds used by the scenario for a
-// fleet of n sensors.
-func DefaultDetectorConfig(n int) DetectorConfig {
-	fanout := n * 3 / 5
-	if fanout < 2 {
-		fanout = 2
-	}
-	return DetectorConfig{
-		Window:            time.Minute,
-		MinPackets:        15,
-		EventGap:          45 * time.Minute,
-		BurstGap:          5 * time.Minute,
-		NumSensors:        n,
-		ScannerFanout:     fanout,
-		ScannerUniformity: darknet.DefaultScannerScore,
-	}
-}
+	burstGap = 5 * time.Minute
+)
 
 // Event is one detected attack: sustained monlist requests claiming the same
 // (victim, port) source across the fleet.
@@ -108,12 +80,12 @@ type Event struct {
 	Last   time.Time
 	// Packets is the Rep-weighted request total.
 	Packets int64
-	// Bursts counts the BurstGap-separated trigger episodes merged into this
+	// Bursts counts the burstGap-separated trigger episodes merged into this
 	// one event (the honeypot-vs-flow count disagreement, quantified).
 	Bursts int
 	// Sensors is the set of sensor indices that observed the event.
 	Sensors map[int]struct{}
-	// PeakWindow is the highest Rep-weighted count seen in one Window.
+	// PeakWindow is the highest Rep-weighted count seen in one eventWindow.
 	PeakWindow int64
 }
 
@@ -147,7 +119,7 @@ type sample struct {
 
 // flowState is one key's sliding window plus its open event.
 type flowState struct {
-	window    []sample // FIFO, bounded by Window
+	window    []sample // FIFO, bounded by eventWindow
 	windowSum int64
 	lastSeen  time.Time
 	event     *Event
@@ -164,7 +136,10 @@ type sourceStats struct {
 
 // Detector aggregates fleet-wide requests into events.
 type Detector struct {
-	Cfg DetectorConfig
+	// numSensors sizes the per-source fan-out profile for scanner
+	// disambiguation; fanout is the distinct-sensor count at which a source
+	// becomes a scanner candidate (broad coverage of the fleet).
+	numSensors, fanout int
 
 	flows   map[flowKey]*flowState
 	sources map[netaddr.Addr]*sourceStats
@@ -183,12 +158,17 @@ type Detector struct {
 // SetMetrics attaches (or, with nil, detaches) live instrumentation.
 func (d *Detector) SetMetrics(m *Metrics) { d.m = m }
 
-// NewDetector builds a detector.
-func NewDetector(cfg DetectorConfig) *Detector {
+// NewDetector builds a detector for a fleet of numSensors sensors.
+func NewDetector(numSensors int) *Detector {
+	fanout := numSensors * 3 / 5
+	if fanout < 2 {
+		fanout = 2
+	}
 	return &Detector{
-		Cfg:     cfg,
-		flows:   make(map[flowKey]*flowState),
-		sources: make(map[netaddr.Addr]*sourceStats),
+		numSensors: numSensors,
+		fanout:     fanout,
+		flows:      make(map[flowKey]*flowState),
+		sources:    make(map[netaddr.Addr]*sourceStats),
 	}
 }
 
@@ -208,7 +188,7 @@ func (d *Detector) Ingest(sensorIdx int, src netaddr.Addr, srcPort uint16, ttl u
 	// Per-source profile.
 	ss, ok := d.sources[src]
 	if !ok {
-		ss = &sourceStats{perSensor: make([]float64, d.Cfg.NumSensors)}
+		ss = &sourceStats{perSensor: make([]float64, d.numSensors)}
 		d.sources[src] = ss
 	}
 	if sensorIdx >= 0 && sensorIdx < len(ss.perSensor) {
@@ -230,7 +210,7 @@ func (d *Detector) Ingest(sensorIdx int, src netaddr.Addr, srcPort uint16, ttl u
 	}
 
 	// Close a stale event before extending the window across the gap.
-	if fs.event != nil && now.Sub(fs.lastSeen) > d.Cfg.EventGap {
+	if fs.event != nil && now.Sub(fs.lastSeen) > eventGap {
 		d.closed = append(d.closed, fs.event)
 		fs.event = nil
 		fs.window = fs.window[:0]
@@ -241,8 +221,8 @@ func (d *Detector) Ingest(sensorIdx int, src netaddr.Addr, srcPort uint16, ttl u
 		}
 	}
 
-	// Evict samples older than Window.
-	cutoff := now.Add(-d.Cfg.Window)
+	// Evict samples older than eventWindow.
+	cutoff := now.Add(-eventWindow)
 	i := 0
 	for i < len(fs.window) && fs.window[i].t.Before(cutoff) {
 		fs.windowSum -= fs.window[i].rep
@@ -259,7 +239,7 @@ func (d *Detector) Ingest(sensorIdx int, src netaddr.Addr, srcPort uint16, ttl u
 
 	if fs.event != nil {
 		ev := fs.event
-		if now.Sub(fs.lastSeen) > d.Cfg.BurstGap {
+		if now.Sub(fs.lastSeen) > burstGap {
 			ev.Bursts++
 			if d.m != nil {
 				d.m.BurstsMerged.Inc()
@@ -271,7 +251,7 @@ func (d *Detector) Ingest(sensorIdx int, src netaddr.Addr, srcPort uint16, ttl u
 		if fs.windowSum > ev.PeakWindow {
 			ev.PeakWindow = fs.windowSum
 		}
-	} else if fs.windowSum >= d.Cfg.MinPackets {
+	} else if fs.windowSum >= eventMinPackets {
 		if d.isScanner(ss) {
 			d.SuppressedScanners++
 			if d.m != nil {
@@ -307,18 +287,18 @@ func (d *Detector) Ingest(sensorIdx int, src netaddr.Addr, srcPort uint16, ttl u
 // coverage (the shared darknet uniformity score), no key ever sustaining
 // event-grade rates, and the Linux TTL fingerprint of real scan boxes.
 func (d *Detector) isScanner(ss *sourceStats) bool {
-	if ss.peak >= d.Cfg.MinPackets*4 {
+	if ss.peak >= eventMinPackets*4 {
 		return false // sustained event-grade rate: not reconnaissance
 	}
 	if ss.totalPkts > 0 && float64(ss.linuxTTL)/float64(ss.totalPkts) < 0.5 {
 		return false // predominantly Windows-band TTLs: spoofing bots
 	}
-	return darknet.ScannerLike(ss.perSensor, d.Cfg.ScannerFanout, d.Cfg.ScannerUniformity)
+	return darknet.ScannerLike(ss.perSensor, d.fanout, darknet.DefaultScannerScore)
 }
 
 // prune drops idle, event-less flow keys (scan probes create one key each).
 func (d *Detector) prune(now time.Time) {
-	cutoff := now.Add(-d.Cfg.EventGap)
+	cutoff := now.Add(-eventGap)
 	for k, fs := range d.flows {
 		if fs.event == nil && fs.lastSeen.Before(cutoff) {
 			delete(d.flows, k)

@@ -55,42 +55,22 @@ const (
 	rrlWindow = 10 * time.Second
 )
 
-// Config sizes a fleet and its detector.
-type Config struct {
-	// NumSensors is the fleet size.
-	NumSensors int
-
-	// BlackoutFraction models sensor downtime (reboots, upstream filtering,
-	// deployment churn): each sensor is dark for this fraction of every
-	// BlackoutPeriod, phase-shifted per sensor by a pure hash so the fleet
-	// never goes dark in unison. A dark sensor neither answers nor feeds the
-	// event detector. Zero is provably inert — the packet path never reaches
-	// the blackout check's arithmetic.
-	BlackoutFraction float64
-	// BlackoutPeriod is the downtime scheduling window, aligned to the
-	// simulation epoch. Zero means 6h.
-	BlackoutPeriod time.Duration
-
-	Detector DetectorConfig
-}
-
-// DefaultConfig returns the scenario's fleet configuration for n sensors
-// (n <= 0 selects DefaultSensors).
-func DefaultConfig(n int) Config {
-	if n <= 0 {
-		n = DefaultSensors
-	}
-	return Config{
-		NumSensors: n,
-		Detector:   DefaultDetectorConfig(n),
-	}
-}
+// blackoutPeriod is the sensor-downtime scheduling window, aligned to the
+// simulation epoch.
+const blackoutPeriod = 6 * time.Hour
 
 // Fleet is a deployed set of sensors sharing one event detector.
 type Fleet struct {
-	Cfg      Config
 	Sensors  []*Sensor
 	Detector *Detector
+
+	// blackout models sensor downtime (reboots, upstream filtering,
+	// deployment churn): each sensor is dark for this fraction of every
+	// blackoutPeriod, phase-shifted per sensor by a pure hash so the fleet
+	// never goes dark in unison. A dark sensor neither answers nor feeds the
+	// event detector. Zero is provably inert — the packet path never reaches
+	// the blackout schedule's arithmetic.
+	blackout float64
 
 	m *Metrics
 }
@@ -101,16 +81,14 @@ func (f *Fleet) SetMetrics(m *Metrics) {
 	f.Detector.SetMetrics(m)
 }
 
-// NewFleet builds a fleet on the given addresses. The source seeds the
-// synthetic monitor-table bait; it is not consumed afterwards, so fleet
-// operation never perturbs other subsystems' randomness.
-func NewFleet(cfg Config, addrs []netaddr.Addr, src *rng.Source) *Fleet {
-	if cfg.NumSensors > len(addrs) {
-		cfg.NumSensors = len(addrs)
-	}
-	f := &Fleet{Cfg: cfg, Detector: NewDetector(cfg.Detector)}
-	for i := 0; i < cfg.NumSensors; i++ {
-		f.Sensors = append(f.Sensors, newSensor(f, i, addrs[i], src))
+// NewFleet builds a fleet of one sensor on each address, each dark for the
+// blackout fraction of every blackoutPeriod. The source seeds the synthetic
+// monitor-table bait; it is not consumed afterwards, so fleet operation
+// never perturbs other subsystems' randomness.
+func NewFleet(addrs []netaddr.Addr, blackout float64, src *rng.Source) *Fleet {
+	f := &Fleet{blackout: blackout, Detector: NewDetector(len(addrs))}
+	for i, addr := range addrs {
+		f.Sensors = append(f.Sensors, newSensor(f, i, addr, src))
 	}
 	return f
 }
@@ -184,23 +162,18 @@ func (f *Fleet) BlackoutDropped() int64 {
 // an RNG draw, so sensor downtime is a function of (sensor index, window)
 // alone.
 func (f *Fleet) sensorDark(idx int, now time.Time) bool {
-	frac := f.Cfg.BlackoutFraction
-	if frac <= 0 {
+	if f.blackout <= 0 {
 		return false
 	}
-	if frac >= 1 {
+	if f.blackout >= 1 {
 		return true
 	}
-	p := f.Cfg.BlackoutPeriod
-	if p <= 0 {
-		p = 6 * time.Hour
-	}
-	rem := now.Sub(vtime.Epoch) % p
+	rem := now.Sub(vtime.Epoch) % blackoutPeriod
 	if rem < 0 {
-		rem += p
+		rem += blackoutPeriod
 	}
-	dark := time.Duration(frac * float64(p))
-	off := time.Duration(rng.Unit(rng.Mix64(uint64(idx)*0x9e3779b97f4a7c15+1)) * float64(p-dark))
+	dark := time.Duration(f.blackout * float64(blackoutPeriod))
+	off := time.Duration(rng.Unit(rng.Mix64(uint64(idx)*0x9e3779b97f4a7c15+1)) * float64(blackoutPeriod-dark))
 	return rem >= off && rem < off+dark
 }
 
@@ -260,7 +233,7 @@ func newSensor(f *Fleet, idx int, addr netaddr.Addr, src *rng.Source) *Sensor {
 // in harvested reflector lists. Every trigger feeds the fleet's (protocol-
 // agnostic) event detector; every reply is clamped by the same RRL budget.
 func (s *Sensor) HandlePacket(nw *netsim.Network, dg *packet.Datagram, now time.Time) {
-	if s.fleet.Cfg.BlackoutFraction > 0 && s.fleet.sensorDark(s.Index, now) {
+	if s.fleet.sensorDark(s.Index, now) {
 		rep := dg.Rep
 		if rep <= 0 {
 			rep = 1

@@ -30,7 +30,7 @@ func sensorAddrs(n int) []netaddr.Addr {
 
 func deployFleet(t *testing.T, nw *netsim.Network, n int) *Fleet {
 	t.Helper()
-	f := NewFleet(DefaultConfig(n), sensorAddrs(n), rng.New(7).Fork("honeypot"))
+	f := NewFleet(sensorAddrs(n), 0, rng.New(7).Fork("honeypot"))
 	if len(f.Sensors) != n {
 		t.Fatalf("fleet has %d sensors, want %d", len(f.Sensors), n)
 	}
@@ -184,20 +184,19 @@ func TestSensorAnswersReadVarAndPriming(t *testing.T) {
 }
 
 func TestDetectorBurstsAndEventExpiry(t *testing.T) {
-	cfg := DefaultDetectorConfig(4)
-	d := NewDetector(cfg)
+	d := NewDetector(4)
 	victim := netaddr.MustParseAddr("203.0.113.9")
 	now := vtime.Epoch
 
-	// First episode: two bursts separated by more than BurstGap but less
-	// than EventGap — one event, two bursts.
+	// First episode: two bursts separated by more than burstGap but less
+	// than eventGap — one event, two bursts.
 	d.Ingest(0, victim, 80, 110, 30, now)
 	d.Ingest(1, victim, 80, 110, 30, now.Add(10*time.Second))
-	t2 := now.Add(cfg.BurstGap + time.Minute)
+	t2 := now.Add(burstGap + time.Minute)
 	d.Ingest(0, victim, 80, 110, 30, t2)
 
-	// Second episode after EventGap: a separate event.
-	t3 := t2.Add(cfg.EventGap + time.Minute)
+	// Second episode after eventGap: a separate event.
+	t3 := t2.Add(eventGap + time.Minute)
 	d.Ingest(2, victim, 80, 110, 30, t3)
 	d.Ingest(3, victim, 80, 110, 30, t3.Add(5*time.Second))
 	d.Flush(t3.Add(time.Minute))
@@ -219,15 +218,14 @@ func TestDetectorBurstsAndEventExpiry(t *testing.T) {
 }
 
 func TestDetectorBelowThresholdNoEvent(t *testing.T) {
-	cfg := DefaultDetectorConfig(4)
-	d := NewDetector(cfg)
+	d := NewDetector(4)
 	victim := netaddr.MustParseAddr("203.0.113.9")
 	now := vtime.Epoch
 
-	// 14 Rep-weighted packets inside the window: below MinPackets 15.
+	// 14 Rep-weighted packets inside the window: below eventMinPackets 15.
 	d.Ingest(0, victim, 80, 110, 14, now)
 	// 15 more but outside the window — the old sample must be evicted.
-	d.Ingest(0, victim, 80, 110, 14, now.Add(cfg.Window+time.Second))
+	d.Ingest(0, victim, 80, 110, 14, now.Add(eventWindow+time.Second))
 	d.Flush(now.Add(time.Hour))
 	if events := d.Events(); len(events) != 0 {
 		t.Fatalf("sub-threshold traffic produced %d events", len(events))
@@ -342,9 +340,7 @@ func toCampaigns(in []attackCampaign) []attack.Campaign {
 // zero-fraction fleet is untouched.
 func TestSensorBlackoutDropsAndStaysSilent(t *testing.T) {
 	nw, sched := testHarness()
-	cfg := DefaultConfig(4)
-	cfg.BlackoutFraction = 1
-	fleet := NewFleet(cfg, sensorAddrs(4), rng.New(7).Fork("honeypot"))
+	fleet := NewFleet(sensorAddrs(4), 1, rng.New(7).Fork("honeypot"))
 	fleet.Register(nw)
 	bot := netaddr.MustParseAddr("198.51.100.50")
 	victim := netaddr.MustParseAddr("203.0.113.80")
@@ -374,13 +370,10 @@ func TestSensorBlackoutDropsAndStaysSilent(t *testing.T) {
 // fractional blackout, at least one instant finds some sensors dark and
 // others live, so fleet coverage degrades smoothly instead of in unison.
 func TestSensorBlackoutPhasesDiffer(t *testing.T) {
-	cfg := DefaultConfig(8)
-	cfg.BlackoutFraction = 0.5
-	cfg.BlackoutPeriod = 4 * time.Hour
-	fleet := NewFleet(cfg, sensorAddrs(8), rng.New(7).Fork("honeypot"))
+	fleet := NewFleet(sensorAddrs(8), 0.5, rng.New(7).Fork("honeypot"))
 	mixed := false
-	for step := 0; step < 48 && !mixed; step++ {
-		at := vtime.Epoch.Add(time.Duration(step) * 30 * time.Minute)
+	for step := 0; step < 24 && !mixed; step++ {
+		at := vtime.Epoch.Add(time.Duration(step) * blackoutPeriod / 12)
 		dark, live := 0, 0
 		for i := range fleet.Sensors {
 			if fleet.sensorDark(i, at) {

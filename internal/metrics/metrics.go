@@ -206,17 +206,3 @@ func ExponentialBuckets(start, factor float64, count int) []float64 {
 	}
 	return out
 }
-
-// LinearBuckets returns count bucket bounds starting at start, spaced width
-// apart.
-func LinearBuckets(start, width float64, count int) []float64 {
-	if count < 1 {
-		panic("metrics: LinearBuckets requires count >= 1")
-	}
-	out := make([]float64, count)
-	for i := range out {
-		out[i] = start
-		start += width
-	}
-	return out
-}

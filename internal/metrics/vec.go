@@ -70,40 +70,11 @@ func (v *HistogramVec) With(values ...string) *Histogram {
 
 // SetMaxCardinality adjusts the family's label-set bound (children already
 // materialized are kept even if above the new bound).
-func (v *CounterVec) SetMaxCardinality(n int) { setMaxCard(vFam(v), n) }
-
-// SetMaxCardinality adjusts the family's label-set bound.
-func (v *GaugeVec) SetMaxCardinality(n int) { setMaxCard(gFam(v), n) }
-
-// SetMaxCardinality adjusts the family's label-set bound.
-func (v *HistogramVec) SetMaxCardinality(n int) { setMaxCard(hFam(v), n) }
-
-func vFam(v *CounterVec) *family {
-	if v == nil {
-		return nil
-	}
-	return v.fam
-}
-
-func gFam(v *GaugeVec) *family {
-	if v == nil {
-		return nil
-	}
-	return v.fam
-}
-
-func hFam(v *HistogramVec) *family {
-	if v == nil {
-		return nil
-	}
-	return v.fam
-}
-
-func setMaxCard(f *family, n int) {
-	if f == nil || n < 1 {
+func (v *CounterVec) SetMaxCardinality(n int) {
+	if v == nil || n < 1 {
 		return
 	}
-	f.mu.Lock()
-	f.maxCard = n
-	f.mu.Unlock()
+	v.fam.mu.Lock()
+	v.fam.maxCard = n
+	v.fam.mu.Unlock()
 }

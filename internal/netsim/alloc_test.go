@@ -108,7 +108,7 @@ func TestFabricDeliveryAllocBudget(t *testing.T) {
 					return
 				}
 				// Past every delay, and now and then into the next flap window.
-				sched.RunUntil(clock.Now().Add(500 * time.Millisecond))
+				sched.RunUntil(clock.Now().Add(flapPeriod / 8))
 			}
 			run()
 			avg := testing.AllocsPerRun(50, run)

@@ -23,16 +23,19 @@ type Impairment struct {
 	// by the taps like any other packet.
 	Dup float64
 	// Reorder is the probability a batch takes a slow detour, adding up to
-	// ReorderDelay of extra latency so later sends can overtake it.
+	// reorderDelay of extra latency so later sends can overtake it.
 	Reorder float64
-	// ReorderDelay bounds the detour latency. Zero means 150ms.
-	ReorderDelay time.Duration
-	// FlapRate is the long-run fraction of FlapPeriod windows each link
+	// FlapRate is the long-run fraction of flapPeriod windows each link
 	// spends down; while a link is down every batch on it is dropped whole.
 	FlapRate float64
-	// FlapPeriod is the flap window length. Zero means 1 hour.
-	FlapPeriod time.Duration
 }
+
+const (
+	// reorderDelay bounds the detour latency of a reordered batch.
+	reorderDelay = 150 * time.Millisecond
+	// flapPeriod is the link-flap window length.
+	flapPeriod = time.Hour
+)
 
 // Enabled reports whether any fault rate is nonzero.
 func (im Impairment) Enabled() bool {
@@ -56,12 +59,6 @@ func (n *Network) SetImpairment(cfg Impairment, src *rng.Source) {
 		n.impair = nil
 		return
 	}
-	if cfg.ReorderDelay <= 0 {
-		cfg.ReorderDelay = 150 * time.Millisecond
-	}
-	if cfg.FlapPeriod <= 0 {
-		cfg.FlapPeriod = time.Hour
-	}
 	n.impair = &impairState{cfg: cfg, src: src, salt: src.Uint64()}
 }
 
@@ -74,7 +71,7 @@ func (st *impairState) linkDown(origin, dst netaddr.Addr, now time.Time) bool {
 	if st.cfg.FlapRate <= 0 {
 		return false
 	}
-	w := uint64(now.Sub(vtime.Epoch) / st.cfg.FlapPeriod)
+	w := uint64(now.Sub(vtime.Epoch) / flapPeriod)
 	h := rng.Mix64(pairHash(origin, dst) ^ st.salt ^ w*0x9e3779b97f4a7c15)
 	return rng.Unit(h) < st.cfg.FlapRate
 }

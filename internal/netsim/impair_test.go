@@ -102,7 +102,7 @@ func TestImpairmentDuplicationInflatesDelivery(t *testing.T) {
 // later than the link's base latency but within the configured bound.
 func TestImpairmentReorderDelaysBatch(t *testing.T) {
 	net, sched := newNet(nil)
-	net.SetImpairment(Impairment{Reorder: 1, ReorderDelay: 200 * time.Millisecond}, rng.New(3).Fork("faults"))
+	net.SetImpairment(Impairment{Reorder: 1}, rng.New(3).Fork("faults"))
 	src := netaddr.MustParseAddr("10.0.0.1")
 	dst := netaddr.MustParseAddr("10.0.0.2")
 	var at time.Time
@@ -111,8 +111,8 @@ func TestImpairmentReorderDelaysBatch(t *testing.T) {
 	net.SendFrom(src, repDatagram(src, dst, 1))
 	sched.Drain()
 	base := PathLatency(src, dst)
-	if lag := at.Sub(start); lag <= base || lag > base+201*time.Millisecond {
-		t.Fatalf("reordered delivery after %v, want (base %v, base+201ms]", lag, base)
+	if lag := at.Sub(start); lag <= base || lag > base+reorderDelay+time.Millisecond {
+		t.Fatalf("reordered delivery after %v, want (base %v, base+%v]", lag, base, reorderDelay+time.Millisecond)
 	}
 	if net.Stats().Reordered != 1 {
 		t.Fatalf("stats = %+v", net.Stats())
@@ -126,13 +126,13 @@ func TestImpairmentFlapWindows(t *testing.T) {
 	var clock vtime.Clock
 	sched := vtime.NewScheduler(&clock)
 	net := New(sched, nil)
-	net.SetImpairment(Impairment{FlapRate: 0.3, FlapPeriod: time.Minute}, rng.New(5).Fork("faults"))
+	net.SetImpairment(Impairment{FlapRate: 0.3}, rng.New(5).Fork("faults"))
 	src := netaddr.MustParseAddr("10.0.0.1")
 	dst := netaddr.MustParseAddr("10.0.0.2")
 	net.Register(dst, HostFunc(func(_ *Network, _ *packet.Datagram, _ time.Time) {}))
 	const windows = 2000
 	for i := 0; i < windows; i++ {
-		at := vtime.Epoch.Add(time.Duration(i)*time.Minute + 30*time.Second)
+		at := vtime.Epoch.Add(time.Duration(i)*flapPeriod + flapPeriod/2)
 		sched.At(at, func(time.Time) {
 			net.SendFrom(src, repDatagram(src, dst, 1))
 		})
@@ -148,8 +148,8 @@ func TestImpairmentFlapWindows(t *testing.T) {
 	}
 	// Within one window the decision is constant: replaying the same instant
 	// twice must agree.
-	down := net.impair.linkDown(src, dst, vtime.Epoch.Add(90*time.Second))
-	if down != net.impair.linkDown(src, dst, vtime.Epoch.Add(90*time.Second)) {
+	down := net.impair.linkDown(src, dst, vtime.Epoch.Add(flapPeriod+flapPeriod/2))
+	if down != net.impair.linkDown(src, dst, vtime.Epoch.Add(flapPeriod+flapPeriod/2)) {
 		t.Fatal("flap decision not stable within a window")
 	}
 }

@@ -418,7 +418,7 @@ func (n *Network) sendImpaired(origin netaddr.Addr, hdr *packet.Datagram, payloa
 		at := arrive
 		reordered := st.cfg.Reorder > 0 && st.src.Bool(st.cfg.Reorder)
 		if reordered {
-			at = at.Add(time.Duration(st.src.Int64N(int64(st.cfg.ReorderDelay))) + time.Millisecond)
+			at = at.Add(time.Duration(st.src.Int64N(int64(reorderDelay))) + time.Millisecond)
 			n.stats.Reordered += r
 			if n.m != nil {
 				n.m.Reordered.Add(r)
@@ -565,5 +565,4 @@ func (n *Network) sendScratchFrom(origin, src netaddr.Addr, srcPort uint16, dst 
 const (
 	TTLLinux   = 64
 	TTLWindows = 128
-	TTLCisco   = 255
 )

@@ -30,8 +30,7 @@ type trainCase struct {
 
 // allFaults turns every fault knob on, at rates that make each fire within
 // one trainPlan.
-var allFaults = Impairment{Loss: 0.3, Dup: 0.4, Reorder: 0.5, ReorderDelay: 50 * time.Millisecond,
-	FlapRate: 0.3, FlapPeriod: 10 * time.Second}
+var allFaults = Impairment{Loss: 0.3, Dup: 0.4, Reorder: 0.5, FlapRate: 0.3}
 
 // trainFabric is one side of the differential test: a fabric, its metrics
 // registry and fault stream, one log of every (payload, Rep) the first tap
@@ -128,13 +127,13 @@ func (f *trainFabric) record(who string, dg *packet.Datagram, now time.Time) {
 }
 
 // trainPlan is the traffic both fabrics carry: trains of 1 to 9 payloads of
-// varied sizes at spread-out instants, alternating Rep 1 and Rep 40 so the
-// Rep-weighted fault draws take both paths.
+// varied sizes, each in a flap window of its own, alternating Rep 1 and
+// Rep 40 so the Rep-weighted fault draws take both paths.
 func trainPlan(tc trainCase, send func(hdr *packet.Datagram, payloads [][]byte)) func(*trainFabric) {
 	return func(f *trainFabric) {
 		for i := 0; i < 12; i++ {
 			i := i
-			at := vtime.Epoch.Add(time.Duration(i)*7*time.Second + time.Duration(i%3)*time.Millisecond)
+			at := vtime.Epoch.Add(time.Duration(i)*(flapPeriod+7*time.Second) + time.Duration(i%3)*time.Millisecond)
 			f.sched.At(at, func(time.Time) {
 				hdr := &packet.Datagram{
 					IP:  packet.IPv4{TTL: tc.ttl, Protocol: packet.ProtocolUDP, Src: trainOrigin, Dst: trainDst},
@@ -199,7 +198,7 @@ func TestTrainMatchesOnePayloadSends(t *testing.T) {
 		{name: "loss-only", ttl: TTLLinux, register: true, impair: Impairment{Loss: 0.5}},
 		{name: "dup-only", ttl: TTLLinux, register: true, impair: Impairment{Dup: 0.5}},
 		{name: "reorder-only", ttl: TTLLinux, register: true, impair: Impairment{Reorder: 0.5}},
-		{name: "flap-only", ttl: TTLLinux, register: true, impair: Impairment{FlapRate: 0.5, FlapPeriod: 10 * time.Second}},
+		{name: "flap-only", ttl: TTLLinux, register: true, impair: Impairment{FlapRate: 0.5}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

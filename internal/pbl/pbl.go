@@ -66,38 +66,33 @@ func (l *List) CountEndHosts(addrs []netaddr.Addr) int {
 	return n
 }
 
-// Config tunes list derivation.
-type Config struct {
-	// ResidentialCoverage is the fraction of each residential/telecom AS's
+// The coverage mix that yields the paper's observed end-host fractions
+// when combined with the scenario's host placement.
+const (
+	// residentialCoverage is the fraction of each residential/telecom AS's
 	// allocations that are PBL-listed. Real PBL coverage of eyeball space is
 	// high but not total.
-	ResidentialCoverage float64
-	// EnterpriseCoverage is the (small) fraction of enterprise allocations
+	residentialCoverage = 0.90
+	// enterpriseCoverage is the (small) fraction of enterprise allocations
 	// listed, modeling dynamic office pools.
-	EnterpriseCoverage float64
-}
-
-// DefaultConfig mirrors the coverage mix that yields the paper's observed
-// end-host fractions when combined with the scenario's host placement.
-func DefaultConfig() Config {
-	return Config{ResidentialCoverage: 0.90, EnterpriseCoverage: 0.10}
-}
+	enterpriseCoverage = 0.10
+)
 
 // Derive builds a PBL from the AS database: residential and telecom
 // allocations are listed (at /16-or-longer granularity, as the real PBL
 // does), along with a sliver of enterprise space.
-func Derive(db *asdb.DB, src *rng.Source, cfg Config) *List {
+func Derive(db *asdb.DB, src *rng.Source) *List {
 	l := New()
 	for _, as := range db.ASes {
 		var coverage float64
 		switch as.Type {
 		case asdb.Residential:
-			coverage = cfg.ResidentialCoverage
+			coverage = residentialCoverage
 		case asdb.Telecom:
 			// Telecom ASes mix infrastructure and subscriber pools.
-			coverage = cfg.ResidentialCoverage * 0.7
+			coverage = residentialCoverage * 0.7
 		case asdb.Enterprise:
-			coverage = cfg.EnterpriseCoverage
+			coverage = enterpriseCoverage
 		default:
 			continue
 		}

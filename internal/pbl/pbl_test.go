@@ -47,15 +47,19 @@ func TestCountEndHosts(t *testing.T) {
 
 func TestDeriveListsResidentialNotHosting(t *testing.T) {
 	db := asdb.Build(rng.New(5), asdb.Config{NumASes: 400, SpooferFraction: 0.25})
-	l := Derive(db, rng.New(6), Config{ResidentialCoverage: 1.0, EnterpriseCoverage: 0})
+	l := Derive(db, rng.New(6))
 	src := rng.New(7)
 
+	listed := 0
 	for _, as := range db.OfType(asdb.Residential) {
 		for i := 0; i < 5; i++ {
-			if !l.IsEndHost(as.RandomAddr(src)) {
-				t.Fatalf("residential AS%d address not PBL-listed at full coverage", as.Number)
+			if l.IsEndHost(as.RandomAddr(src)) {
+				listed++
 			}
 		}
+	}
+	if listed == 0 {
+		t.Fatal("no residential address PBL-listed")
 	}
 	for _, as := range db.OfType(asdb.Hosting) {
 		for i := 0; i < 5; i++ {
@@ -66,12 +70,11 @@ func TestDeriveListsResidentialNotHosting(t *testing.T) {
 	}
 }
 
-func TestDerivePartialCoverage(t *testing.T) {
-	db := asdb.Build(rng.New(5), asdb.Config{NumASes: 400, SpooferFraction: 0.25})
-	l := Derive(db, rng.New(8), Config{ResidentialCoverage: 0.5, EnterpriseCoverage: 0})
-	src := rng.New(9)
+// listedFraction samples addresses of every AS of type typ and returns the
+// share the list covers.
+func listedFraction(l *List, db *asdb.DB, typ asdb.ASType, src *rng.Source) float64 {
 	listed, total := 0, 0
-	for _, as := range db.OfType(asdb.Residential) {
+	for _, as := range db.OfType(typ) {
 		for i := 0; i < 50; i++ {
 			total++
 			if l.IsEndHost(as.RandomAddr(src)) {
@@ -79,16 +82,25 @@ func TestDerivePartialCoverage(t *testing.T) {
 			}
 		}
 	}
-	frac := float64(listed) / float64(total)
-	if frac < 0.35 || frac > 0.65 {
-		t.Fatalf("half coverage lists %.2f of residential addresses", frac)
+	return float64(listed) / float64(total)
+}
+
+func TestDerivePartialCoverage(t *testing.T) {
+	db := asdb.Build(rng.New(5), asdb.Config{NumASes: 400, SpooferFraction: 0.25})
+	l := Derive(db, rng.New(8))
+	src := rng.New(9)
+	if frac := listedFraction(l, db, asdb.Residential, src); frac < residentialCoverage-0.1 || frac >= 1 {
+		t.Fatalf("residential coverage %v lists %.2f of residential addresses", residentialCoverage, frac)
+	}
+	if frac := listedFraction(l, db, asdb.Enterprise, src); frac <= 0 || frac > enterpriseCoverage+0.1 {
+		t.Fatalf("enterprise coverage %v lists %.2f of enterprise addresses", enterpriseCoverage, frac)
 	}
 }
 
 func TestDeriveDeterministic(t *testing.T) {
 	db := asdb.Build(rng.New(5), asdb.Config{NumASes: 200, SpooferFraction: 0.25})
-	a := Derive(db, rng.New(10), DefaultConfig())
-	b := Derive(db, rng.New(10), DefaultConfig())
+	a := Derive(db, rng.New(10))
+	b := Derive(db, rng.New(10))
 	if a.NumPrefixes() != b.NumPrefixes() {
 		t.Fatalf("same-seed derive differs: %d vs %d", a.NumPrefixes(), b.NumPrefixes())
 	}

@@ -7,7 +7,7 @@ func TestBuildCountsAtScales(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Scale = scale
 		w := Build(cfg)
-		want := int(float64(cfg.scaled(cfg.InitialAmplifiers)) / (1 - oldImplFraction))
+		want := int(float64(cfg.scaled(initialAmplifiers)) / (1 - oldImplFraction))
 		got := w.NumAmplifiers()
 		if got < want || got > want+200 {
 			t.Fatalf("scale %d: built %d amplifiers, want >= %d", scale, got, want)

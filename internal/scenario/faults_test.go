@@ -7,30 +7,30 @@ import (
 	"ntpddos/internal/detect"
 )
 
-// TestFaultConfigGates pins the inertness predicates the builder relies on.
+// TestFaultConfigGates pins which fault surface each knob arms: the fabric
+// stage runs only if the impairment is Enabled and the detector's vantage
+// changes only if it is Degraded. Sensor blackouts arm neither; the
+// honeypot fleet gates them itself.
 func TestFaultConfigGates(t *testing.T) {
-	var zero FaultConfig
-	if zero.fabricEnabled() || zero.Enabled() {
-		t.Fatal("zero FaultConfig must be inert")
-	}
-	if (FaultConfig{FlowSampleN: 1}).Enabled() {
-		t.Fatal("1-in-1 sampling is a perfect vantage, not a fault")
-	}
-	for _, f := range []FaultConfig{
-		{Loss: 0.1}, {Dup: 0.1}, {Reorder: 0.1}, {FlapRate: 0.1},
+	for _, tc := range []struct {
+		f               FaultConfig
+		fabric, vantage bool
+	}{
+		{f: FaultConfig{}},
+		{f: FaultConfig{FlowSampleN: 1}}, // 1-in-1 sampling is a perfect vantage
+		{f: FaultConfig{Loss: 0.1}, fabric: true},
+		{f: FaultConfig{Dup: 0.1}, fabric: true},
+		{f: FaultConfig{Reorder: 0.1}, fabric: true},
+		{f: FaultConfig{FlapRate: 0.1}, fabric: true},
+		{f: FaultConfig{FlowSampleN: 4}, vantage: true},
+		{f: FaultConfig{CollectorOutage: 0.2}, vantage: true},
+		{f: FaultConfig{SensorBlackout: 0.2}},
 	} {
-		if !f.fabricEnabled() {
-			t.Fatalf("%+v should enable the fabric stage", f)
+		if got := tc.f.impairment().Enabled(); got != tc.fabric {
+			t.Errorf("%+v: fabric armed %v, want %v", tc.f, got, tc.fabric)
 		}
-	}
-	for _, f := range []FaultConfig{
-		{FlowSampleN: 4}, {CollectorOutage: 0.2}, {SensorBlackout: 0.2},
-	} {
-		if f.fabricEnabled() {
-			t.Fatalf("%+v must not touch the fabric", f)
-		}
-		if !f.Enabled() {
-			t.Fatalf("%+v should count as enabled", f)
+		if got := tc.f.vantage().Degraded(); got != tc.vantage {
+			t.Errorf("%+v: vantage degraded %v, want %v", tc.f, got, tc.vantage)
 		}
 	}
 }

@@ -9,6 +9,17 @@ import (
 	"ntpddos/internal/ntpd"
 )
 
+// The real-world (unscaled) populations the paper reports. Config.Scale
+// divides each of them but extremeMegas, which is absolute.
+const (
+	initialAmplifiers = 1_405_000  // monlist pool at the first ONP sample (1.4M)
+	mode6Responders   = 4_000_000  // version pool (~4M, barely shrinking)
+	openDNSResolvers  = 33_900_000 // open resolver pool (~33.9M)
+	megaAmplifiers    = 10_000     // moderate megas, >100KB responders (~10K)
+	extremeMegas      = 9          // the nine §3.4 multi-GB repeaters
+	uniqueVictims     = 437_000    // victim IPs over the window (~437K)
+)
+
 // oldImplFraction is the share of amplifiers answering only the mode 7
 // implementation value the ONP scanner does not send — the §3.1 blind spot
 // (Kührer found ~9% more amplifiers from a second vantage).
@@ -199,7 +210,7 @@ func (w *World) buildServers() {
 	cfg := w.Cfg
 	// Inflate the build pool so that the ONP-visible subset (those
 	// accepting the probed implementation value) matches Table 1.
-	nAmps := int(float64(cfg.scaled(cfg.InitialAmplifiers)) / (1 - oldImplFraction))
+	nAmps := int(float64(cfg.scaled(initialAmplifiers)) / (1 - oldImplFraction))
 	// Residential-batch share chosen so the realized PBL-labeled fraction
 	// (including enterprise leakage) lands at Table 1's 18.5%.
 	endHostTarget := 0.36
@@ -239,7 +250,7 @@ func (w *World) buildServers() {
 	w.assignMegas()
 
 	// Plain mode 6 responders (the ~4M version pool beyond the amplifiers).
-	nPlain := cfg.scaled(cfg.Mode6Responders) - len(w.amplifiers)
+	nPlain := cfg.scaled(mode6Responders) - len(w.amplifiers)
 	placedPlain, emptyPlain := 0, 0
 	for placedPlain < nPlain {
 		as := w.pickAS(map[asdb.ASType]float64{
@@ -280,7 +291,7 @@ func (w *World) buildServers() {
 // assignMegas converts a sample of amplifiers into §3.4 mega amplifiers and
 // plants the nine extreme repeaters in Japan.
 func (w *World) assignMegas() {
-	nModerate := w.Cfg.scaled(w.Cfg.MegaAmplifiers)
+	nModerate := w.Cfg.scaled(megaAmplifiers)
 	addrs := w.AmplifierList()
 	if len(addrs) == 0 {
 		return
@@ -293,7 +304,7 @@ func (w *World) assignMegas() {
 	// The nine extreme megas: all in Japan (§3.4), replying with millions
 	// of packets per probe.
 	jp := w.DB.ByName("OCN-JP")
-	batch := w.placeBatch(jp, w.Cfg.ExtremeMegas, func(addr netaddr.Addr) *ntpd.Server {
+	batch := w.placeBatch(jp, extremeMegas, func(addr netaddr.Addr) *ntpd.Server {
 		cfg := w.newAmplifierConfig(addr, ntpd.RoleMegaAmp)
 		cfg.Implementation = ntp.ImplXNTPD // extremes are all ONP-visible
 		return ntpd.New(cfg)
@@ -365,7 +376,7 @@ func (w *World) buildVictims() {
 	// The pool holds the primary targets; sibling-block expansion at attack
 	// time (§4.3.4) contributes the remaining distinct victim IPs, so the
 	// pool is a third of the distinct-victims target.
-	n := w.Cfg.scaled(w.Cfg.UniqueVictims) / 3
+	n := w.Cfg.scaled(uniqueVictims) / 3
 	if n < 30 {
 		n = 30
 	}
@@ -441,7 +452,7 @@ func (w *World) buildAttackers() {
 // buildDNSPool fills the open-resolver set to its scaled size (amplifier
 // overlap was added during registration).
 func (w *World) buildDNSPool() {
-	target := w.Cfg.scaled(w.Cfg.OpenDNSResolvers)
+	target := w.Cfg.scaled(openDNSResolvers)
 	for w.DNSPool.Len() < target {
 		as := w.pickAS(map[asdb.ASType]float64{
 			asdb.Residential: 0.5, asdb.Telecom: 0.3, asdb.Enterprise: 0.2,

@@ -74,9 +74,6 @@ type SiteCounts struct {
 	FRGP  int
 }
 
-// Scale returns the population re-inflation factor.
-func (r *Results) Scale() int { return r.Cfg.Scale }
-
 // Run builds the world and drives it across the full window.
 func Run(cfg Config) *Results {
 	return Build(cfg).Run()
@@ -189,7 +186,7 @@ func (w *World) Run() *Results {
 			sample.Responses = nil // free capture memory
 			monSurvey.Samples = nil
 			res.DNSPoolSizes = append(res.DNSPoolSizes,
-				int(float64(cfg.scaled(cfg.OpenDNSResolvers))*(1-0.0015*float64(idx))))
+				int(float64(cfg.scaled(openDNSResolvers))*(1-0.0015*float64(idx))))
 			w.applyWeeklyRemediation(idx)
 		}
 		if _, ok := verDates[day]; ok {

@@ -48,21 +48,9 @@ type Config struct {
 	// End closes the run; every run starts at vtime.Epoch (2013-09-01).
 	End time.Time
 
-	// Real-world (unscaled) population calibration, from the paper.
-	InitialAmplifiers int // monlist pool at the first ONP sample (1.4M)
-	TotalNTPServers   int // global NTP population (~6M)
-	Mode6Responders   int // version pool (~4M, barely shrinking)
-	OpenDNSResolvers  int // open resolver pool (~33.9M)
-	MegaAmplifiers    int // moderate megas, >100KB responders (~10K)
-	ExtremeMegas      int // the nine §3.4 multi-GB repeaters (absolute)
-	UniqueVictims     int // victim IPs over the window (~437K)
-
 	// NumASes for the generated registry (scaled world).
 	NumASes int
 
-	// MonthlyAttacks is the global DDoS attack rate (~300K/month), used for
-	// Figure 2's denominators; only NTP-vector attacks touch the fabric.
-	MonthlyAttacks int
 	// FabricAttackDivisor additionally thins the NTP campaigns that run on
 	// the fabric (they are the expensive part); Figure 2 bookkeeping still
 	// uses full counts.
@@ -108,8 +96,10 @@ type Config struct {
 	// Detector, when non-nil, attaches the streaming heavy-hitter detection
 	// plane (internal/detect) to the fabric as a passive tap. Like Metrics,
 	// it is provably free of behavioural effect: the detector never mutates
-	// datagrams and hashes with a seed forked independently of the world
-	// stream, so report digests are identical with Detector nil or set.
+	// datagrams and draws nothing from the world's streams, so report
+	// digests are identical with Detector nil or set. Its sketch hashing
+	// and outage schedule use one fixed key in every world, whatever the
+	// seed: no world ever forked a key of its own.
 	Detector *detect.Config
 
 	// ExtraVectors enables additional amplification protocols alongside
@@ -193,14 +183,16 @@ type FaultConfig struct {
 	SensorBlackout float64
 }
 
-// fabricEnabled reports whether any packet-level impairment is configured.
-func (f FaultConfig) fabricEnabled() bool {
-	return f.Loss > 0 || f.Dup > 0 || f.Reorder > 0 || f.FlapRate > 0
+// impairment is the fabric's share of the fault plane; Build arms it only
+// if it is Enabled.
+func (f FaultConfig) impairment() netsim.Impairment {
+	return netsim.Impairment{Loss: f.Loss, Dup: f.Dup, Reorder: f.Reorder, FlapRate: f.FlapRate}
 }
 
-// Enabled reports whether any fault surface is active.
-func (f FaultConfig) Enabled() bool {
-	return f.fabricEnabled() || f.FlowSampleN > 1 || f.CollectorOutage > 0 || f.SensorBlackout > 0
+// vantage is the detector's share of the fault plane; Build applies it
+// only if it is Degraded.
+func (f FaultConfig) vantage() detect.Vantage {
+	return detect.Vantage{SampleN: f.FlowSampleN, OutageFraction: f.CollectorOutage}
 }
 
 // DefaultConfig is the benchmark configuration.
@@ -210,16 +202,7 @@ func DefaultConfig() Config {
 		Scale: 100,
 		End:   time.Date(2014, 5, 1, 0, 0, 0, 0, time.UTC),
 
-		InitialAmplifiers: 1_405_000,
-		TotalNTPServers:   6_000_000,
-		Mode6Responders:   4_000_000,
-		OpenDNSResolvers:  33_900_000,
-		MegaAmplifiers:    10_000,
-		ExtremeMegas:      9,
-		UniqueVictims:     437_000,
-
 		NumASes:             1500,
-		MonthlyAttacks:      300_000,
 		FabricAttackDivisor: 1,
 		HoneypotSensors:     honeypot.DefaultSensors,
 	}
@@ -397,22 +380,19 @@ func Build(cfg Config) *World {
 		spoof = 0
 	}
 	db := asdb.Build(src.Fork("asdb"), asdb.Config{NumASes: cfg.NumASes, SpooferFraction: spoof})
-	pl := pbl.Derive(db, src.Fork("pbl"), pbl.DefaultConfig())
+	pl := pbl.Derive(db, src.Fork("pbl"))
 
 	policy := func(origin, claimed netaddr.Addr) bool {
 		as := db.OwnerOf(origin)
 		return as == nil || as.AllowsSpoofing
 	}
 	nw := netsim.New(sched, policy)
-	if cfg.Faults.fabricEnabled() {
+	if imp := cfg.Faults.impairment(); imp.Enabled() {
 		// The impairment stage runs on its own stream forked straight from
 		// the seed, like the honeypot and campaign streams: world draws are
 		// untouched, so a faulty run differs from a clean one only through
 		// the packets it perturbs.
-		nw.SetImpairment(netsim.Impairment{
-			Loss: cfg.Faults.Loss, Dup: cfg.Faults.Dup,
-			Reorder: cfg.Faults.Reorder, FlapRate: cfg.Faults.FlapRate,
-		}, rng.New(cfg.Seed).Fork("faults"))
+		nw.SetImpairment(imp, rng.New(cfg.Seed).Fork("faults"))
 	}
 
 	w := &World{
@@ -428,7 +408,7 @@ func Build(cfg Config) *World {
 		ONPAddr:    netaddr.MustParseAddr("198.108.60.10"), // inside Merit space
 	}
 
-	w.Telescope = darknet.New(db.DarknetPrefix, 0.75)
+	w.Telescope = darknet.New(db.DarknetPrefix)
 	nw.AddTap(w.Telescope)
 
 	merit := db.ByName(asdb.NameMerit)
@@ -487,17 +467,8 @@ func Build(cfg Config) *World {
 	}
 	if cfg.Detector != nil {
 		dcfg := *cfg.Detector
-		if cfg.Faults.FlowSampleN > 1 || cfg.Faults.CollectorOutage > 0 {
-			dcfg.Vantage = detect.Vantage{
-				SampleN:        cfg.Faults.FlowSampleN,
-				OutageFraction: cfg.Faults.CollectorOutage,
-			}
-		}
-		if dcfg.Seed == 0 {
-			// The detector draws no randomness, but its sketch hashing is
-			// keyed; fork the key from the seed on a private stream so the
-			// world draws are untouched.
-			dcfg.Seed = rng.New(cfg.Seed).Fork("detect").Uint64()
+		if v := cfg.Faults.vantage(); v.Degraded() {
+			dcfg.Vantage = v
 		}
 		w.Detect = detect.New(dcfg)
 		nw.AddTap(w.Detect)
@@ -552,8 +523,6 @@ func (w *World) placeSensors() {
 		seen.Add(addr)
 		addrs = append(addrs, addr)
 	}
-	hcfg := honeypot.DefaultConfig(len(addrs))
-	hcfg.BlackoutFraction = w.Cfg.Faults.SensorBlackout
-	w.Honeypots = honeypot.NewFleet(hcfg, addrs, w.hpSrc.Fork("fleet"))
+	w.Honeypots = honeypot.NewFleet(addrs, w.Cfg.Faults.SensorBlackout, w.hpSrc.Fork("fleet"))
 	w.Honeypots.Register(w.Net)
 }

@@ -25,7 +25,7 @@ func results(t *testing.T) *Results {
 func TestBuildPopulations(t *testing.T) {
 	cfg := TestConfig()
 	w := Build(cfg)
-	wantAmps := int(float64(cfg.scaled(cfg.InitialAmplifiers)) / (1 - oldImplFraction))
+	wantAmps := int(float64(cfg.scaled(initialAmplifiers)) / (1 - oldImplFraction))
 	got := w.NumAmplifiers()
 	// Local-site amplifiers (107) and the nine extreme megas add on top.
 	if got < wantAmps || got > wantAmps+150 {
@@ -35,12 +35,12 @@ func TestBuildPopulations(t *testing.T) {
 		t.Fatalf("site amps = %d/%d/%d, want 50/9/48",
 			len(w.MeritAmps), len(w.CSUAmps), len(w.FRGPAmps))
 	}
-	if w.DNSPool.Len() < cfg.scaled(cfg.OpenDNSResolvers)*9/10 {
+	if w.DNSPool.Len() < cfg.scaled(openDNSResolvers)*9/10 {
 		t.Fatalf("DNS pool = %d", w.DNSPool.Len())
 	}
 	// The pool holds a third of the distinct-victim target; sibling
 	// expansion at attack time contributes the rest.
-	if len(w.victimPool) < cfg.scaled(cfg.UniqueVictims)/3*9/10 {
+	if len(w.victimPool) < cfg.scaled(uniqueVictims)/3*9/10 {
 		t.Fatalf("victim pool = %d", len(w.victimPool))
 	}
 	if len(w.botAddrs) == 0 {

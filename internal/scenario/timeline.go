@@ -82,11 +82,15 @@ var sizeClassWeights = []float64{0.895, 0.095, 0.01}
 // otherVectors label non-NTP attacks for Figure 2's denominators.
 var otherVectors = []string{"syn", "dns", "icmp", "udp"}
 
+// monthlyAttacks is the global DDoS attack rate (~300K/month), used for
+// Figure 2's denominators; only NTP-vector attacks touch the fabric.
+const monthlyAttacks = 300_000
+
 // runTelemetryMonth records the month's labeled attack census (Figure 2's
 // bookkeeping; these records never touch the fabric).
 func (w *World) runTelemetryMonth(month time.Time) {
 	src := w.Src.Fork("telemetry-" + month.Format("2006-01"))
-	n := w.Cfg.MonthlyAttacks / w.Cfg.Scale
+	n := monthlyAttacks / w.Cfg.Scale
 	adopt, ok := ntpAdoption[month.Month()]
 	if !ok {
 		adopt = [3]float64{}
@@ -121,7 +125,7 @@ func (w *World) runTelemetryMonth(month time.Time) {
 // the peak day. The attack contribution is analytic — per-sampled-campaign
 // accounting would put 40 000× re-inflation variance on single draws.
 func (w *World) addDailyBaselines(day time.Time) {
-	total := w.Collector.TotalDailyBps / 8 * 86400
+	total := telemetry.DailyBytes
 	w.Collector.AddAggregate(day, telemetry.ProtoDNS, total*0.0015)
 	attackFraction := AttackRateAt(day.Add(12*time.Hour)) / 4000 * 0.0099
 	w.Collector.AddAggregate(day, telemetry.ProtoNTP, total*(0.00001+attackFraction))

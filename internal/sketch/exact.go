@@ -10,7 +10,6 @@ import "sort"
 // ExactCount counts keys exactly; ExactTopK ranks by it.
 type ExactCount struct {
 	counts map[uint64]int64
-	total  int64
 }
 
 // NewExactCount builds an empty exact counter.
@@ -24,14 +23,10 @@ func (e *ExactCount) Add(key uint64, n int64) {
 		return
 	}
 	e.counts[key] += n
-	e.total += n
 }
 
 // Estimate returns the true count.
 func (e *ExactCount) Estimate(key uint64) int64 { return e.counts[key] }
-
-// Total returns the true N.
-func (e *ExactCount) Total() int64 { return e.total }
 
 // ExactDistinct is the exact twin of HLL.
 type ExactDistinct struct {

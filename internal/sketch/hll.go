@@ -32,17 +32,8 @@ func NewHLL(precision uint8, seed uint64) *HLL {
 	return &HLL{precision: precision, seed: seed, regs: make([]uint8, 1<<precision)}
 }
 
-// Precision returns the register-count exponent.
-func (h *HLL) Precision() uint8 { return h.precision }
-
-// M returns the register count.
-func (h *HLL) M() int { return len(h.regs) }
-
 // StdError returns the theoretical relative standard error 1.04/√m.
 func (h *HLL) StdError() float64 { return 1.04 / math.Sqrt(float64(len(h.regs))) }
-
-// Bytes returns the register array footprint.
-func (h *HLL) Bytes() int { return len(h.regs) }
 
 // Add observes one element.
 func (h *HLL) Add(key uint64) {
@@ -103,11 +94,4 @@ func (h *HLL) Merge(other *HLL) error {
 		}
 	}
 	return nil
-}
-
-// Reset clears the registers in place.
-func (h *HLL) Reset() {
-	for i := range h.regs {
-		h.regs[i] = 0
-	}
 }

@@ -115,15 +115,6 @@ func (s *SpaceSaving) Add(key uint64, n int64) {
 	s.down(0)
 }
 
-// Estimate returns the summary's count for key (0 when unmonitored). Always
-// ≥ the true count for monitored keys.
-func (s *SpaceSaving) Estimate(key uint64) int64 {
-	if e, ok := s.entries[key]; ok {
-		return e.count
-	}
-	return 0
-}
-
 // Top returns the n highest-count entries, ordered by count descending with
 // the key as deterministic tie-break.
 func (s *SpaceSaving) Top(n int) []TopEntry {

@@ -219,7 +219,7 @@ func TestSpecGridShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f := g.Jobs()[0].Cfg.Faults; f.Enabled() {
+	if f := g.Jobs()[0].Cfg.Faults; f != (scenario.FaultConfig{}) {
 		t.Fatalf("fault-free spec armed the fault plane: %+v", f)
 	}
 }

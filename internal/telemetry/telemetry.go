@@ -4,32 +4,25 @@
 // (NTP/DNS fraction of global traffic) and Figure 2 (fraction of monthly
 // DDoS attacks that are NTP-based, by size class).
 //
-// Global background traffic (the 71.5 Tbps baseline) is analytic — no flow
-// collector simulates the whole Internet packet by packet, and neither did
-// Arbor's: appliances export summaries. Simulated NTP/DNS bytes arrive both
-// from the fabric tap (packet-level events) and from the scenario's
-// aggregate attack-volume model.
+// Global traffic is analytic — no flow collector simulates the whole
+// Internet packet by packet, and neither did Arbor's: appliances export
+// summaries. The 71.5 Tbps baseline is a constant, and the NTP and DNS
+// bytes come from the scenario's aggregate attack-volume model; the
+// collector reads nothing from the fabric.
 package telemetry
 
 import (
 	"sort"
 	"time"
 
-	"ntpddos/internal/dns"
 	"ntpddos/internal/metrics"
-	"ntpddos/internal/ntp"
-	"ntpddos/internal/packet"
 	"ntpddos/internal/stats"
 	"ntpddos/internal/vtime"
 )
 
-// Metrics is the global-telemetry ingest instrumentation: visibility-scaled
-// bytes accrued per protocol (tap and aggregate paths separately) and
-// labeled attack records. Pre-resolved children keep the tap path to one
-// atomic add per packet.
+// Metrics is the global-telemetry ingest instrumentation: bytes accrued per
+// protocol from the aggregate model and labeled attack records.
 type Metrics struct {
-	TapNTPBytes *metrics.Counter
-	TapDNSBytes *metrics.Counter
 	AggNTPBytes *metrics.Counter
 	AggDNSBytes *metrics.Counter
 	Attacks     *metrics.Counter
@@ -37,21 +30,20 @@ type Metrics struct {
 
 // NewMetrics registers the telemetry family on r (nil r yields no-ops).
 func NewMetrics(r *metrics.Registry) *Metrics {
-	tap := r.NewCounterVec("ntpsim_telemetry_tap_bytes_total",
-		"Visibility-scaled bytes accrued from the fabric tap, by protocol.",
-		"proto")
 	agg := r.NewCounterVec("ntpsim_telemetry_aggregate_bytes_total",
 		"Bytes accrued from the analytic attack-volume model, by protocol.",
 		"proto")
 	return &Metrics{
-		TapNTPBytes: tap.With("ntp"),
-		TapDNSBytes: tap.With("dns"),
 		AggNTPBytes: agg.With("ntp"),
 		AggDNSBytes: agg.With("dns"),
 		Attacks: r.NewCounter("ntpsim_telemetry_attacks_recorded_total",
 			"Labeled attack records ingested."),
 	}
 }
+
+// DailyBytes is the average total Internet traffic the dataset represents,
+// 71.5 Tbps in the paper, in bytes per day: the denominator of Figure 1.
+const DailyBytes = 71.5e12 / 8 * 86400
 
 // Protocol classes tracked by the collector.
 type Protocol int
@@ -60,7 +52,6 @@ type Protocol int
 const (
 	ProtoNTP Protocol = iota
 	ProtoDNS
-	ProtoOther
 )
 
 // SizeClass bins attacks the way Figure 2 does.
@@ -108,13 +99,6 @@ type Attack struct {
 
 // Collector aggregates traffic fractions and attack labels.
 type Collector struct {
-	// TotalDailyBps is the average total Internet traffic represented in
-	// the dataset: 71.5 Tbps in the paper.
-	TotalDailyBps float64
-	// Visibility is the fraction of global traffic/attacks the collector
-	// actually observes (Arbor: between a third and a half).
-	Visibility float64
-
 	ntpDailyBytes *stats.TimeSeries
 	dnsDailyBytes *stats.TimeSeries
 	attacks       []Attack
@@ -124,45 +108,11 @@ type Collector struct {
 // SetMetrics attaches (or, with nil, detaches) live instrumentation.
 func (c *Collector) SetMetrics(m *Metrics) { c.m = m }
 
-// New builds a collector with the paper's 71.5 Tbps baseline.
+// New builds an empty collector.
 func New() *Collector {
 	return &Collector{
-		TotalDailyBps: 71.5e12,
-		Visibility:    0.4,
 		ntpDailyBytes: stats.NewTimeSeries(vtime.Epoch, 24*time.Hour),
 		dnsDailyBytes: stats.NewTimeSeries(vtime.Epoch, 24*time.Hour),
-	}
-}
-
-// ObserveTrain implements netsim.Tap: each payload is accrued in order, as
-// its own datagram with its own Rep, because the scaled byte counts are
-// fractional and float sums depend on their order.
-func (c *Collector) ObserveTrain(hdr *packet.Datagram, payloads [][]byte, reps []int64, now time.Time) {
-	for i, p := range payloads {
-		c.observe(hdr, len(p), reps[i], now)
-	}
-}
-
-// observe classifies rep datagrams (hdr's ports, a UDP payload of
-// payloadLen bytes) by port and accrues their on-wire bytes (scaled up by
-// 1/Visibility, since the tap effectively sees the visible share of the
-// simulated world).
-func (c *Collector) observe(hdr *packet.Datagram, payloadLen int, rep int64, now time.Time) {
-	bytes := float64(packet.OnWireBytesForUDPPayload(payloadLen)) * float64(rep)
-	if c.Visibility > 0 && c.Visibility < 1 {
-		bytes /= c.Visibility // the tap sees only the visible share of traffic
-	}
-	switch {
-	case hdr.UDP.DstPort == ntp.Port || hdr.UDP.SrcPort == ntp.Port:
-		c.ntpDailyBytes.Add(now, bytes)
-		if c.m != nil {
-			c.m.TapNTPBytes.Add(int64(bytes))
-		}
-	case hdr.UDP.DstPort == dns.Port || hdr.UDP.SrcPort == dns.Port:
-		c.dnsDailyBytes.Add(now, bytes)
-		if c.m != nil {
-			c.m.TapDNSBytes.Add(int64(bytes))
-		}
 	}
 }
 
@@ -201,18 +151,12 @@ type FractionPoint struct {
 	Fraction float64
 }
 
-// totalDailyBytes converts the bps baseline to bytes/day.
-func (c *Collector) totalDailyBytes() float64 {
-	return c.TotalDailyBps / 8 * 86400
-}
-
 // fractionSeries renders a byte series as fractions of total traffic.
 func (c *Collector) fractionSeries(ts *stats.TimeSeries) []FractionPoint {
-	total := c.totalDailyBytes()
 	pts := ts.Points()
 	out := make([]FractionPoint, len(pts))
 	for i, p := range pts {
-		out[i] = FractionPoint{Day: p.Time, Fraction: p.Value / total}
+		out[i] = FractionPoint{Day: p.Time, Fraction: p.Value / DailyBytes}
 	}
 	return out
 }
@@ -234,7 +178,7 @@ func (c *Collector) PeakNTPDay() (FractionPoint, bool) {
 	if !ok {
 		return FractionPoint{}, false
 	}
-	return FractionPoint{Day: p.Time, Fraction: p.Value / c.totalDailyBytes()}, true
+	return FractionPoint{Day: p.Time, Fraction: p.Value / DailyBytes}, true
 }
 
 // MonthRow is one month of Figure 2.

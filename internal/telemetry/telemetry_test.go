@@ -5,8 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"ntpddos/internal/netaddr"
-	"ntpddos/internal/packet"
 	"ntpddos/internal/vtime"
 )
 
@@ -29,7 +27,7 @@ func TestAggregateFractions(t *testing.T) {
 	c := New()
 	day := vtime.Epoch.Add(61 * 24 * time.Hour)
 	// Push exactly 1% of a day's traffic as NTP.
-	total := c.TotalDailyBps / 8 * 86400
+	total := DailyBytes
 	c.AddAggregate(day, ProtoNTP, total*0.01)
 	c.AddAggregate(day, ProtoDNS, total*0.0015)
 	ntp := c.NTPFractionSeries()
@@ -43,31 +41,6 @@ func TestAggregateFractions(t *testing.T) {
 	peak, ok := c.PeakNTPDay()
 	if !ok || !peak.Day.Equal(vtime.Day(day)) {
 		t.Fatalf("peak = %+v/%v", peak, ok)
-	}
-}
-
-func TestObserveClassifiesByPort(t *testing.T) {
-	c := New()
-	now := vtime.Epoch
-	mk := func(sport, dport uint16, rep int64) *packet.Datagram {
-		dg := packet.NewDatagram(netaddr.Addr(1), sport, netaddr.Addr(2), dport, make([]byte, 100))
-		dg.Rep = rep
-		return dg
-	}
-	observeOne(c, mk(40000, 123, 1), now) // NTP query
-	observeOne(c, mk(123, 80, 3), now)    // NTP reflection toward victim port 80
-	observeOne(c, mk(40000, 53, 1), now)  // DNS
-	observeOne(c, mk(40000, 9999, 1), now)
-	ntpPts := c.NTPFractionSeries()
-	dnsPts := c.DNSFractionSeries()
-	if len(ntpPts) != 1 || len(dnsPts) != 1 {
-		t.Fatalf("series lengths %d/%d", len(ntpPts), len(dnsPts))
-	}
-	// Four Rep-weighted NTP packets, inflated by 1/Visibility (the tap sees
-	// only the visible share of global traffic).
-	onWire := float64(packet.OnWireBytes(packet.IPv4HeaderLen+packet.UDPHeaderLen+100)) / c.Visibility
-	if got := ntpPts[0].Fraction * c.TotalDailyBps / 8 * 86400; math.Abs(got-4*onWire) > 1 {
-		t.Fatalf("NTP bytes = %v, want %v", got, 4*onWire)
 	}
 }
 
@@ -123,15 +96,4 @@ func TestEmptyCollector(t *testing.T) {
 	if len(c.AttackFractions()) != 0 {
 		t.Fatal("empty collector has attack rows")
 	}
-}
-
-// observeOne shows tap one datagram the way the fabric does: as a
-// one-payload train under a header that carries no payload and no Rep, with
-// the datagram's Rep (at least 1) in reps.
-func observeOne(tap interface {
-	ObserveTrain(hdr *packet.Datagram, payloads [][]byte, reps []int64, now time.Time)
-}, dg *packet.Datagram, now time.Time) {
-	hdr := *dg
-	hdr.Payload, hdr.Rep = nil, 0
-	tap.ObserveTrain(&hdr, [][]byte{dg.Payload}, []int64{max(dg.Rep, 1)}, now)
 }

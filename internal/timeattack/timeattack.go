@@ -53,9 +53,6 @@ const (
 	numModels
 )
 
-// NumModels is the count of attacker models.
-const NumModels = int(numModels)
-
 // String names the model for reports.
 func (m Model) String() string {
 	switch m {

@@ -135,11 +135,6 @@ type Config struct {
 	// drift in parts per million.
 	InitOffset time.Duration
 	FreqPPM    float64
-	// Insecure disables RFC 5905 origin-timestamp validation, modeling the
-	// CVE-2015-7704/7705 class of clients: spoofed mode 4 replies and
-	// forged kiss codes are honored blind. The zero value is the hardened
-	// client.
-	Insecure bool
 	// Metrics and Monitor are optional passive observers.
 	Metrics *Metrics
 	Monitor Monitor
@@ -227,6 +222,7 @@ type Client struct {
 	stats      Stats
 	panicked   bool
 	leap       bool
+	insecure   bool      // set by MarkInsecure
 	streak     int       // consecutive small-offset updates, drives poll backoff
 	lastUpdate time.Time // last system clock update (rate limiter)
 }
@@ -255,12 +251,6 @@ func (c *Client) ClockErr(now time.Time) time.Duration { return c.clk.ErrAt(now)
 // Stats returns a copy of the client's lifetime counters.
 func (c *Client) Stats() Stats { return c.stats }
 
-// Panicked reports whether an update exceeded the panic threshold.
-func (c *Client) Panicked() bool { return c.panicked }
-
-// LeapArmed reports whether the client accepted a leap announcement.
-func (c *Client) LeapArmed() bool { return c.leap }
-
 // Stopped reports whether every association was killed by DENY/RSTR.
 func (c *Client) Stopped() bool {
 	for _, a := range c.assocs {
@@ -271,9 +261,11 @@ func (c *Client) Stopped() bool {
 	return len(c.assocs) > 0
 }
 
-// MarkInsecure downgrades the client to skip origin validation — how the
-// attack plane arms its CVE-2015-7704/7705 victims.
-func (c *Client) MarkInsecure() { c.cfg.Insecure = true }
+// MarkInsecure downgrades the client to skip RFC 5905 origin-timestamp
+// validation, modeling the CVE-2015-7704/7705 class of clients: spoofed
+// mode 4 replies and forged kiss codes are honored blind. It is how the
+// attack plane arms its victims; a new client is hardened.
+func (c *Client) MarkInsecure() { c.insecure = true }
 
 // pollAssoc sends one mode 3 poll and reschedules itself at the current
 // poll interval until the end of the run.
@@ -336,7 +328,7 @@ func (c *Client) HandlePacket(nw *netsim.Network, dg *packet.Datagram, now time.
 		}
 		a.inflight = false
 		a.reach |= 1
-	case c.cfg.Insecure:
+	case c.insecure:
 		// CVE-class client: no origin validation, SNTP-style stateless
 		// update straight off the server's transmit stamp. This is the
 		// surface off-path spoofed replies land on.
@@ -375,7 +367,7 @@ func (c *Client) HandlePacket(nw *netsim.Network, dg *packet.Datagram, now time.
 
 // handleKiss processes a stratum-0 kiss-o'-death reply. A hardened client
 // honors KoD only when the origin cookie matches an in-flight poll —
-// forged kiss codes (CVE-2015-7704/7705) only bite Insecure clients.
+// forged kiss codes (CVE-2015-7704/7705) only bite insecure clients.
 func (c *Client) handleKiss(a *assoc, r *ntp.SyncReply, now time.Time) {
 	c.stats.KissSeen++
 	if c.cfg.Metrics != nil {
@@ -384,7 +376,7 @@ func (c *Client) handleKiss(a *assoc, r *ntp.SyncReply, now time.Time) {
 	if c.cfg.Monitor != nil {
 		c.cfg.Monitor.ObserveKiss(c.cfg.Addr, a.server, r.Kiss, now)
 	}
-	if !c.cfg.Insecure && !(a.inflight && r.CheckOrigin(a.xmt)) {
+	if !c.insecure && !(a.inflight && r.CheckOrigin(a.xmt)) {
 		c.stats.KodRejected++
 		return
 	}

@@ -106,7 +106,7 @@ func deliver(c *Client, nw *netsim.Network, server netaddr.Addr, h *ntp.Header, 
 // TestKoDHandling pins the kiss-o'-death state machine: RATE backs off the
 // poll interval, DENY/RSTR kill the association, unknown codes pass
 // through untouched, and a hardened client ignores forged codes while a
-// CVE-class Insecure client honors them blind.
+// CVE-class insecure client honors them blind.
 func TestKoDHandling(t *testing.T) {
 	server := netaddr.MustParseAddr("198.51.100.10")
 	cases := []struct {
@@ -136,10 +136,12 @@ func TestKoDHandling(t *testing.T) {
 			nw, sched := testHarness()
 			now := sched.Clock().Now()
 			c := NewClient(Config{
-				Addr:     netaddr.MustParseAddr("192.0.2.1"),
-				Servers:  []netaddr.Addr{server},
-				Insecure: tc.insecure,
+				Addr:    netaddr.MustParseAddr("192.0.2.1"),
+				Servers: []netaddr.Addr{server},
 			}, now)
+			if tc.insecure {
+				c.MarkInsecure()
+			}
 			a := c.assocs[0]
 			a.inflight = true
 			a.xmt = ntp.ToNTPTime(now)
@@ -247,7 +249,7 @@ func TestPanicThreshold(t *testing.T) {
 
 // TestInsecureSpoofAcceptance pins the CVE-2015-7704/7705 surface: a
 // spoofed reply with no valid origin cookie is rejected by a hardened
-// client but steps an Insecure client's clock to the attacker's time.
+// client but steps an insecure client's clock to the attacker's time.
 func TestInsecureSpoofAcceptance(t *testing.T) {
 	server := netaddr.MustParseAddr("198.51.100.10")
 	forged := func(now time.Time) *ntp.Header {
@@ -272,7 +274,8 @@ func TestInsecureSpoofAcceptance(t *testing.T) {
 		nw, sched := testHarness()
 		now := sched.Clock().Now()
 		c := NewClient(Config{Addr: netaddr.MustParseAddr("192.0.2.1"),
-			Servers: []netaddr.Addr{server}, Insecure: true}, now)
+			Servers: []netaddr.Addr{server}}, now)
+		c.MarkInsecure()
 		deliver(c, nw, server, forged(now), now)
 		if c.stats.InsecureAccepts != 1 || c.stats.Steps != 1 {
 			t.Fatalf("spoofed reply not accepted blind: %+v", c.stats)
