@@ -34,6 +34,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ntpdc: bad -wait %v: want a positive response window\n", *wait)
 		os.Exit(2)
 	}
+	switch *command {
+	case "monlist", "listpeers", "rv":
+	default:
+		fmt.Fprintf(os.Stderr, "ntpdc: bad -c %q: want monlist, listpeers or rv\n", *command)
+		os.Exit(2)
+	}
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: ntpdc -c <command> host:port")
 		os.Exit(2)
@@ -67,8 +73,6 @@ func main() {
 			log.Fatal("ntpdc: timeout")
 		}
 		printReadVar(payloads)
-	default:
-		log.Fatalf("ntpdc: unknown command %q", *command)
 	}
 }
 

@@ -13,3 +13,7 @@ func TestRejectsNonPositiveWait(t *testing.T) {
 		clitest.ExpectUsageError(t, "-wait", "-wait", wait, "127.0.0.1:9")
 	}
 }
+
+func TestRejectsUnknownCommand(t *testing.T) {
+	clitest.ExpectUsageError(t, "-c", "-c", "bogus", "127.0.0.1:9")
+}

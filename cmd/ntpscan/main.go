@@ -49,6 +49,16 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ntpscan: bad -wait %v: want a positive response window\n", *wait)
 		os.Exit(2)
 	}
+	var probe []byte
+	switch *mode {
+	case "monlist":
+		probe = ntp.NewMonlistRequest(ntp.ImplXNTPD, ntp.ReqMonGetList1)
+	case "version":
+		probe = ntp.NewReadVarRequest(1)
+	default:
+		fmt.Fprintf(os.Stderr, "ntpscan: bad -mode %q: want monlist or version\n", *mode)
+		os.Exit(2)
+	}
 
 	// Sweep instrumentation: the same ntpsim_scan_* families the simulated
 	// surveys export, labeled by probe kind.
@@ -69,16 +79,6 @@ func main() {
 			defer cancel()
 			exp.Shutdown(ctx)
 		}()
-	}
-
-	var probe []byte
-	switch *mode {
-	case "monlist":
-		probe = ntp.NewMonlistRequest(ntp.ImplXNTPD, ntp.ReqMonGetList1)
-	case "version":
-		probe = ntp.NewReadVarRequest(1)
-	default:
-		log.Fatalf("ntpscan: unknown mode %q", *mode)
 	}
 
 	targets, err := resolveTargets(*target, *cidr)

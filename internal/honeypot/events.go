@@ -36,7 +36,7 @@ func NewMetrics(r *metrics.Registry) *Metrics {
 		EventsClosed: r.NewCounter("ntpsim_honeypot_events_closed_total",
 			"Attack events closed (gap timeout or flush)."),
 		BurstsMerged: r.NewCounter("ntpsim_honeypot_bursts_merged_total",
-			"BurstGap-separated episodes merged into an already-open event."),
+			"Episodes after more than 5 minutes of quiet, merged into an already-open event."),
 		SuppressedScanners: r.NewCounter("ntpsim_honeypot_scanner_suppressed_total",
 			"Threshold crossings attributed to scanners and dropped."),
 		OpenEvents: r.NewGauge("ntpsim_honeypot_open_events",

@@ -55,6 +55,34 @@ func TestPacketCodecZeroAlloc(t *testing.T) {
 		}
 	})
 
+	// A disciplined client's poll, encoded into its per-client scratch
+	// array, and the genuine mode 4 reply it decodes.
+	t.Run("poll-encode", func(t *testing.T) {
+		var scratch [HeaderLen]byte
+		xmt := ToNTPTime(now)
+		if n := testing.AllocsPerRun(100, func() {
+			req := NewPollRequest(6, xmt)
+			allocSinkBuf = req.AppendTo(scratch[:0])
+		}); n != 0 {
+			t.Errorf("poll encode: %.1f allocs/op, want 0", n)
+		}
+	})
+
+	t.Run("sync-reply-decode", func(t *testing.T) {
+		var req Header
+		req.SetClientRequest(now)
+		wire := NewServerReply(&req, 2, now).AppendTo(nil)
+		if n := testing.AllocsPerRun(100, func() {
+			r, err := DecodeSyncReply(wire)
+			if err != nil || r.Kiss != "" || !r.CheckOrigin(req.TransmitTime) {
+				t.Fatalf("genuine reply decoded as %+v, %v", r, err)
+			}
+			allocSinkU64 = r.TransmitTime
+		}); n != 0 {
+			t.Errorf("mode 4 sync reply decode: %.1f allocs/op, want 0", n)
+		}
+	})
+
 	t.Run("mode7-encode", func(t *testing.T) {
 		entry := MonEntry{Addr: 0x0a000001, DAddr: 0x0a000002, Count: 42,
 			Mode: ModePrivate, Version: 2, Port: 123}

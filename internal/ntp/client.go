@@ -34,11 +34,18 @@ func FromNTPTime(ts uint64) time.Time {
 	return time.Unix(secs, int64(frac*1e9>>32)).UTC()
 }
 
+// NTPToUnixNano converts a 64-bit NTP timestamp to Unix nanoseconds. It
+// equals FromNTPTime(ts).UnixNano() for every timestamp: era 0 runs from
+// 1900 to 2036, well inside the ±292 years int64 nanoseconds span.
+func NTPToUnixNano(ts uint64) int64 {
+	return (int64(ts>>32)-Era)*1e9 + int64((ts&0xffffffff)*1e9>>32)
+}
+
 // NewPollRequest builds the mode 3 poll a disciplined client sends. The
 // transmit timestamp doubles as the origin cookie: a genuine reply must echo
 // xmt in its origin field, which is what defeats blind off-path spoofing.
-func NewPollRequest(poll int8, xmt uint64) *Header {
-	return &Header{Version: 4, Mode: ModeClient, Poll: poll, Precision: -20,
+func NewPollRequest(poll int8, xmt uint64) Header {
+	return Header{Version: 4, Mode: ModeClient, Poll: poll, Precision: -20,
 		TransmitTime: xmt}
 }
 
@@ -82,8 +89,8 @@ func kissFromRefID(id uint32) string {
 // NewKissReply builds the stratum-0 kiss-o'-death reply a server (or a
 // CVE-2015-7704-style forger) sends: leap alarm, the code in the reference
 // ID, and the claimed origin echo.
-func NewKissReply(origin uint64, code string, now time.Time) *Header {
-	return &Header{
+func NewKissReply(origin uint64, code string, now time.Time) Header {
+	return Header{
 		LeapIndicator: 3, // unsynchronized: KoD packets carry the alarm bits
 		Version:       4,
 		Mode:          ModeServer,
@@ -106,31 +113,32 @@ type SyncReply struct {
 // truncated packets, wrong modes, impossible versions and strata, zero
 // transmit timestamps, and stratum-0 packets without a printable kiss code —
 // the malformed-reply surface a client exposed to attacker packets must
-// survive. Trailing bytes (extension fields, MACs) are ignored.
-func DecodeSyncReply(data []byte) (*SyncReply, error) {
-	var h Header
-	if err := h.DecodeFromBytes(data); err != nil {
-		return nil, err
+// survive. Trailing bytes (extension fields, MACs) are ignored. The reply
+// is returned by value, so decoding a genuine one allocates nothing; on
+// error it is the zero SyncReply.
+func DecodeSyncReply(data []byte) (SyncReply, error) {
+	var r SyncReply
+	if err := r.DecodeFromBytes(data); err != nil {
+		return SyncReply{}, err
 	}
-	if h.Mode != ModeServer {
-		return nil, ErrBadMode
+	if r.Mode != ModeServer {
+		return SyncReply{}, ErrBadMode
 	}
-	if h.Version < 1 || h.Version > 4 {
-		return nil, ErrBadReply
+	if r.Version < 1 || r.Version > 4 {
+		return SyncReply{}, ErrBadReply
 	}
-	r := &SyncReply{Header: h}
-	if h.Stratum == 0 {
-		r.Kiss = kissFromRefID(h.ReferenceID)
+	if r.Stratum == 0 {
+		r.Kiss = kissFromRefID(r.ReferenceID)
 		if r.Kiss == "" {
-			return nil, ErrBadReply
+			return SyncReply{}, ErrBadReply
 		}
 		return r, nil
 	}
-	if h.Stratum > StratumUnsynchronized {
-		return nil, ErrBadReply
+	if r.Stratum > StratumUnsynchronized {
+		return SyncReply{}, ErrBadReply
 	}
-	if h.TransmitTime == 0 {
-		return nil, ErrBadReply
+	if r.TransmitTime == 0 {
+		return SyncReply{}, ErrBadReply
 	}
 	return r, nil
 }

@@ -2,6 +2,8 @@ package ntp
 
 import (
 	"errors"
+	"math"
+	"math/rand/v2"
 	"testing"
 	"time"
 )
@@ -19,10 +21,59 @@ func TestNTPTimeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestUnixNanoConversionsExact pins the integer conversions the
+// disciplined client runs on to the time.Time reference conversions, bit
+// for bit: random values over the whole domain, both fraction edges, both
+// ends of NTP era 0, and the Unix epoch, where Go's truncating division
+// and Time.Unix's floor part ways.
+func TestUnixNanoConversionsExact(t *testing.T) {
+	r := rand.New(rand.NewPCG(1, 2))
+	const eraEnd = (1<<32-1-Era)*1e9 + 999_999_999 // last Unix ns inside era 0
+
+	stamps := []uint64{
+		0,                 // start of era 0, 1900-01-01
+		0xffffffff,        // largest fraction in the first second
+		1 << 32,           // zero fraction
+		Era << 32,         // the Unix epoch
+		Era<<32 - 1,       // a fraction edge just before it
+		1<<64 - 1,         // end of era 0, 2036-02-07
+		(1<<32 - 1) << 32, // end of era 0 with a zero fraction
+		ToNTPTime(time.Date(2013, 12, 1, 0, 0, 0, 0, time.UTC)),
+	}
+	for i := 0; i < 100_000; i++ {
+		stamps = append(stamps, r.Uint64())
+	}
+	for _, ts := range stamps {
+		if got, want := NTPToUnixNano(ts), FromNTPTime(ts).UnixNano(); got != want {
+			t.Fatalf("NTPToUnixNano(%#x) = %d, want FromNTPTime's %d", ts, got, want)
+		}
+	}
+
+	nanos := []int64{
+		0, 1, -1, // the Unix epoch: floor, not truncation, below it
+		999_999_999, 1e9, 1e9 + 1, -999_999_999, -1e9, -1e9 - 1, -1e9 + 1,
+		-Era * 1e9,   // start of era 0
+		-Era*1e9 - 1, // just before it, wrapping to the end of era -1
+		eraEnd,       // end of era 0
+		eraEnd + 1,   // start of era 1, wrapping to NTP 0
+		math.MinInt64, math.MaxInt64,
+		1385856000_123456789, // 2013-12-01, mid-window
+	}
+	for i := 0; i < 100_000; i++ {
+		nanos = append(nanos, int64(r.Uint64()))                   // anywhere in int64
+		nanos = append(nanos, -Era*1e9+r.Int64N(eraEnd+Era*1e9+1)) // inside era 0
+	}
+	for _, ns := range nanos {
+		if got, want := UnixNanoToNTP(ns), ToNTPTime(time.Unix(0, ns)); got != want {
+			t.Fatalf("UnixNanoToNTP(%d) = %#x, want ToNTPTime's %#x", ns, got, want)
+		}
+	}
+}
+
 func TestDecodeSyncReplyGenuine(t *testing.T) {
 	now := time.Date(2013, 12, 1, 0, 0, 0, 0, time.UTC)
 	req := NewPollRequest(6, ToNTPTime(now))
-	rep := NewServerReply(req, 2, now.Add(80*time.Millisecond))
+	rep := NewServerReply(&req, 2, now.Add(80*time.Millisecond))
 	r, err := DecodeSyncReply(rep.AppendTo(nil))
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +106,7 @@ func TestDecodeSyncReplyKiss(t *testing.T) {
 func TestDecodeSyncReplyRejectsMalformed(t *testing.T) {
 	now := time.Date(2013, 12, 1, 0, 0, 0, 0, time.UTC)
 	req := NewPollRequest(6, ToNTPTime(now))
-	good := NewServerReply(req, 2, now)
+	good := NewServerReply(&req, 2, now)
 
 	mutate := func(f func(h *Header)) []byte {
 		h := *good

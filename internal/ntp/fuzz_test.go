@@ -71,14 +71,19 @@ func FuzzDecodeSyncReply(f *testing.F) {
 	now := time.Unix(1385856000, 0).UTC()
 	req := NewPollRequest(6, ToNTPTime(now))
 	f.Add(req.AppendTo(nil))
-	f.Add(NewServerReply(req, 2, now.Add(40*time.Millisecond)).AppendTo(nil))
-	f.Add(NewServerReply(req, StratumUnsynchronized, now).AppendTo(nil))
-	f.Add(NewKissReply(req.TransmitTime, KissRATE, now).AppendTo(nil))
-	f.Add(NewKissReply(0, KissDENY, now).AppendTo(nil))
+	f.Add(NewServerReply(&req, 2, now.Add(40*time.Millisecond)).AppendTo(nil))
+	f.Add(NewServerReply(&req, StratumUnsynchronized, now).AppendTo(nil))
+	for _, kod := range []Header{NewKissReply(req.TransmitTime, KissRATE, now), NewKissReply(0, KissDENY, now)} {
+		f.Add(kod.AppendTo(nil))
+	}
 	f.Add(make([]byte, 48))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := DecodeSyncReply(data)
 		if err != nil {
+			// A rejected reply carries nothing a caller could act on.
+			if r != (SyncReply{}) {
+				t.Fatalf("rejected reply (%v) returned a non-zero value %+v", err, r)
+			}
 			return
 		}
 		// Anything accepted must re-encode to a reply that decodes to the

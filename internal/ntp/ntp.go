@@ -19,7 +19,6 @@ package ntp
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"time"
 
 	"ntpddos/internal/netaddr"
@@ -95,6 +94,18 @@ func ToNTPTime(t time.Time) uint64 {
 	return secs<<32 | frac
 }
 
+// UnixNanoToNTP converts an instant given as Unix nanoseconds to a 64-bit
+// NTP timestamp. It equals ToNTPTime(time.Unix(0, ns)) for every int64:
+// instants before 1970 floor to the second below, as Time.Unix does.
+func UnixNanoToNTP(ns int64) uint64 {
+	secs, nsec := ns/1e9, ns%1e9
+	if nsec < 0 {
+		secs--
+		nsec += 1e9
+	}
+	return uint64(secs+Era)<<32 | uint64(nsec)<<32/1e9
+}
+
 // AppendTo serializes the header.
 func (h *Header) AppendTo(b []byte) []byte {
 	b = append(b, h.LeapIndicator<<6|h.Version<<3|h.Mode,
@@ -156,6 +167,7 @@ func NewServerReply(req *Header, stratum uint8, now time.Time) *Header {
 // SetServerReply overwrites h with the mode 4 reply to req — the scratch
 // counterpart of NewServerReply. req may alias h.
 func (h *Header) SetServerReply(req *Header, stratum uint8, now time.Time) {
+	ts := ToNTPTime(now)
 	li := uint8(0)
 	if stratum == StratumUnsynchronized {
 		li = 3 // alarm condition: clock not synchronized
@@ -168,13 +180,10 @@ func (h *Header) SetServerReply(req *Header, stratum uint8, now time.Time) {
 		Poll:          req.Poll,
 		Precision:     -20,
 		OriginTime:    req.TransmitTime,
-		ReceiveTime:   ToNTPTime(now),
-		TransmitTime:  ToNTPTime(now),
+		ReceiveTime:   ts,
+		TransmitTime:  ts,
 	}
 }
-
-// sanity check that decoding mirrors encoding for a mode byte.
-var _ = fmt.Sprintf
 
 // AddrToWire converts a netaddr.Addr to the network byte order uint32 used
 // inside monlist entries.

@@ -169,11 +169,13 @@ type Server struct {
 
 	// Scratch state for the zero-alloc reply path. SendTrain copies the
 	// header and payloads into the fabric's pool before returning, so one
-	// reusable header and one payload buffer serve every reply, and the
-	// readvar response fragments are encoded once (the sequence field is
-	// patched in place per query — it is the only per-query wire state).
+	// reusable header, one payload buffer and one one-payload train serve
+	// every reply, and the readvar response fragments are encoded once (the
+	// sequence field is patched in place per query — it is the only
+	// per-query wire state).
 	out      packet.Datagram
 	buf      []byte
+	one      [1][]byte
 	varFrags [][]byte
 }
 
@@ -719,7 +721,12 @@ func (s *Server) refID() string {
 	return "GPS"
 }
 
-// reply sends a unicast response back to the querying datagram's source.
+// reply sends a unicast response back to the querying datagram's source,
+// as a one-payload train from scratch, as netsim.SendFrom does. The payload
+// reference is dropped afterwards so the server never pins a caller's
+// buffer.
 func (s *Server) reply(nw *netsim.Network, dg *packet.Datagram, payload []byte) {
-	s.send(nw, dg.IP.Src, dg.UDP.SrcPort, [][]byte{payload}, dg.Rep)
+	s.one[0] = payload
+	s.send(nw, dg.IP.Src, dg.UDP.SrcPort, s.one[:], dg.Rep)
+	s.one[0] = nil
 }

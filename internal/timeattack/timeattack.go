@@ -111,6 +111,10 @@ type Plane struct {
 	forgedKisses  int64
 	delayed       int64
 	rewritten     int64
+
+	// buf holds the forgery being sent: the fabric copies a payload before
+	// SendSpoofed returns, so one buffer serves every burst.
+	buf [ntp.HeaderLen]byte
 }
 
 // New builds an empty plane.
@@ -199,16 +203,17 @@ func (p *Plane) Start(nw *netsim.Network, start, end time.Time) {
 // spoofed packet per attacked server, claiming that server's address.
 func (p *Plane) fireBurst(nw *netsim.Network, t *target, now time.Time) {
 	for _, s := range t.servers {
-		var h *ntp.Header
+		var h ntp.Header
 		switch t.model {
 		case ModelSpoof:
-			h = &ntp.Header{
+			ts := ntp.ToNTPTime(now.Add(t.offset))
+			h = ntp.Header{
 				Version:      4,
 				Mode:         ntp.ModeServer,
 				Stratum:      2,
 				ReferenceID:  uint32(t.origin),
-				ReceiveTime:  ntp.ToNTPTime(now.Add(t.offset)),
-				TransmitTime: ntp.ToNTPTime(now.Add(t.offset)),
+				ReceiveTime:  ts,
+				TransmitTime: ts,
 			}
 			p.forgedReplies++
 			if p.cfg.Metrics != nil {
@@ -226,7 +231,7 @@ func (p *Plane) fireBurst(nw *netsim.Network, t *target, now time.Time) {
 			}
 		}
 		nw.SendSpoofed(t.origin, s, ntp.Port, t.client.Addr(), timesync.Port,
-			netsim.TTLWindows, h.AppendTo(nil))
+			netsim.TTLWindows, h.AppendTo(p.buf[:0]))
 	}
 	t.kodFlip = !t.kodFlip
 }
@@ -292,33 +297,29 @@ func (ic *interceptor) HandlePacket(nw *netsim.Network, dg *packet.Datagram, now
 				return
 			case ModelDrift:
 				shift := time.Duration(ic.t.drift * now.Sub(ic.armedAt).Seconds() * float64(time.Second))
-				ic.rewrite(&r.Header, func(h *ntp.Header) {
-					h.ReceiveTime = ntpShift(h.ReceiveTime, shift)
-					h.TransmitTime = ntpShift(h.TransmitTime, shift)
-				}, dg)
+				r.ReceiveTime = ntpShift(r.ReceiveTime, shift)
+				r.TransmitTime = ntpShift(r.TransmitTime, shift)
+				ic.rewrite(&r.Header, dg)
 			case ModelStratum:
-				ic.rewrite(&r.Header, func(h *ntp.Header) {
-					h.Stratum = 1
-					h.ReferenceID = 0x47505300 // "GPS\0": a fake reference clock
-					h.ReceiveTime = ntpShift(h.ReceiveTime, ic.t.offset)
-					h.TransmitTime = ntpShift(h.TransmitTime, ic.t.offset)
-				}, dg)
+				r.Stratum = 1
+				r.ReferenceID = 0x47505300 // "GPS\0": a fake reference clock
+				r.ReceiveTime = ntpShift(r.ReceiveTime, ic.t.offset)
+				r.TransmitTime = ntpShift(r.TransmitTime, ic.t.offset)
+				ic.rewrite(&r.Header, dg)
 			case ModelLeap:
-				ic.rewrite(&r.Header, func(h *ntp.Header) {
-					h.LeapIndicator = 1 // leap second pending
-				}, dg)
+				r.LeapIndicator = 1 // leap second pending
+				ic.rewrite(&r.Header, dg)
 			}
 		}
 	}
 	c.HandlePacket(nw, dg, now)
 }
 
-// rewrite mutates the decoded header in place and re-encodes it over the
-// datagram's own payload buffer (the datagram is the recipient's private
-// copy; taps observed the original on the wire). h is a decoded value, so
-// overwriting the buffer it came from is safe.
-func (ic *interceptor) rewrite(h *ntp.Header, mutate func(*ntp.Header), dg *packet.Datagram) {
-	mutate(h)
+// rewrite re-encodes the mutated decoded header over the datagram's own
+// payload buffer (the datagram is the recipient's private copy; taps
+// observed the original on the wire). h is a decoded value, so overwriting
+// the buffer it came from is safe.
+func (ic *interceptor) rewrite(h *ntp.Header, dg *packet.Datagram) {
 	dg.Payload = h.AppendTo(dg.Payload[:0])
 	ic.p.rewritten++
 	if ic.p.cfg.Metrics != nil {
@@ -340,5 +341,5 @@ func ntpShift(ts uint64, d time.Duration) uint64 {
 	if ts == 0 {
 		return 0
 	}
-	return ntp.ToNTPTime(ntp.FromNTPTime(ts).Add(d))
+	return ntp.UnixNanoToNTP(ntp.NTPToUnixNano(ts) + int64(d))
 }

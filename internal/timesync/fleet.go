@@ -39,16 +39,15 @@ func (f *Fleet) Register(nw *netsim.Network) {
 // Start schedules each association's first poll, phase-shifted by a
 // deterministic hash of the (client, server) pair so the fleet does not
 // poll in lockstep, and lets the poll loops self-reschedule until end.
+// Each association's poll callback is built here, once, and re-armed by
+// every poll.
 func (f *Fleet) Start(nw *netsim.Network, start, end time.Time) {
 	for _, c := range f.clients {
 		c.end = end
 		for _, a := range c.assocs {
-			a := a
-			c := c
+			a.fire = func(now time.Time) { c.pollAssoc(nw, a, now) }
 			phase := time.Duration(rng.Mix64(uint64(c.cfg.Addr)<<32|uint64(a.server)) % uint64(pollInterval(MinPoll)))
-			nw.Scheduler().At(start.Add(time.Second+phase), func(now time.Time) {
-				c.pollAssoc(nw, a, now)
-			})
+			nw.Scheduler().At(start.Add(time.Second+phase), a.fire)
 		}
 	}
 }

@@ -36,6 +36,9 @@ const (
 	Port uint16 = 50123
 	// filterDepth is the clock-filter shift register size (RFC 5905 §10).
 	filterDepth = 8
+	// stackAssocs is how many associations updateClock votes over without
+	// a heap allocation.
+	stackAssocs = 8
 	// maxFreqCorr caps the discipline's frequency correction at ±500 ppm,
 	// ntpd's slew-rate limit; maxFreqAdj bounds a single update's nudge so
 	// short poll intervals cannot slam the integrator.
@@ -72,48 +75,56 @@ const (
 // by the discipline. Reading the clock never mutates it; corrections fold
 // accumulated drift into the offset first so the model stays piecewise
 // linear and exactly reproducible.
+//
+// Instants are int64 Unix nanoseconds (time.Time.UnixNano), true and
+// local alike, and the difference of two is time.Duration(a-b). For two
+// instants of NTP era 0 (1900–2036) that is exactly Time.Sub: they lie at
+// most ~4.3e18 ns apart, inside the ±292 years at which Time.Sub
+// saturates.
 type LocalClock struct {
-	base    time.Time // true time the offset was last folded
-	offset  float64   // seconds of error at base (local − true)
-	hwFreq  float64   // hardware frequency error, s/s (fixed)
-	corr    float64   // discipline's frequency correction, s/s
-	everSet bool      // first update steps unconditionally (ntpd -g)
+	base    int64   // true time the offset was last folded, Unix ns
+	offset  float64 // seconds of error at base (local − true)
+	hwFreq  float64 // hardware frequency error, s/s (fixed)
+	corr    float64 // discipline's frequency correction, s/s
+	everSet bool    // first update steps unconditionally (ntpd -g)
 }
 
 // NewLocalClock builds a clock with the given initial phase error and
 // hardware drift in parts per million.
 func NewLocalClock(start time.Time, initOffset time.Duration, freqPPM float64) *LocalClock {
-	return &LocalClock{base: start, offset: initOffset.Seconds(), hwFreq: freqPPM * 1e-6}
+	return &LocalClock{base: start.UnixNano(), offset: initOffset.Seconds(), hwFreq: freqPPM * 1e-6}
 }
 
-// ErrAt returns the clock's error (local − true) at the given true time.
-func (c *LocalClock) ErrAt(now time.Time) time.Duration {
-	dt := now.Sub(c.base).Seconds()
+// ErrAt returns the clock's error (local − true) at the given true time in
+// Unix nanoseconds.
+func (c *LocalClock) ErrAt(now int64) time.Duration {
+	dt := time.Duration(now - c.base).Seconds()
 	return dur(c.offset + (c.hwFreq+c.corr)*dt)
 }
 
-// ReadAt returns the local clock reading at the given true time.
-func (c *LocalClock) ReadAt(now time.Time) time.Time {
-	return now.Add(c.ErrAt(now))
+// ReadAt returns the local clock reading at the given true time, both in
+// Unix nanoseconds.
+func (c *LocalClock) ReadAt(now int64) int64 {
+	return now + int64(c.ErrAt(now))
 }
 
 // advance folds drift accumulated since base into the offset.
-func (c *LocalClock) advance(now time.Time) {
-	dt := now.Sub(c.base).Seconds()
+func (c *LocalClock) advance(now int64) {
+	dt := time.Duration(now - c.base).Seconds()
 	c.offset += (c.hwFreq + c.corr) * dt
 	c.base = now
 }
 
-// Step applies an immediate phase jump.
-func (c *LocalClock) Step(now time.Time, delta time.Duration) {
+// Step applies an immediate phase jump at now (Unix ns).
+func (c *LocalClock) Step(now int64, delta time.Duration) {
 	c.advance(now)
 	c.offset += delta.Seconds()
 	c.everSet = true
 }
 
 // Slew applies a gradual phase correction and a frequency-correction
-// nudge, the latter clamped to ±500 ppm.
-func (c *LocalClock) Slew(now time.Time, delta time.Duration, freqAdj float64) {
+// nudge, the latter clamped to ±500 ppm, at now (Unix ns).
+func (c *LocalClock) Slew(now int64, delta time.Duration, freqAdj float64) {
 	c.advance(now)
 	c.offset += delta.Seconds()
 	c.corr += freqAdj
@@ -144,7 +155,7 @@ type Config struct {
 type sample struct {
 	offset float64 // seconds, measured clock correction
 	delay  float64 // seconds, round-trip delay
-	at     time.Time
+	at     int64   // true arrival time, Unix ns
 }
 
 // assoc is the per-server association state.
@@ -152,14 +163,17 @@ type assoc struct {
 	server    netaddr.Addr
 	poll      int8
 	reach     uint8
-	xmt       uint64    // origin cookie of the in-flight poll
-	sentLocal time.Time // local-clock transmit time of the in-flight poll
+	xmt       uint64 // origin cookie of the in-flight poll
+	sentLocal int64  // local-clock transmit time of the in-flight poll, Unix ns
 	inflight  bool
 	stopped   bool // a honored DENY/RSTR kills the association
 	samples   [filterDepth]sample
 	nsamples  int
 	next      int // ring write index
 	jitter    float64
+	// fire runs the association's next poll. Fleet.Start builds it once,
+	// so re-arming the poll loop schedules no new closure.
+	fire func(now time.Time)
 }
 
 func (a *assoc) addSample(s sample) {
@@ -177,15 +191,16 @@ func (a *assoc) addSample(s sample) {
 	a.jitter = math.Sqrt(sum / float64(a.nsamples))
 }
 
-// best returns the minimum-dispersion sample in the filter: RFC 5905 §10's
-// clock-filter selection with delay plus PHI-grown age, so a stale
-// min-delay sample loses to a fresh one once its dispersion catches up.
-func (a *assoc) best(now time.Time) sample {
+// best returns the minimum-dispersion sample in the filter at now (Unix
+// ns): RFC 5905 §10's clock-filter selection with delay plus PHI-grown
+// age, so a stale min-delay sample loses to a fresh one once its
+// dispersion catches up.
+func (a *assoc) best(now int64) sample {
 	b := a.samples[0]
-	bscore := b.delay + agePenalty*now.Sub(b.at).Seconds()
+	bscore := b.delay + agePenalty*time.Duration(now-b.at).Seconds()
 	for i := 1; i < a.nsamples; i++ {
 		s := a.samples[i]
-		score := s.delay + agePenalty*now.Sub(s.at).Seconds()
+		score := s.delay + agePenalty*time.Duration(now-s.at).Seconds()
 		if score < bscore {
 			b, bscore = s, score
 		}
@@ -222,17 +237,25 @@ type Client struct {
 	stats      Stats
 	panicked   bool
 	leap       bool
-	insecure   bool      // set by MarkInsecure
-	streak     int       // consecutive small-offset updates, drives poll backoff
-	lastUpdate time.Time // last system clock update (rate limiter)
+	insecure   bool  // set by MarkInsecure
+	streak     int   // consecutive small-offset updates, drives poll backoff
+	lastUpdate int64 // last system clock update (rate limiter), Unix ns; noUpdate before the first
+	// pollBuf holds the encoded poll: the fabric copies a payload before
+	// SendUDP returns, so one buffer serves every poll.
+	pollBuf [ntp.HeaderLen]byte
 }
+
+// noUpdate is lastUpdate before the first system clock update: the
+// earliest int64 Unix ns instant (1677), which no update can happen at.
+const noUpdate = math.MinInt64
 
 // NewClient builds a client; start seeds the local clock model.
 func NewClient(cfg Config, start time.Time) *Client {
 	c := &Client{
-		cfg:      cfg,
-		clk:      NewLocalClock(start, cfg.InitOffset, cfg.FreqPPM),
-		byServer: make(map[netaddr.Addr]*assoc, len(cfg.Servers)),
+		cfg:        cfg,
+		clk:        NewLocalClock(start, cfg.InitOffset, cfg.FreqPPM),
+		byServer:   make(map[netaddr.Addr]*assoc, len(cfg.Servers)),
+		lastUpdate: noUpdate,
 	}
 	for _, s := range cfg.Servers {
 		a := &assoc{server: s, poll: MinPoll}
@@ -246,7 +269,7 @@ func NewClient(cfg Config, start time.Time) *Client {
 func (c *Client) Addr() netaddr.Addr { return c.cfg.Addr }
 
 // ClockErr returns the ground-truth clock error at the given true time.
-func (c *Client) ClockErr(now time.Time) time.Duration { return c.clk.ErrAt(now) }
+func (c *Client) ClockErr(now time.Time) time.Duration { return c.clk.ErrAt(now.UnixNano()) }
 
 // Stats returns a copy of the client's lifetime counters.
 func (c *Client) Stats() Stats { return c.stats }
@@ -273,20 +296,20 @@ func (c *Client) pollAssoc(nw *netsim.Network, a *assoc, now time.Time) {
 	if a.stopped || !now.Before(c.end) {
 		return
 	}
-	local := c.clk.ReadAt(now)
-	a.xmt = ntp.ToNTPTime(local)
+	local := c.clk.ReadAt(now.UnixNano())
+	a.xmt = ntp.UnixNanoToNTP(local)
 	a.sentLocal = local
 	a.inflight = true
 	a.reach <<= 1
 	req := ntp.NewPollRequest(a.poll, a.xmt)
-	nw.SendUDP(c.cfg.Addr, Port, a.server, ntp.Port, netsim.TTLLinux, req.AppendTo(nil))
+	nw.SendUDP(c.cfg.Addr, Port, a.server, ntp.Port, netsim.TTLLinux, req.AppendTo(c.pollBuf[:0]))
 	c.stats.Polls++
 	if c.cfg.Metrics != nil {
 		c.cfg.Metrics.Polls.Inc()
 	}
 	next := now.Add(pollInterval(a.poll))
 	if next.Before(c.end) {
-		nw.Scheduler().At(next, func(t time.Time) { c.pollAssoc(nw, a, t) })
+		nw.Scheduler().At(next, a.fire)
 	}
 }
 
@@ -311,18 +334,19 @@ func (c *Client) HandlePacket(nw *netsim.Network, dg *packet.Datagram, now time.
 	}
 	c.stats.Replies++
 	if r.Kiss != "" {
-		c.handleKiss(a, r, now)
+		c.handleKiss(a, &r, now)
 		return
 	}
-	localNow := c.clk.ReadAt(now)
+	nowNs := now.UnixNano()
+	localNow := c.clk.ReadAt(nowNs)
 	var off, delay float64
 	switch {
 	case a.inflight && r.CheckOrigin(a.xmt):
 		// The full four-timestamp exchange of RFC 5905 §8.
-		t2 := ntp.FromNTPTime(r.ReceiveTime)
-		t3 := ntp.FromNTPTime(r.TransmitTime)
-		off = (t2.Sub(a.sentLocal) + t3.Sub(localNow)).Seconds() / 2
-		delay = (localNow.Sub(a.sentLocal) - t3.Sub(t2)).Seconds()
+		t2 := ntp.NTPToUnixNano(r.ReceiveTime)
+		t3 := ntp.NTPToUnixNano(r.TransmitTime)
+		off = time.Duration((t2-a.sentLocal)+(t3-localNow)).Seconds() / 2
+		delay = time.Duration((localNow - a.sentLocal) - (t3 - t2)).Seconds()
 		if delay < 0 {
 			delay = 0
 		}
@@ -332,7 +356,7 @@ func (c *Client) HandlePacket(nw *netsim.Network, dg *packet.Datagram, now time.
 		// CVE-class client: no origin validation, SNTP-style stateless
 		// update straight off the server's transmit stamp. This is the
 		// surface off-path spoofed replies land on.
-		off = ntp.FromNTPTime(r.TransmitTime).Sub(localNow).Seconds()
+		off = time.Duration(ntp.NTPToUnixNano(r.TransmitTime) - localNow).Seconds()
 		delay = 0
 		c.stats.InsecureAccepts++
 	default:
@@ -353,7 +377,7 @@ func (c *Client) HandlePacket(nw *netsim.Network, dg *packet.Datagram, now time.
 			c.cfg.Monitor.ObserveEvent(c.cfg.Addr, EventLeap, 0, now)
 		}
 	}
-	a.addSample(sample{offset: off, delay: delay, at: now})
+	a.addSample(sample{offset: off, delay: delay, at: nowNs})
 	c.stats.Samples++
 	if c.cfg.Metrics != nil {
 		c.cfg.Metrics.Samples.Inc()
@@ -410,23 +434,27 @@ func (c *Client) updateClock(now time.Time) {
 	// them would pump the frequency integrator N-servers times per time
 	// constant and oscillate (ntpd's discipline runs at the loop time
 	// constant for the same reason).
-	if !c.lastUpdate.IsZero() && now.Sub(c.lastUpdate) < pollInterval(c.sysPoll())*3/4 {
+	nowNs := now.UnixNano()
+	if c.lastUpdate != noUpdate && time.Duration(nowNs-c.lastUpdate) < pollInterval(c.sysPoll())*3/4 {
 		return
 	}
-	c.lastUpdate = now
+	c.lastUpdate = nowNs
 	type cand struct {
 		a *assoc
 		s sample
 	}
-	var cands []cand
+	// Candidates and vote counts live on the stack for up to stackAssocs
+	// associations; only a larger client reaches the heap.
+	var candBuf [stackAssocs]cand
+	cands := candBuf[:0]
 	for _, a := range c.assocs {
 		if a.stopped || a.nsamples == 0 {
 			continue
 		}
-		b := a.best(now)
+		b := a.best(nowNs)
 		// Associations whose freshest usable sample has aged out (server
 		// dead, denied, or unreachable) stop voting.
-		if now.Sub(b.at) > 4*pollInterval(a.poll) {
+		if time.Duration(nowNs-b.at) > 4*pollInterval(a.poll) {
 			continue
 		}
 		cands = append(cands, cand{a, b})
@@ -441,7 +469,11 @@ func (c *Client) updateClock(now time.Time) {
 	// overlaps a strict majority of all candidates (itself included).
 	const tol = 0.005
 	n := len(cands)
-	counts := make([]int, n)
+	var countBuf [stackAssocs]int
+	counts := countBuf[:]
+	if n > len(counts) {
+		counts = make([]int, n)
+	}
 	for i := 0; i < n; i++ {
 		li := cands[i].s.offset - cands[i].s.delay/2 - tol
 		hi := cands[i].s.offset + cands[i].s.delay/2 + tol
@@ -497,7 +529,7 @@ func (c *Client) discipline(theta float64, now time.Time) {
 		}
 		return
 	case abs >= StepThreshold.Seconds() || !c.clk.everSet:
-		c.clk.Step(now, dur(theta))
+		c.clk.Step(now.UnixNano(), dur(theta))
 		c.stats.Steps++
 		if c.cfg.Metrics != nil {
 			c.cfg.Metrics.Steps.Inc()
@@ -522,7 +554,7 @@ func (c *Client) discipline(theta float64, now time.Time) {
 		} else if adj < -maxFreqAdj {
 			adj = -maxFreqAdj
 		}
-		c.clk.Slew(now, dur(theta/2), adj)
+		c.clk.Slew(now.UnixNano(), dur(theta/2), adj)
 		c.stats.Slews++
 		if c.cfg.Metrics != nil {
 			c.cfg.Metrics.Slews.Inc()

@@ -33,7 +33,7 @@ func testServer(nw *netsim.Network, addr string) netaddr.Addr {
 func TestLocalClockDrift(t *testing.T) {
 	start := vtime.Epoch
 	c := NewLocalClock(start, 100*time.Millisecond, 50) // 50 ppm fast
-	at := start.Add(1000 * time.Second)
+	at := start.Add(1000 * time.Second).UnixNano()
 	want := 100*time.Millisecond + 50*time.Millisecond // 50 ppm over 1000 s
 	if got := c.ErrAt(at); got < want-time.Millisecond || got > want+time.Millisecond {
 		t.Fatalf("ErrAt = %v, want ~%v", got, want)
@@ -149,7 +149,8 @@ func TestKoDHandling(t *testing.T) {
 			if tc.forged {
 				origin = 0
 			}
-			deliver(c, nw, server, ntp.NewKissReply(origin, tc.code, now), now)
+			kod := ntp.NewKissReply(origin, tc.code, now)
+			deliver(c, nw, server, &kod, now)
 			if a.poll != tc.wantPoll {
 				t.Errorf("poll = %d, want %d", a.poll, tc.wantPoll)
 			}
@@ -172,6 +173,7 @@ func TestKoDHandling(t *testing.T) {
 // the honest majority.
 func TestFalsetickerVoting(t *testing.T) {
 	now := vtime.Epoch
+	nowNs := now.UnixNano()
 	newFourServerClient := func() *Client {
 		return NewClient(Config{
 			Addr: netaddr.MustParseAddr("192.0.2.1"),
@@ -187,9 +189,9 @@ func TestFalsetickerVoting(t *testing.T) {
 	t.Run("two of four lying: no majority, clock held", func(t *testing.T) {
 		c := newFourServerClient()
 		c.clk.everSet = true
-		before := c.clk.ErrAt(now)
+		before := c.clk.ErrAt(nowNs)
 		for i, off := range []float64{0.001, -0.002, 5.0, 5.001} {
-			c.assocs[i].addSample(sample{offset: off, delay: 0.02, at: now})
+			c.assocs[i].addSample(sample{offset: off, delay: 0.02, at: nowNs})
 		}
 		c.updateClock(now)
 		if c.stats.NoMajority != 1 {
@@ -198,7 +200,7 @@ func TestFalsetickerVoting(t *testing.T) {
 		if c.stats.Steps != 0 || c.stats.Slews != 0 {
 			t.Fatalf("clock was updated despite a 2-2 split: %+v", c.stats)
 		}
-		if got := c.clk.ErrAt(now); got != before {
+		if got := c.clk.ErrAt(nowNs); got != before {
 			t.Fatalf("clock error moved from %v to %v on a held update", before, got)
 		}
 	})
@@ -207,7 +209,7 @@ func TestFalsetickerVoting(t *testing.T) {
 		c := newFourServerClient()
 		c.clk.everSet = true
 		for i, off := range []float64{0.001, -0.002, 0.002, 5.0} {
-			c.assocs[i].addSample(sample{offset: off, delay: 0.02, at: now})
+			c.assocs[i].addSample(sample{offset: off, delay: 0.02, at: nowNs})
 		}
 		c.updateClock(now)
 		if c.stats.NoMajority != 0 {
@@ -217,7 +219,7 @@ func TestFalsetickerVoting(t *testing.T) {
 			t.Fatalf("expected one slew, got %+v", c.stats)
 		}
 		// The 5 s liar must not have dragged the combined offset.
-		if e := c.clk.ErrAt(now); e > 100*time.Millisecond || e < -100*time.Millisecond {
+		if e := c.clk.ErrAt(nowNs); e > 100*time.Millisecond || e < -100*time.Millisecond {
 			t.Fatalf("combined offset polluted by falseticker: clock error %v", e)
 		}
 	})
@@ -237,10 +239,10 @@ func TestPanicThreshold(t *testing.T) {
 	if !c.panicked || c.stats.Panics != 1 {
 		t.Fatalf("panic threshold not enforced: %+v", c.stats)
 	}
-	if e := c.clk.ErrAt(now); e != 0 {
+	if e := c.clk.ErrAt(now.UnixNano()); e != 0 {
 		t.Fatalf("panic offset was applied: clock error %v", e)
 	}
-	c.assocs[0].addSample(sample{offset: 0.5, at: now})
+	c.assocs[0].addSample(sample{offset: 0.5, at: now.UnixNano()})
 	c.updateClock(now)
 	if c.stats.Steps != 0 && c.stats.Slews != 0 {
 		t.Fatal("client kept disciplining after panic")
