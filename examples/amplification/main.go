@@ -22,14 +22,13 @@ import (
 
 // measure sends one monlist probe at the server and returns what came back.
 func measure(cfg ntpd.Config, prime int) (packets int64, bytes int64) {
-	var clock vtime.Clock
-	sched := vtime.NewScheduler(&clock)
+	sched := vtime.NewScheduler()
 	nw := netsim.New(sched, nil)
 
 	srv := ntpd.New(cfg)
 	nw.Register(srv.Addr(), srv)
 	for i := 0; i < prime; i++ {
-		srv.Record(netaddr.Addr(0x0a000000+uint32(i)), ntp.Port, ntp.ModeClient, 4, 1, clock.Now())
+		srv.Record(netaddr.Addr(0x0a000000+uint32(i)), ntp.Port, ntp.ModeClient, 4, 1, sched.Now())
 	}
 
 	victim := netaddr.MustParseAddr("203.0.113.7")

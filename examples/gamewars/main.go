@@ -28,8 +28,7 @@ import (
 )
 
 func main() {
-	var clock vtime.Clock
-	sched := vtime.NewScheduler(&clock)
+	sched := vtime.NewScheduler()
 	nw := netsim.New(sched, nil)
 	src := rng.New(11)
 
@@ -53,7 +52,7 @@ func main() {
 		if src.Bool(0.3) {
 			tier = "silver"
 		}
-		if err := svc.Subscribe(c, tier, clock.Now()); err != nil {
+		if err := svc.Subscribe(c, tier, sched.Now()); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 		}
 	}
@@ -63,7 +62,7 @@ func main() {
 	var launched int
 	for day := 0; day < 7; day++ {
 		for i := 0; i < 30; i++ {
-			at := clock.Now().Add(time.Duration(attack.SampleStartHour(src))*time.Hour +
+			at := sched.Now().Add(time.Duration(attack.SampleStartHour(src))*time.Hour +
 				time.Duration(src.IntN(3600))*time.Second)
 			customer := customers[src.IntN(len(customers))]
 			victim := netaddr.Addr(0xCB007100 + uint32(src.IntN(200))) // 203.0.113.x neighbourhood
@@ -75,9 +74,9 @@ func main() {
 				}
 			})
 		}
-		sched.RunUntil(clock.Now().Add(24 * time.Hour))
+		sched.RunUntil(sched.Now().Add(24 * time.Hour))
 	}
-	sched.RunUntil(clock.Now().Add(6 * time.Hour))
+	sched.RunUntil(sched.Now().Add(6 * time.Hour))
 
 	// The measurement side sees none of the storefront — only the tables.
 	prober := scan.NewProber(netaddr.MustParseAddr("198.51.100.5"), 57915)
@@ -85,7 +84,7 @@ func main() {
 	survey := &scan.Survey{Prober: prober, Network: nw, Kind: "monlist",
 		DstPort: ntp.Port, Duration: time.Minute,
 		Payload: ntp.NewMonlistRequest(ntp.ImplXNTPD, ntp.ReqMonGetList1)}
-	analysis := core.AnalyzeSample(survey.RunSample(clock.Now(), amps), prober.Addr)
+	analysis := core.AnalyzeSample(survey.RunSample(sched.Now(), amps), prober.Addr)
 
 	ports := stats.NewHistogram()
 	for _, v := range analysis.Victims {

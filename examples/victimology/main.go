@@ -21,8 +21,7 @@ import (
 )
 
 func main() {
-	var clock vtime.Clock
-	sched := vtime.NewScheduler(&clock)
+	sched := vtime.NewScheduler()
 	nw := netsim.New(sched, nil) // no BCP38 anywhere: spoofing works
 	src := rng.New(7)
 
@@ -34,7 +33,7 @@ func main() {
 			Profile: ntpd.Profile{SystemString: "linux", TTL: 64}})
 		for c := 0; c < 2+src.IntN(8); c++ {
 			srv.Record(netaddr.Addr(src.Uint32()), ntp.Port, ntp.ModeClient, 4,
-				1+int64(src.IntN(20)), clock.Now())
+				1+int64(src.IntN(20)), sched.Now())
 		}
 		nw.Register(addr, srv)
 		amps = append(amps, addr)
@@ -56,13 +55,13 @@ func main() {
 	for i, tgt := range targets {
 		engine.Launch(attack.Campaign{
 			Victim: netaddr.MustParseAddr(tgt.victim), Port: tgt.port,
-			Start:       clock.Now().Add(time.Duration(1+i) * time.Hour),
+			Start:       sched.Now().Add(time.Duration(1+i) * time.Hour),
 			Duration:    tgt.dur,
 			TriggerRate: tgt.rate,
 			Amplifiers:  amps[i*5 : i*5+8],
 		})
 	}
-	sched.RunUntil(clock.Now().Add(8 * time.Hour))
+	sched.RunUntil(sched.Now().Add(8 * time.Hour))
 
 	// The measurement: one monlist probe per amplifier, from one source.
 	prober := scan.NewProber(netaddr.MustParseAddr("198.51.100.5"), 57915)
@@ -70,7 +69,7 @@ func main() {
 	survey := &scan.Survey{Prober: prober, Network: nw, Kind: "monlist",
 		DstPort: ntp.Port, Duration: time.Minute,
 		Payload: ntp.NewMonlistRequest(ntp.ImplXNTPD, ntp.ReqMonGetList1)}
-	sample := survey.RunSample(clock.Now(), amps)
+	sample := survey.RunSample(sched.Now(), amps)
 
 	// The analysis: rebuild tables, classify entries, derive attack timing.
 	analysis := core.AnalyzeSample(sample, prober.Addr)

@@ -85,8 +85,7 @@ func (s *sink) HandlePacket(_ *netsim.Network, dg *packet.Datagram, _ time.Time)
 }
 
 func harness() (*netsim.Network, *vtime.Scheduler) {
-	var clock vtime.Clock
-	sched := vtime.NewScheduler(&clock)
+	sched := vtime.NewScheduler()
 	return netsim.New(sched, nil), sched
 }
 
@@ -133,8 +132,7 @@ func TestCampaignReflectsOffAmplifier(t *testing.T) {
 }
 
 func TestCampaignBlockedByBCP38(t *testing.T) {
-	var clock vtime.Clock
-	sched := vtime.NewScheduler(&clock)
+	sched := vtime.NewScheduler()
 	nw := netsim.New(sched, func(origin, claimed netaddr.Addr) bool { return false })
 	amp := ntpd.New(ntpd.Config{Addr: netaddr.MustParseAddr("10.0.0.10"),
 		MonlistEnabled: true, Profile: ntpd.Profile{TTL: 64}})

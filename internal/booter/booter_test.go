@@ -23,8 +23,7 @@ type fixture struct {
 
 func newFixture(t *testing.T) *fixture {
 	t.Helper()
-	var clock vtime.Clock
-	sched := vtime.NewScheduler(&clock)
+	sched := vtime.NewScheduler()
 	nw := netsim.New(sched, nil)
 	f := &fixture{nw: nw, sched: sched, victim: netaddr.MustParseAddr("203.0.113.9")}
 

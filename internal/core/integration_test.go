@@ -20,8 +20,7 @@ import (
 // the analysis pipeline recovers the victims, ports and attack volumes from
 // nothing but the captured response packets.
 func TestEndToEndPipeline(t *testing.T) {
-	var clock vtime.Clock
-	sched := vtime.NewScheduler(&clock)
+	sched := vtime.NewScheduler()
 	nw := netsim.New(sched, nil)
 	src := rng.New(99)
 
@@ -44,12 +43,12 @@ func TestEndToEndPipeline(t *testing.T) {
 	// truncate to 0 — exactly the Table 3b victims' inter-arrival of 0.)
 	engine.Launch(attack.Campaign{
 		Victim: victim, Port: 3074, // XBox Live
-		Start:       clock.Now().Add(time.Hour),
+		Start:       sched.Now().Add(time.Hour),
 		Duration:    2 * time.Hour,
 		TriggerRate: 1.0 / 15,
 		Amplifiers:  ampAddrs[:5],
 	})
-	sched.RunUntil(clock.Now().Add(4 * time.Hour))
+	sched.RunUntil(sched.Now().Add(4 * time.Hour))
 
 	// The ONP survey.
 	prober := scan.NewProber(netaddr.MustParseAddr("198.51.100.5"), 57915)
@@ -59,7 +58,7 @@ func TestEndToEndPipeline(t *testing.T) {
 		Payload:  ntp.NewMonlistRequest(ntp.ImplXNTPD, ntp.ReqMonGetList1),
 		Duration: time.Hour,
 	}
-	sample := survey.RunSample(clock.Now(), ampAddrs)
+	sample := survey.RunSample(sched.Now(), ampAddrs)
 
 	analysis := core.AnalyzeSample(sample, prober.Addr)
 	if len(analysis.Amps) != 10 {
@@ -111,8 +110,7 @@ func TestEndToEndPipeline(t *testing.T) {
 
 // TestVersionPipeline exercises the mode 6 path end to end.
 func TestVersionPipeline(t *testing.T) {
-	var clock vtime.Clock
-	sched := vtime.NewScheduler(&clock)
+	sched := vtime.NewScheduler()
 	nw := netsim.New(sched, nil)
 	src := rng.New(5)
 
@@ -135,7 +133,7 @@ func TestVersionPipeline(t *testing.T) {
 		Prober: prober, Network: nw, Kind: "version", DstPort: ntp.Port,
 		Payload: ntp.NewReadVarRequest(1), Duration: 30 * time.Minute,
 	}
-	sample := survey.RunSample(clock.Now(), addrs)
+	sample := survey.RunSample(sched.Now(), addrs)
 	census := core.AnalyzeVersionSample(sample)
 	if census.Total != 50 {
 		t.Fatalf("census total = %d, want 50", census.Total)

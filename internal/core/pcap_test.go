@@ -20,8 +20,7 @@ import (
 // sample written as a pcap and re-analysed from the file yields the same
 // amplifier and victim census as the live analysis.
 func TestPCAPRoundTripAnalysis(t *testing.T) {
-	var clock vtime.Clock
-	sched := vtime.NewScheduler(&clock)
+	sched := vtime.NewScheduler()
 	nw := netsim.New(sched, nil)
 	src := rng.New(3)
 
@@ -36,17 +35,17 @@ func TestPCAPRoundTripAnalysis(t *testing.T) {
 	victim := netaddr.MustParseAddr("203.0.113.50")
 	engine := attack.NewEngine(nw, src, []netaddr.Addr{netaddr.MustParseAddr("192.0.2.1")})
 	engine.Launch(attack.Campaign{
-		Victim: victim, Port: 80, Start: clock.Now().Add(time.Hour),
+		Victim: victim, Port: 80, Start: sched.Now().Add(time.Hour),
 		Duration: time.Hour, TriggerRate: 0.2, Amplifiers: amps[:4],
 	})
-	sched.RunUntil(clock.Now().Add(3 * time.Hour))
+	sched.RunUntil(sched.Now().Add(3 * time.Hour))
 
 	prober := scan.NewProber(netaddr.MustParseAddr("198.51.100.5"), 57915)
 	nw.Register(prober.Addr, prober)
 	survey := &scan.Survey{Prober: prober, Network: nw, Kind: "monlist",
 		DstPort: ntp.Port, Duration: time.Minute,
 		Payload: ntp.NewMonlistRequest(ntp.ImplXNTPD, ntp.ReqMonGetList1)}
-	sample := survey.RunSample(clock.Now(), amps)
+	sample := survey.RunSample(sched.Now(), amps)
 	direct := core.AnalyzeSample(sample, prober.Addr)
 
 	var buf bytes.Buffer

@@ -72,8 +72,7 @@ func TestEncodeRejectsBadLabels(t *testing.T) {
 }
 
 func harness() (*netsim.Network, *vtime.Scheduler) {
-	var clock vtime.Clock
-	sched := vtime.NewScheduler(&clock)
+	sched := vtime.NewScheduler()
 	return netsim.New(sched, nil), sched
 }
 

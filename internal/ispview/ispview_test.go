@@ -28,8 +28,7 @@ type fixture struct {
 
 func newFixture(t *testing.T) *fixture {
 	t.Helper()
-	var clock vtime.Clock
-	sched := vtime.NewScheduler(&clock)
+	sched := vtime.NewScheduler()
 	nw := netsim.New(sched, nil)
 	db := asdb.Build(rng.New(11), asdb.Config{NumASes: 50, SpooferFraction: 1})
 	merit := db.ByName(asdb.NameMerit)

@@ -26,8 +26,7 @@ func (c *countTap) ObserveTrain(_ *packet.Datagram, payloads [][]byte, _ []int64
 // amortized map and pool-slice growth; the steady state is zero, so any
 // per-send allocation (one escaped slice is exactly 1 per datagram) fails.
 func TestFabricDeliveryAllocBudget(t *testing.T) {
-	var clock vtime.Clock
-	sched := vtime.NewScheduler(&clock)
+	sched := vtime.NewScheduler()
 	nw := New(sched, nil)
 	tap := &countTap{}
 	nw.AddTap(tap)
@@ -80,8 +79,7 @@ func TestFabricDeliveryAllocBudget(t *testing.T) {
 		{name: "train-impaired", registered: true, impaired: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var clock vtime.Clock
-			sched := vtime.NewScheduler(&clock)
+			sched := vtime.NewScheduler()
 			nw := New(sched, nil)
 			if tc.impaired {
 				nw.SetImpairment(allFaults, rng.New(7).Fork("faults"))
@@ -108,7 +106,7 @@ func TestFabricDeliveryAllocBudget(t *testing.T) {
 					return
 				}
 				// Past every delay, and now and then into the next flap window.
-				sched.RunUntil(clock.Now().Add(flapPeriod / 8))
+				sched.RunUntil(sched.Now().Add(flapPeriod / 8))
 			}
 			run()
 			avg := testing.AllocsPerRun(50, run)
@@ -160,8 +158,7 @@ func TestFabricDeliveryAllocBudget(t *testing.T) {
 // TestFabricSendScratchDoesNotPinPayload guards the convenience-send scratch:
 // the fabric copies the payload and must drop the caller's reference.
 func TestFabricSendScratchDoesNotPinPayload(t *testing.T) {
-	var clock vtime.Clock
-	sched := vtime.NewScheduler(&clock)
+	sched := vtime.NewScheduler()
 	nw := New(sched, nil)
 	nw.SendUDP(1, 1, 2, 2, TTLLinux, []byte("x"))
 	if nw.sendScratch.Payload != nil || nw.sendOne[0] != nil {

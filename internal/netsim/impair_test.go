@@ -123,8 +123,7 @@ func TestImpairmentReorderDelaysBatch(t *testing.T) {
 // link: inside a down window the whole batch drops, and the long-run down
 // fraction approximates FlapRate.
 func TestImpairmentFlapWindows(t *testing.T) {
-	var clock vtime.Clock
-	sched := vtime.NewScheduler(&clock)
+	sched := vtime.NewScheduler()
 	net := New(sched, nil)
 	net.SetImpairment(Impairment{FlapRate: 0.3}, rng.New(5).Fork("faults"))
 	src := netaddr.MustParseAddr("10.0.0.1")

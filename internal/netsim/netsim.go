@@ -220,7 +220,7 @@ func New(sched *vtime.Scheduler, policy SpoofPolicy) *Network {
 func (n *Network) Scheduler() *vtime.Scheduler { return n.sched }
 
 // Now returns the current virtual time.
-func (n *Network) Now() time.Time { return n.sched.Clock().Now() }
+func (n *Network) Now() time.Time { return n.sched.Now() }
 
 // Register binds a host to an address. Registering over an existing binding
 // replaces it (DHCP churn re-binds residential amplifiers this way).

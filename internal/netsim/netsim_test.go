@@ -10,8 +10,7 @@ import (
 )
 
 func newNet(policy SpoofPolicy) (*Network, *vtime.Scheduler) {
-	var clock vtime.Clock
-	sched := vtime.NewScheduler(&clock)
+	sched := vtime.NewScheduler()
 	return New(sched, policy), sched
 }
 

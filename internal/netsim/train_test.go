@@ -64,8 +64,7 @@ var (
 )
 
 func newTrainFabric(tc trainCase) *trainFabric {
-	var clock vtime.Clock
-	f := &trainFabric{sched: vtime.NewScheduler(&clock), reg: metrics.NewRegistry()}
+	f := &trainFabric{sched: vtime.NewScheduler(), reg: metrics.NewRegistry()}
 	var policy SpoofPolicy
 	if tc.deny {
 		policy = func(_, _ netaddr.Addr) bool { return false }

@@ -168,11 +168,12 @@ type Server struct {
 	encPos     []int32
 
 	// Scratch state for the zero-alloc reply path. SendTrain copies the
-	// header and payloads into the fabric's pool before returning, so one
-	// reusable header, one payload buffer and one one-payload train serve
-	// every reply, and the readvar response fragments are encoded once (the
-	// sequence field is patched in place per query — it is the only
-	// per-query wire state).
+	// header and payloads into the fabric's pool before returning, and a
+	// socket caller writes Respond's payloads out before the next query, so
+	// one reusable header, one payload buffer and one one-payload train
+	// serve every reply, and the readvar response fragments are encoded
+	// once (the sequence field is patched in place per query — it is the
+	// only per-query wire state).
 	out      packet.Datagram
 	buf      []byte
 	one      [1][]byte
@@ -379,61 +380,95 @@ func (s *Server) DetachMRU() {
 	}
 }
 
-// Respond is the transport-independent request path: it processes one UDP
-// payload from src and returns the response payloads the daemon would send
-// back (without the §3.4 mega replay, which needs a scheduler). cmd/ntpdsim
-// serves real UDP sockets through this method; the netsim HandlePacket path
-// produces identical responses.
+// Respond is the socket transport's request path (cmd/ntpdsim serves real
+// UDP through it): it answers one UDP payload from src and returns the
+// reply payloads, without the §3.4 mega replay, which needs a scheduler.
+// The payloads are the daemon's scratch, as the fabric path's are: they
+// are valid until the daemon's next query, so a caller writes them out
+// before it hands the daemon another packet.
 func (s *Server) Respond(payload []byte, src netaddr.Addr, srcPort uint16, now time.Time) [][]byte {
+	frags, kind, _ := s.answer(payload, src, srcPort, 1, now)
+	if m := s.cfg.Metrics; m != nil {
+		kind.Add(int64(len(frags)))
+		for _, f := range frags {
+			m.BytesSent.Add(int64(packet.OnWireBytesForUDPPayload(len(f))))
+		}
+	}
+	return frags
+}
+
+// answer is the request path both transports share. It decodes one query
+// from src, records the client in the MRU list (rep times) and applies the
+// monlist and mode 6 restrictions and the implementation check. It returns
+// the reply payloads, nil when the daemon stays silent, with their
+// per-flavour packet counter (nil for mode 3 and peer-list replies), and
+// the request code of a monlist reply (0 for any other), which may start
+// the §3.4 replay. The payloads come from the daemon's scratch — the mode 3
+// buffer and the cached monlist and readvar fragments — and are valid
+// until its next query.
+func (s *Server) answer(payload []byte, src netaddr.Addr, srcPort uint16, rep int64, now time.Time) ([][]byte, *metrics.Counter, uint8) {
 	mode, ok := ntp.Mode(payload)
 	if !ok {
-		return nil
+		return nil, nil, 0
 	}
-	s.QueriesSeen++
+	s.QueriesSeen += rep
 	switch mode {
 	case ntp.ModeClient:
 		var req ntp.Header
 		if err := req.DecodeFromBytes(payload); err != nil {
-			return nil
+			return nil, nil, 0
 		}
-		s.Record(src, srcPort, ntp.ModeClient, req.Version, 1, now)
-		return s.countResponse(nil, [][]byte{ntp.NewServerReply(&req, uint8(s.cfg.Stratum), now).AppendTo(nil)})
+		s.Record(src, srcPort, ntp.ModeClient, req.Version, rep, now)
+		req.SetServerReply(&req, uint8(s.cfg.Stratum), now)
+		s.buf = req.AppendTo(s.buf[:0])
+		s.one[0] = s.buf
+		return s.one[:], nil, 0
 	case ntp.ModePrivate:
-		m, err := ntp.DecodeMode7(payload)
-		if err != nil || m.Response {
-			return nil
+		var m ntp.Mode7
+		if err := m.DecodeFromBytes(payload); err != nil || m.Response {
+			return nil, nil, 0
 		}
-		s.Record(src, srcPort, ntp.ModePrivate, 2, 1, now)
-		if !s.cfg.MonlistEnabled ||
-			(m.Implementation != s.cfg.Implementation && m.Implementation != ntp.ImplUniv) {
-			return nil
+		s.Record(src, srcPort, ntp.ModePrivate, 2, rep, now)
+		if !s.cfg.MonlistEnabled {
+			return nil, nil, 0 // patched daemons silently drop restricted queries
+		}
+		if m.Implementation != s.cfg.Implementation && m.Implementation != ntp.ImplUniv {
+			return nil, nil, 0 // the §3.1 implementation-mismatch blind spot
 		}
 		switch m.Request {
 		case ntp.ReqMonGetList, ntp.ReqMonGetList1:
-			return s.countResponse(s.cfg.Metrics.monlistCounter(), s.monlistFragments(m.Request, now))
+			return s.monlistFragments(m.Request, now), s.cfg.Metrics.monlistCounter(), m.Request
 		case ntp.ReqPeerList:
-			return s.countResponse(nil, ntp.BuildPeerListResponse(s.peerEntries(), s.cfg.Implementation))
+			return ntp.BuildPeerListResponse(s.peerEntries(), s.cfg.Implementation), nil, 0
 		}
-		return nil
 	case ntp.ModeControl:
-		m, err := ntp.DecodeMode6(payload)
-		if err != nil || m.Response {
-			return nil
+		var m ntp.Mode6
+		if err := m.DecodeFromBytes(payload); err != nil || m.Response {
+			return nil, nil, 0
 		}
-		s.Record(src, srcPort, ntp.ModeControl, 2, 1, now)
+		s.Record(src, srcPort, ntp.ModeControl, 2, rep, now)
 		if !s.cfg.Mode6Enabled || m.OpCode != ntp.OpReadVar {
-			return nil
+			return nil, nil, 0
 		}
-		return s.countResponse(s.cfg.Metrics.mode6Counter(), ntp.BuildReadVarResponse(m.Sequence, s.readVarText()))
+		if s.varFrags == nil {
+			// The variable text is a pure function of the config, so the
+			// fragments are encoded once per daemon; only the echoed
+			// sequence number differs between queries, patched below.
+			s.varFrags = ntp.BuildReadVarResponse(0, s.readVarText())
+		}
+		for _, frag := range s.varFrags {
+			binary.BigEndian.PutUint16(frag[2:], m.Sequence)
+		}
+		return s.varFrags, s.cfg.Metrics.mode6Counter(), 0
 	default:
-		s.Record(src, srcPort, uint8(mode), 0, 1, now)
-		return nil
+		// Other modes are recorded but not answered.
+		s.Record(src, srcPort, uint8(mode), 0, rep, now)
 	}
+	return nil, nil, 0
 }
 
-// monlistCounter and mode6Counter are nil-safe accessors so the Respond and
-// fabric paths can count per-flavour packets without guarding every call
-// site.
+// monlistCounter and mode6Counter are nil-safe accessors so both transports
+// can count per-flavour packets without guarding every call site.
 func (m *Metrics) monlistCounter() *metrics.Counter {
 	if m == nil {
 		return nil
@@ -446,19 +481,6 @@ func (m *Metrics) mode6Counter() *metrics.Counter {
 		return nil
 	}
 	return m.Mode6Sent
-}
-
-// countResponse instruments the socket-serving Respond path: each returned
-// payload is one response packet sent by the caller. kind, when non-nil, is
-// the per-flavour packet counter.
-func (s *Server) countResponse(kind *metrics.Counter, frags [][]byte) [][]byte {
-	if m := s.cfg.Metrics; m != nil {
-		kind.Add(int64(len(frags)))
-		for _, f := range frags {
-			m.BytesSent.Add(int64(packet.OnWireBytesForUDPPayload(len(f))))
-		}
-	}
-	return frags
 }
 
 // readVarText renders the daemon's system-variable response body.
@@ -478,62 +500,20 @@ func (s *Server) readVarText() string {
 	return text
 }
 
-// HandlePacket implements netsim.Host: the daemon's dispatch on NTP mode.
+// HandlePacket implements netsim.Host: it answers the query through the
+// fabric as one train and, after a monlist reply, starts the §3.4 mega
+// replay.
 func (s *Server) HandlePacket(nw *netsim.Network, dg *packet.Datagram, now time.Time) {
 	if dg.UDP.DstPort != ntp.Port {
 		return
 	}
-	mode, ok := ntp.Mode(dg.Payload)
-	if !ok {
+	frags, kind, monlist := s.answer(dg.Payload, dg.IP.Src, dg.UDP.SrcPort, dg.Rep, now)
+	if frags == nil {
 		return
 	}
-	s.QueriesSeen += dg.Rep
-	switch mode {
-	case ntp.ModeClient:
-		s.handleClient(nw, dg, now)
-	case ntp.ModePrivate:
-		s.handleMode7(nw, dg, now)
-	case ntp.ModeControl:
-		s.handleMode6(nw, dg, now)
-	default:
-		// Other modes are recorded but not answered.
-		s.Record(dg.IP.Src, dg.UDP.SrcPort, uint8(mode), 0, dg.Rep, now)
-	}
-}
-
-// handleClient answers an honest mode 3 time request with a mode 4 reply.
-func (s *Server) handleClient(nw *netsim.Network, dg *packet.Datagram, now time.Time) {
-	var req ntp.Header
-	if err := req.DecodeFromBytes(dg.Payload); err != nil {
-		return
-	}
-	s.Record(dg.IP.Src, dg.UDP.SrcPort, ntp.ModeClient, req.Version, dg.Rep, now)
-	req.SetServerReply(&req, uint8(s.cfg.Stratum), now)
-	s.buf = req.AppendTo(s.buf[:0])
-	s.reply(nw, dg, s.buf)
-}
-
-// handleMode7 serves (or ignores) a private-mode request.
-func (s *Server) handleMode7(nw *netsim.Network, dg *packet.Datagram, now time.Time) {
-	var m ntp.Mode7
-	if err := m.DecodeFromBytes(dg.Payload); err != nil || m.Response {
-		return
-	}
-	s.Record(dg.IP.Src, dg.UDP.SrcPort, ntp.ModePrivate, 2, dg.Rep, now)
-	if !s.cfg.MonlistEnabled {
-		return // patched daemons silently drop restricted queries
-	}
-	if m.Implementation != s.cfg.Implementation && m.Implementation != ntp.ImplUniv {
-		return // the §3.1 implementation-mismatch blind spot
-	}
-	switch m.Request {
-	case ntp.ReqMonGetList, ntp.ReqMonGetList1:
-		s.sendMonlist(nw, dg.IP.Src, dg.UDP.SrcPort, dg.Rep, m.Request, now)
-		if s.cfg.MegaAmp {
-			s.startMegaReplay(nw, dg, m.Request)
-		}
-	case ntp.ReqPeerList:
-		s.send(nw, dg.IP.Src, dg.UDP.SrcPort, ntp.BuildPeerListResponse(s.peerEntries(), s.cfg.Implementation), dg.Rep)
+	kind.Add(s.send(nw, dg.IP.Src, dg.UDP.SrcPort, frags, dg.Rep))
+	if monlist != 0 && s.cfg.MegaAmp {
+		s.startMegaReplay(nw, dg, monlist)
 	}
 }
 
@@ -566,15 +546,6 @@ func (s *Server) peerEntries() []ntp.PeerEntry {
 		out[i] = ntp.PeerEntry{Addr: p, Port: ntp.Port, HMode: ntp.ModeClient, Flags: 0x01}
 	}
 	return out
-}
-
-// sendMonlist emits the fragmented monlist response toward the trigger's
-// (possibly spoofed) source address and port. It deliberately takes the
-// addressing by value, not the trigger datagram: the fabric owns delivered
-// datagrams and recycles them after HandlePacket returns, so nothing here
-// may outlive the call holding one.
-func (s *Server) sendMonlist(nw *netsim.Network, victim netaddr.Addr, victimPort uint16, rep int64, reqCode uint8, now time.Time) {
-	s.cfg.Metrics.monlistCounter().Add(s.send(nw, victim, victimPort, s.monlistFragments(reqCode, now), rep))
 }
 
 // monlistFragments returns the encoded response via a staleness-tolerant
@@ -681,37 +652,18 @@ func (s *Server) startMegaReplay(nw *netsim.Network, trigger *packet.Datagram, r
 		perEvent = 1
 		events = int(s.cfg.MegaRepeats)
 	}
+	// The replays take the trigger's addressing by value: the fabric owns
+	// delivered datagrams and recycles them after HandlePacket returns.
 	src, sport := trigger.IP.Src, trigger.UDP.SrcPort
 	for i := 1; i <= events; i++ {
 		nw.Scheduler().After(time.Duration(i)*s.cfg.MegaInterval, func(now time.Time) {
 			// Each replay batch re-counts the querier, exactly the behaviour
 			// the paper reverse-engineered from the repeating tables.
 			s.Record(src, sport, ntp.ModePrivate, 2, perEvent, now)
-			s.sendMonlist(nw, src, sport, perEvent, reqCode, now)
+			frags := s.monlistFragments(reqCode, now)
+			s.cfg.Metrics.monlistCounter().Add(s.send(nw, src, sport, frags, perEvent))
 		})
 	}
-}
-
-// handleMode6 serves a readvar (version) request.
-func (s *Server) handleMode6(nw *netsim.Network, dg *packet.Datagram, now time.Time) {
-	var m ntp.Mode6
-	if err := m.DecodeFromBytes(dg.Payload); err != nil || m.Response {
-		return
-	}
-	s.Record(dg.IP.Src, dg.UDP.SrcPort, ntp.ModeControl, 2, dg.Rep, now)
-	if !s.cfg.Mode6Enabled || m.OpCode != ntp.OpReadVar {
-		return
-	}
-	if s.varFrags == nil {
-		// The variable text is a pure function of the config, so the
-		// fragments are encoded once per daemon; only the echoed sequence
-		// number differs between queries, patched below.
-		s.varFrags = ntp.BuildReadVarResponse(0, s.readVarText())
-	}
-	for _, frag := range s.varFrags {
-		binary.BigEndian.PutUint16(frag[2:], m.Sequence)
-	}
-	s.cfg.Metrics.mode6Counter().Add(s.send(nw, dg.IP.Src, dg.UDP.SrcPort, s.varFrags, dg.Rep))
 }
 
 func (s *Server) refID() string {
@@ -719,14 +671,4 @@ func (s *Server) refID() string {
 		return "INIT"
 	}
 	return "GPS"
-}
-
-// reply sends a unicast response back to the querying datagram's source,
-// as a one-payload train from scratch, as netsim.SendFrom does. The payload
-// reference is dropped afterwards so the server never pins a caller's
-// buffer.
-func (s *Server) reply(nw *netsim.Network, dg *packet.Datagram, payload []byte) {
-	s.one[0] = payload
-	s.send(nw, dg.IP.Src, dg.UDP.SrcPort, s.one[:], dg.Rep)
-	s.one[0] = nil
 }

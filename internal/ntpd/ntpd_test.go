@@ -12,8 +12,7 @@ import (
 )
 
 func testHarness() (*netsim.Network, *vtime.Scheduler) {
-	var clock vtime.Clock
-	sched := vtime.NewScheduler(&clock)
+	sched := vtime.NewScheduler()
 	return netsim.New(sched, nil), sched
 }
 

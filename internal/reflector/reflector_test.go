@@ -66,8 +66,7 @@ func TestDNSANYRequestDecodes(t *testing.T) {
 
 // newTestNet builds a permissive single-switch fabric.
 func newTestNet() (*netsim.Network, *vtime.Scheduler) {
-	clock := &vtime.Clock{}
-	sched := vtime.NewScheduler(clock)
+	sched := vtime.NewScheduler()
 	return netsim.New(sched, func(origin, claimed netaddr.Addr) bool { return true }), sched
 }
 

@@ -96,8 +96,7 @@ func TestPermutationReset(t *testing.T) {
 }
 
 func harness() (*netsim.Network, *vtime.Scheduler) {
-	var clock vtime.Clock
-	sched := vtime.NewScheduler(&clock)
+	sched := vtime.NewScheduler()
 	return netsim.New(sched, nil), sched
 }
 

@@ -320,7 +320,7 @@ func (w *World) assignMegas() {
 		// Extreme megas carry history: their tables are far from empty, so
 		// each replay is a multi-fragment burst (gigabytes per probe).
 		for i := 0; i < 100; i++ {
-			s.srv.Record(netaddr.Addr(w.Src.Uint32()), ntp.Port, ntp.ModeClient, 4, 1+int64(w.Src.IntN(50)), w.Clock.Now())
+			s.srv.Record(netaddr.Addr(w.Src.Uint32()), ntp.Port, ntp.ModeClient, 4, 1+int64(w.Src.IntN(50)), w.Sched.Now())
 		}
 	}
 }

@@ -173,7 +173,7 @@ func (w *World) Run() *Results {
 
 		if idx, ok := monDates[day]; ok {
 			w.Sched.RunUntil(day.Add(2 * time.Hour))
-			w.refreshClientTables(w.Clock.Now())
+			w.refreshClientTables(w.Sched.Now())
 			sample := monSurvey.RunSample(day, w.allServerAddrs())
 			analysis := core.AnalyzeSample(sample, monProber.Addr)
 			res.SiteAmpCounts = append(res.SiteAmpCounts, w.countSiteAmps(analysis))
@@ -212,13 +212,13 @@ func (w *World) Run() *Results {
 			siteVictims[name] = v.VictimSet()
 		}
 		res.Honeypot = honeypot.Summarize(w.Honeypots, w.Launched,
-			w.Collector.MonthlyVectorCounts("ntp"), siteVictims, w.Clock.Now())
+			w.Collector.MonthlyVectorCounts("ntp"), siteVictims, w.Sched.Now())
 	}
 	if w.Detect != nil {
-		res.Detection = w.Detect.Summarize(w.Clock.Now())
+		res.Detection = w.Detect.Summarize(w.Sched.Now())
 	}
 	if w.TimeSync != nil {
-		res.TimeSync = w.TimeSync.Summarize(w.Clock.Now())
+		res.TimeSync = w.TimeSync.Summarize(w.Sched.Now())
 		if w.TimeAttack != nil {
 			res.TimeAttack = w.TimeAttack.Summarize()
 		}
@@ -335,12 +335,9 @@ func (w *World) applyWeeklyRemediation(weekIdx int) {
 			global++
 		}
 	}
-	toPatch := global - target
-	if hazard := w.Cfg.RemediationHazard; hazard > 0 && hazard != 1 {
-		toPatch = int(float64(toPatch) * hazard)
-		if toPatch > global {
-			toPatch = global
-		}
+	toPatch := int(float64(global-target) * w.Cfg.RemediationHazard)
+	if toPatch > global {
+		toPatch = global
 	}
 	if toPatch <= 0 {
 		return

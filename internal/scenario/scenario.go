@@ -70,12 +70,11 @@ type Config struct {
 	// SpooferFraction is the fraction of ASes that never deployed BCP38 and
 	// therefore emit spoofed packets — the knob sensitivity sweeps move to
 	// ask how much source-address validation would have blunted the attack
-	// wave. 0 means the calibrated default (0.25); negative means no AS
-	// spoofs at all.
+	// wave. The calibrated default is 0.25; 0 means no AS spoofs at all.
 	SpooferFraction float64
 
 	// RemediationHazard scales the weekly global patching pressure: each
-	// week's patch quota is multiplied by it. 0 (or 1) reproduces the
+	// week's patch quota is multiplied by it. The default 1 reproduces the
 	// paper's Table 1 decline; 0.5 halves the community response, 2 doubles
 	// it. Site schedules (§7) are explicit dates and are unaffected.
 	RemediationHazard float64
@@ -205,6 +204,8 @@ func DefaultConfig() Config {
 		NumASes:             1500,
 		FabricAttackDivisor: 1,
 		HoneypotSensors:     honeypot.DefaultSensors,
+		SpooferFraction:     0.25,
+		RemediationHazard:   1,
 	}
 }
 
@@ -250,7 +251,6 @@ type server struct {
 // World is the fully built simulation.
 type World struct {
 	Cfg   Config
-	Clock *vtime.Clock
 	Sched *vtime.Scheduler
 	Net   *netsim.Network
 	Src   *rng.Source
@@ -370,16 +370,9 @@ func (w *World) AmplifierList() []netaddr.Addr {
 // views, darknet, attack engine.
 func Build(cfg Config) *World {
 	src := rng.New(cfg.Seed)
-	clock := &vtime.Clock{}
-	sched := vtime.NewScheduler(clock)
+	sched := vtime.NewScheduler()
 
-	spoof := cfg.SpooferFraction
-	if spoof == 0 {
-		spoof = 0.25
-	} else if spoof < 0 {
-		spoof = 0
-	}
-	db := asdb.Build(src.Fork("asdb"), asdb.Config{NumASes: cfg.NumASes, SpooferFraction: spoof})
+	db := asdb.Build(src.Fork("asdb"), asdb.Config{NumASes: cfg.NumASes, SpooferFraction: cfg.SpooferFraction})
 	pl := pbl.Derive(db, src.Fork("pbl"))
 
 	policy := func(origin, claimed netaddr.Addr) bool {
@@ -396,7 +389,7 @@ func Build(cfg Config) *World {
 	}
 
 	w := &World{
-		Cfg: cfg, Clock: clock, Sched: sched, Net: nw,
+		Cfg: cfg, Sched: sched, Net: nw,
 		Src: src, DB: db, PBL: pl,
 		Servers:    make(map[netaddr.Addr]*server),
 		amplifiers: make(map[netaddr.Addr]*server),

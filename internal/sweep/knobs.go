@@ -41,19 +41,13 @@ var knobs = []knob{
 	onOff("noremediation", "counterfactual no-remediation world: off, on, or both",
 		func(s *Spec) *string { return &s.NoRemediation }, func(c *scenario.Config) { c.NoRemediation = true }),
 	list("spoof", "BCP38 spoofer fractions in [0,1] (0 = nobody spoofs)", func(s *Spec) *[]float64 { return &s.Spoof },
-		share, func(c *scenario.Config, v float64) {
-			if v == 0 {
-				v = -1 // Config uses 0 for "default"; 0 in a spec means nobody spoofs
-			}
-			c.SpooferFraction = v
-		}),
+		share, func(c *scenario.Config, v float64) { c.SpooferFraction = v }),
 	list("hazard", "remediation-hazard multipliers, each positive (e.g. 0.5,1,2)",
 		func(s *Spec) *[]float64 { return &s.Hazard },
 		func(v float64) string {
 			if v > 0 && v <= math.MaxFloat64 {
 				return ""
 			}
-			// Config reads a hazard of 0 or below as the default 1.
 			return "multiplier must be positive and finite (noremediation turns patching off)"
 		}, func(c *scenario.Config, v float64) { c.RemediationHazard = v }),
 	{

@@ -113,13 +113,13 @@ func TestSpecGridShapes(t *testing.T) {
 			tsJobs[0].Cfg.TimeAttackShare, tsJobs[1].Cfg.TimeAttackShare)
 	}
 
-	// Spoof 0 means "nobody spoofs", which Config spells as negative.
+	// Spoof 0 means "nobody spoofs", and Config reads it as given.
 	g, err = Spec{Seeds: "1", Spoof: []float64{0}}.Grid(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := g.Jobs()[0].Cfg.SpooferFraction; got >= 0 {
-		t.Fatalf("spoof=0 mapped to %v, want negative (disable)", got)
+	if got := g.Jobs()[0].Cfg.SpooferFraction; got != 0 {
+		t.Fatalf("spoof=0 mapped to %v, want 0 (nobody spoofs)", got)
 	}
 
 	// Hazard knob lands on RemediationHazard.

@@ -28,9 +28,10 @@ type Model int
 
 // The attacker models.
 const (
-	// ModelSpoof: off-path forged mode 4 replies racing the genuine
-	// server. Bites clients without origin validation, which accept the
-	// attacker's transmit timestamp blind and step to attacker time.
+	// ModelSpoof: off-path forged mode 4 replies that carry no origin
+	// stamp. Arm marks the target insecure (no origin validation), so it
+	// accepts the attacker's transmit timestamp blind and steps to
+	// attacker time.
 	ModelSpoof Model = iota
 	// ModelKoD: off-path forged kiss-o'-death codes (CVE-2015-7704/7705):
 	// DENY kills every association, silencing the client so its clock
@@ -188,9 +189,17 @@ func (p *Plane) Start(nw *netsim.Network, start, end time.Time) {
 		t := t
 		switch t.model {
 		case ModelSpoof, ModelKoD:
-			nw.Scheduler().Every(at, t.burst, end, func(now time.Time) {
+			// One burst every t.burst, strictly before end. Each burst
+			// re-arms the next before it sends, so the next burst's
+			// sequence number precedes everything this one schedules.
+			var burst func(now time.Time)
+			burst = func(now time.Time) {
+				if next := now.Add(t.burst); next.Before(end) {
+					nw.Scheduler().At(next, burst)
+				}
 				p.fireBurst(nw, t, now)
-			})
+			}
+			nw.Scheduler().At(at, burst)
 		default:
 			nw.Scheduler().At(at, func(now time.Time) {
 				nw.Register(t.client.Addr(), &interceptor{p: p, t: t, armedAt: now})

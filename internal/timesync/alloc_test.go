@@ -18,7 +18,7 @@ const pollSpan = time.Duration(1<<uint(MaxPoll)) * time.Second
 func warmRoundTrip(tb testing.TB) (c *Client, step func(d time.Duration)) {
 	tb.Helper()
 	nw, sched := testHarness()
-	start := sched.Clock().Now()
+	start := sched.Now()
 	c = NewClient(Config{
 		Addr:       netaddr.MustParseAddr("192.0.2.1"),
 		Servers:    []netaddr.Addr{testServer(nw, "198.51.100.10")},
@@ -29,7 +29,7 @@ func warmRoundTrip(tb testing.TB) (c *Client, step func(d time.Duration)) {
 	f.Add(c)
 	f.Register(nw)
 	f.Start(nw, start, start.Add(365*24*time.Hour))
-	step = func(d time.Duration) { sched.RunUntil(sched.Clock().Now().Add(d)) }
+	step = func(d time.Duration) { sched.RunUntil(sched.Now().Add(d)) }
 	step(24 * time.Hour)
 	if s := c.Stats(); s.Samples == 0 || s.Steps == 0 {
 		tb.Fatalf("no warm round trip after a simulated day: %+v", s)

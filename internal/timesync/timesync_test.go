@@ -14,8 +14,7 @@ import (
 )
 
 func testHarness() (*netsim.Network, *vtime.Scheduler) {
-	var clock vtime.Clock
-	sched := vtime.NewScheduler(&clock)
+	sched := vtime.NewScheduler()
 	return netsim.New(sched, nil), sched
 }
 
@@ -50,7 +49,7 @@ func TestLocalClockDrift(t *testing.T) {
 // threshold despite 40 ppm of hardware drift and path asymmetry.
 func TestBenignConvergence(t *testing.T) {
 	nw, sched := testHarness()
-	start := sched.Clock().Now()
+	start := sched.Now()
 	end := start.Add(2 * 24 * time.Hour)
 
 	servers := []netaddr.Addr{
@@ -134,7 +133,7 @@ func TestKoDHandling(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			nw, sched := testHarness()
-			now := sched.Clock().Now()
+			now := sched.Now()
 			c := NewClient(Config{
 				Addr:    netaddr.MustParseAddr("192.0.2.1"),
 				Servers: []netaddr.Addr{server},
@@ -263,7 +262,7 @@ func TestInsecureSpoofAcceptance(t *testing.T) {
 
 	t.Run("hardened client rejects", func(t *testing.T) {
 		nw, sched := testHarness()
-		now := sched.Clock().Now()
+		now := sched.Now()
 		c := NewClient(Config{Addr: netaddr.MustParseAddr("192.0.2.1"),
 			Servers: []netaddr.Addr{server}}, now)
 		deliver(c, nw, server, forged(now), now)
@@ -274,7 +273,7 @@ func TestInsecureSpoofAcceptance(t *testing.T) {
 
 	t.Run("insecure client steps to attacker time", func(t *testing.T) {
 		nw, sched := testHarness()
-		now := sched.Clock().Now()
+		now := sched.Now()
 		c := NewClient(Config{Addr: netaddr.MustParseAddr("192.0.2.1"),
 			Servers: []netaddr.Addr{server}}, now)
 		c.MarkInsecure()
@@ -294,7 +293,7 @@ func TestInsecureSpoofAcceptance(t *testing.T) {
 func TestMetricsPassive(t *testing.T) {
 	run := func(withMetrics bool) (Stats, time.Duration) {
 		nw, sched := testHarness()
-		start := sched.Clock().Now()
+		start := sched.Now()
 		end := start.Add(12 * time.Hour)
 		servers := []netaddr.Addr{
 			testServer(nw, "198.51.100.10"),

@@ -48,21 +48,19 @@ func Diff(a, b Trace) int {
 // level and from inside firing callbacks (re-entrant scheduling), so a trace
 // divergence between two implementations surfaces at the first misordered
 // event even though later consumption cascades.
-func Replay(mk func(*vtime.Clock) *vtime.Scheduler, program []byte) Trace {
-	var clock vtime.Clock
-	it := &interp{sched: mk(&clock), clock: &clock, prog: program}
+func Replay(mk func() *vtime.Scheduler, program []byte) Trace {
+	it := &interp{sched: mk(), prog: program}
 	for it.pc < len(it.prog) {
 		it.step()
 	}
 	it.sched.Drain()
 	it.emit("end @%d pending=%d peak=%d",
-		clock.Now().UnixNano(), it.sched.Pending(), it.sched.PeakPending())
+		it.sched.Now().UnixNano(), it.sched.Pending(), it.sched.PeakPending())
 	return it.trace
 }
 
 type interp struct {
 	sched  *vtime.Scheduler
-	clock  *vtime.Clock
 	prog   []byte
 	pc     int
 	nextID int
@@ -101,14 +99,14 @@ func (it *interp) step() {
 	case 4:
 		it.scheduleBatch()
 	case 5:
-		end := it.clock.Now().Add(it.delta())
+		end := it.sched.Now().Add(it.delta())
 		ran := it.sched.RunUntil(end)
-		it.emit("until @%d ran=%d pending=%d", it.clock.Now().UnixNano(), ran, it.sched.Pending())
+		it.emit("until @%d ran=%d pending=%d", it.sched.Now().UnixNano(), ran, it.sched.Pending())
 	case 6:
 		ran := it.sched.Drain()
-		it.emit("drain @%d ran=%d", it.clock.Now().UnixNano(), ran)
+		it.emit("drain @%d ran=%d", it.sched.Now().UnixNano(), ran)
 	case 7: // a burst of same-instant events: the tie-breaking stress case
-		at := it.clock.Now().Add(it.delta())
+		at := it.sched.Now().Add(it.delta())
 		n := int(it.next()%4) + 2
 		for i := 0; i < n; i++ {
 			id := it.nextID
@@ -126,7 +124,7 @@ func (it *interp) step() {
 func (it *interp) scheduleFire(depth int) {
 	id := it.nextID
 	it.nextID++
-	at := it.clock.Now().Add(it.delta())
+	at := it.sched.Now().Add(it.delta())
 	it.sched.At(at, func(now time.Time) {
 		it.emit("fire %d @%d", id, now.UnixNano())
 		if depth > 0 && it.next()%3 == 0 {
@@ -135,20 +133,27 @@ func (it *interp) scheduleFire(depth int) {
 	})
 }
 
-// scheduleEvery schedules a bounded periodic timer.
+// scheduleEvery schedules a bounded periodic timer: a callback that re-arms
+// itself with At, as its first statement, until the next tick would reach
+// end.
 func (it *interp) scheduleEvery() {
 	id := it.nextID
 	it.nextID++
-	start := it.clock.Now().Add(it.delta())
+	start := it.sched.Now().Add(it.delta())
 	interval := time.Duration(1+int64(it.next())) * time.Millisecond
 	ticks := int64(it.next() % 6)
 	end := start.Add(time.Duration(ticks) * interval)
 	if !start.Before(end) {
-		return // Every with an empty window is a no-op by contract
+		return // an empty window schedules nothing
 	}
-	it.sched.Every(start, interval, end, func(now time.Time) {
+	var tick func(now time.Time)
+	tick = func(now time.Time) {
+		if next := now.Add(interval); next.Before(end) {
+			it.sched.At(next, tick)
+		}
 		it.emit("tick %d @%d", id, now.UnixNano())
-	})
+	}
+	it.sched.At(start, tick)
 }
 
 // scheduleBatch enqueues an item for coalesced delivery. The interpreter is
@@ -158,7 +163,7 @@ func (it *interp) scheduleEvery() {
 func (it *interp) scheduleBatch() {
 	id := it.nextID
 	it.nextID++
-	at := it.clock.Now().Add(it.delta())
+	at := it.sched.Now().Add(it.delta())
 	it.sched.AtBatch(at, it, id)
 }
 

@@ -1,13 +1,18 @@
-// Package vtime provides a virtual clock and a discrete-event scheduler.
+// Package vtime provides virtual time: a discrete-event scheduler that owns
+// the simulation's clock.
 //
 // The entire simulation runs on virtual time: no component of the library
 // reads the wall clock. This makes every experiment deterministic and lets a
 // six-month measurement campaign (November 2013 through May 2014, the window
 // the paper studies) execute in seconds.
 //
-// The zero-configuration Clock starts at Epoch (2013-09-01 00:00 UTC), two
-// months before the paper's first Arbor sample, so darknet baselines exist
-// before the NTP phenomenon begins.
+// A new Scheduler reads Epoch (2013-09-01 00:00 UTC), two months before the
+// paper's first Arbor sample, so darknet baselines exist before the NTP
+// phenomenon begins. It keeps the current instant and every event's instant
+// as one int64 of nanoseconds since Epoch. time.Time appears only at its API
+// boundary, converted once per crossing: where a caller hands an instant in
+// (At, AtBatch, RunUntil) and where one is handed back (Now, and the now of
+// each fired event's callback).
 //
 // Two queue implementations back the scheduler: the default calendar queue
 // (a bucketed timer wheel with an overflow heap, O(1) amortized insert and
@@ -24,68 +29,20 @@ import (
 	"ntpddos/internal/metrics"
 )
 
-// Epoch is the instant at which a zero-value Clock starts: 2013-09-01 UTC.
+// Epoch is the instant at which a new Scheduler starts: 2013-09-01 UTC.
 // The paper's datasets begin 2013-11-01 (Arbor), 2013-09 (darknet), and
 // 2014-01-10 (ONP); starting two months before the Arbor window gives every
 // collector a quiescent baseline.
 var Epoch = time.Date(2013, time.September, 1, 0, 0, 0, 0, time.UTC)
-
-// Clock is a virtual clock. The zero value is ready to use and reads Epoch.
-// Clock is not safe for concurrent use; the simulation is single-threaded by
-// design (determinism beats parallelism for a reproduction harness).
-type Clock struct {
-	offset time.Duration // elapsed virtual time since Epoch
-
-	// Now() is called several times per delivered event; memoizing the last
-	// computed instant avoids re-running time.Time.Add until the clock moves.
-	cachedOff time.Duration
-	cached    time.Time
-	cachedOK  bool
-}
-
-// Now returns the current virtual instant.
-func (c *Clock) Now() time.Time {
-	if !c.cachedOK || c.cachedOff != c.offset {
-		c.cachedOff, c.cached, c.cachedOK = c.offset, Epoch.Add(c.offset), true
-	}
-	return c.cached
-}
-
-// Elapsed returns the virtual time elapsed since Epoch.
-func (c *Clock) Elapsed() time.Duration { return c.offset }
-
-// Advance moves the clock forward by d. Advancing by a negative duration
-// panics: virtual time, like real time, is monotonic.
-func (c *Clock) Advance(d time.Duration) {
-	if d < 0 {
-		panic("vtime: cannot advance clock backwards")
-	}
-	c.offset += d
-}
-
-// AdvanceTo moves the clock forward to instant t. Moving backwards panics.
-func (c *Clock) AdvanceTo(t time.Time) {
-	d := t.Sub(c.Now())
-	if d < 0 {
-		panic(fmt.Sprintf("vtime: AdvanceTo(%v) is before now (%v)", t, c.Now()))
-	}
-	c.offset += d
-}
 
 // event is a scheduled callback. Events are owned by the scheduler and
 // recycled through a free list: after an event fires, its struct (and, for
 // batches, its item slice) returns to the pool, so steady-state scheduling
 // allocates nothing.
 type event struct {
-	at   time.Time
-	atNs int64  // at as nanoseconds since Epoch: cheap queue comparisons
+	atNs int64  // the event's instant, nanoseconds since Epoch
 	seq  uint64 // tie-break so same-instant events run in schedule order
 	fn   func(now time.Time)
-
-	// Periodic (Every) state: a positive interval re-arms the same struct
-	// with a fresh seq after each tick until (and excluding) end.
-	interval time.Duration
-	end      time.Time
 
 	// Batch (AtBatch) state: sink non-nil marks a coalesced delivery event
 	// carrying items appended by the scheduler's open-batch table.
@@ -119,18 +76,20 @@ type BatchSink interface {
 	RunBatch(now time.Time, items []any)
 }
 
-// Scheduler is a discrete-event executor bound to a Clock. Events scheduled
-// for the same instant run in the order they were scheduled. The zero value
-// is not usable; construct with NewScheduler (calendar queue) or
-// NewHeapScheduler (reference binary heap).
+// Scheduler is a discrete-event executor and the owner of virtual time.
+// Events scheduled for the same instant run in the order they were
+// scheduled. It is not safe for concurrent use; the simulation is
+// single-threaded by design (determinism beats parallelism for a
+// reproduction harness). The zero value is not usable; construct with
+// NewScheduler (calendar queue) or NewHeapScheduler (reference binary heap).
 type Scheduler struct {
-	clock *Clock
-	q     queue
-	seq   uint64
-	m     *Metrics
+	now int64 // the current instant, nanoseconds since Epoch
+	q   queue
+	seq uint64
+	m   *Metrics
 
 	// peak tracks the high-water mark of Pending() — the queue-depth
-	// regression wall for the lazy-Every rewrite.
+	// regression wall for self-re-arming timers and batched deliveries.
 	peak int
 
 	// open maps an instant (ns since Epoch) to its open batch event. A
@@ -179,26 +138,25 @@ func (s *Scheduler) SetMetrics(m *Metrics) {
 	s.m = m
 	if m != nil {
 		m.QueueDepth.SetInt(int64(s.q.len()))
-		m.ClockSeconds.Set(s.clock.Elapsed().Seconds())
+		m.ClockSeconds.Set(time.Duration(s.now).Seconds())
 	}
 }
 
-// NewScheduler returns a Scheduler driving the given clock, backed by the
-// calendar queue.
-func NewScheduler(c *Clock) *Scheduler {
-	return &Scheduler{clock: c, q: newCalendarQueue(), open: make(map[int64]*event)}
+// NewScheduler returns a Scheduler at Epoch, backed by the calendar queue.
+func NewScheduler() *Scheduler {
+	return &Scheduler{q: newCalendarQueue(), open: make(map[int64]*event)}
 }
 
-// NewHeapScheduler returns a Scheduler backed by the reference binary-heap
-// queue — the original implementation, kept as the differential-testing
-// oracle. Behaviour is identical to NewScheduler; only the asymptotics
-// differ.
-func NewHeapScheduler(c *Clock) *Scheduler {
-	return &Scheduler{clock: c, q: &heapQueue{}, open: make(map[int64]*event)}
+// NewHeapScheduler returns a Scheduler at Epoch, backed by the reference
+// binary-heap queue — the original implementation, kept as the
+// differential-testing oracle. Behaviour is identical to NewScheduler; only
+// the asymptotics differ.
+func NewHeapScheduler() *Scheduler {
+	return &Scheduler{q: &heapQueue{}, open: make(map[int64]*event)}
 }
 
-// Clock returns the scheduler's clock.
-func (s *Scheduler) Clock() *Clock { return s.clock }
+// Now returns the current virtual instant.
+func (s *Scheduler) Now() time.Time { return Epoch.Add(time.Duration(s.now)) }
 
 // alloc takes an event struct from the free list (or allocates one).
 func (s *Scheduler) alloc() *event {
@@ -241,46 +199,32 @@ func (s *Scheduler) push(e *event) {
 	}
 }
 
-// At schedules fn to run at instant t. Scheduling in the past panics:
-// a simulation that silently reorders causality produces wrong measurements.
+// past panics for an instant before now: a simulation that silently
+// reorders causality produces wrong measurements.
+func (s *Scheduler) past(atNs int64) {
+	panic(fmt.Sprintf("vtime: scheduling at %v, before now %v",
+		Epoch.Add(time.Duration(atNs)), s.Now()))
+}
+
+// At schedules fn to run at instant t. Scheduling in the past panics.
 func (s *Scheduler) At(t time.Time, fn func(now time.Time)) {
-	if t.Before(s.clock.Now()) {
-		panic(fmt.Sprintf("vtime: scheduling at %v, before now %v", t, s.clock.Now()))
-	}
-	e := s.alloc()
-	e.at = t
-	e.atNs = int64(t.Sub(Epoch))
-	e.fn = fn
-	s.push(e)
+	s.schedule(int64(t.Sub(Epoch)), fn)
 }
 
-// After schedules fn to run d after the current instant.
+// After schedules fn to run d after the current instant. A negative d
+// panics, as At does for an instant in the past.
 func (s *Scheduler) After(d time.Duration, fn func(now time.Time)) {
-	s.At(s.clock.Now().Add(d), fn)
+	s.schedule(s.now+int64(d), fn)
 }
 
-// Every schedules fn to run every interval, starting at start, until (and
-// excluding) end. The callback may itself schedule further events.
-//
-// The schedule is lazy: one pending event re-arms itself after each tick,
-// so a months-long minute-scale schedule occupies a single queue slot
-// instead of pre-materializing every tick.
-func (s *Scheduler) Every(start time.Time, interval time.Duration, end time.Time, fn func(now time.Time)) {
-	if interval <= 0 {
-		panic("vtime: Every requires a positive interval")
-	}
-	if !start.Before(end) {
-		return
+// schedule enqueues fn at atNs, nanoseconds since Epoch.
+func (s *Scheduler) schedule(atNs int64, fn func(now time.Time)) {
+	if atNs < s.now {
+		s.past(atNs)
 	}
 	e := s.alloc()
-	e.at = start
-	e.atNs = int64(start.Sub(Epoch))
+	e.atNs = atNs
 	e.fn = fn
-	e.interval = interval
-	e.end = end
-	if start.Before(s.clock.Now()) {
-		panic(fmt.Sprintf("vtime: scheduling at %v, before now %v", start, s.clock.Now()))
-	}
 	s.push(e)
 }
 
@@ -290,10 +234,10 @@ func (s *Scheduler) Every(start time.Time, interval time.Duration, end time.Time
 // event at the same instant closes the batch, so coalescing never reorders
 // execution relative to one-event-per-item scheduling.
 func (s *Scheduler) AtBatch(t time.Time, sink BatchSink, item any) {
-	if t.Before(s.clock.Now()) {
-		panic(fmt.Sprintf("vtime: scheduling at %v, before now %v", t, s.clock.Now()))
-	}
 	atNs := int64(t.Sub(Epoch))
+	if atNs < s.now {
+		s.past(atNs)
+	}
 	if e, ok := s.open[atNs]; ok {
 		if e.sink == sink {
 			e.items = append(e.items, item)
@@ -304,7 +248,6 @@ func (s *Scheduler) AtBatch(t time.Time, sink BatchSink, item any) {
 		delete(s.open, atNs)
 	}
 	e := s.alloc()
-	e.at = t
 	e.atNs = atNs
 	e.sink = sink
 	if n := len(s.itemPool); n > 0 {
@@ -324,45 +267,32 @@ func (s *Scheduler) Pending() int { return s.q.len() }
 // lifetime — the regression wall that keeps periodic schedules lazy.
 func (s *Scheduler) PeakPending() int { return s.peak }
 
-// runEvent advances the clock to e and executes it, recycling the struct.
+// runEvent moves the clock to e and executes it, recycling the struct.
 func (s *Scheduler) runEvent(e *event) {
-	s.clock.AdvanceTo(e.at)
+	s.now = e.atNs
 	if s.m != nil {
 		s.m.EventsFired.Inc()
 		s.m.QueueDepth.SetInt(int64(s.q.len()))
-		s.m.ClockSeconds.Set(s.clock.Elapsed().Seconds())
+		s.m.ClockSeconds.Set(time.Duration(s.now).Seconds())
 	}
-	switch {
-	case e.sink != nil:
+	now := s.Now()
+	if e.sink != nil {
 		// Close the batch before running: the sink may schedule new work at
 		// this same instant, which must open a fresh batch behind it.
 		if s.open[e.atNs] == e {
 			delete(s.open, e.atNs)
 		}
-		e.sink.RunBatch(e.at, e.items)
+		e.sink.RunBatch(now, e.items)
 		s.release(e)
-	case e.interval > 0:
-		// Re-arm before running fn so the next tick's sequence number
-		// precedes anything fn schedules at that exact instant — the order
-		// pre-materialized ticks had.
-		at, fn := e.at, e.fn
-		if next := e.at.Add(e.interval); next.Before(e.end) {
-			e.at = next
-			e.atNs = int64(next.Sub(Epoch))
-			s.push(e)
-		} else {
-			s.release(e)
-		}
-		fn(at)
-	default:
-		at, fn := e.at, e.fn
-		s.release(e)
-		fn(at)
+		return
 	}
+	fn := e.fn
+	s.release(e)
+	fn(now)
 }
 
-// RunUntil executes all events scheduled strictly before end, advancing the
-// clock to each event's instant, then advances the clock to end. It returns
+// RunUntil executes all events scheduled strictly before end, moving the
+// clock to each event's instant, then moves the clock to end. It returns
 // the number of events executed; a coalesced batch counts once.
 func (s *Scheduler) RunUntil(end time.Time) int {
 	endNs := int64(end.Sub(Epoch))
@@ -376,18 +306,18 @@ func (s *Scheduler) RunUntil(end time.Time) int {
 		s.runEvent(e)
 		ran++
 	}
-	if end.After(s.clock.Now()) {
-		s.clock.AdvanceTo(end)
+	if endNs > s.now {
+		s.now = endNs
 	}
 	if s.m != nil {
-		s.m.ClockSeconds.Set(s.clock.Elapsed().Seconds())
+		s.m.ClockSeconds.Set(time.Duration(s.now).Seconds())
 	}
 	return ran
 }
 
-// Drain executes every pending event regardless of time, advancing the clock
-// along the way. It returns the number of events executed. Periodic events
-// keep re-arming until their end instant, so Drain runs them to completion.
+// Drain executes every pending event regardless of time, moving the clock
+// along the way. It returns the number of events executed. A callback that
+// re-arms itself keeps Drain running until it stops doing so.
 func (s *Scheduler) Drain() int {
 	ran := 0
 	for {

@@ -5,58 +5,132 @@ import (
 	"time"
 )
 
+// mustPanic fails t unless fn panics.
+func mustPanic(t *testing.T, what string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s did not panic", what)
+		}
+	}()
+	fn()
+}
+
 func TestClockStartsAtEpoch(t *testing.T) {
-	var c Clock
-	if !c.Now().Equal(Epoch) {
-		t.Fatalf("zero clock reads %v, want %v", c.Now(), Epoch)
-	}
-	if c.Elapsed() != 0 {
-		t.Fatalf("zero clock elapsed %v, want 0", c.Elapsed())
+	for name, s := range map[string]*Scheduler{"calendar": NewScheduler(), "heap": NewHeapScheduler()} {
+		if now := s.Now(); now != Epoch {
+			t.Fatalf("%s: new scheduler reads %v, want %v", name, now, Epoch)
+		}
 	}
 }
 
+// TestClockAdvance: RunUntil moves the clock to its end even when no event
+// fires on the way.
 func TestClockAdvance(t *testing.T) {
-	var c Clock
-	c.Advance(90 * time.Minute)
+	s := NewScheduler()
 	want := Epoch.Add(90 * time.Minute)
-	if !c.Now().Equal(want) {
-		t.Fatalf("after advance clock reads %v, want %v", c.Now(), want)
+	s.RunUntil(want)
+	if s.Now() != want {
+		t.Fatalf("after RunUntil clock reads %v, want %v", s.Now(), want)
+	}
+	// An end before now leaves the clock where it is.
+	s.RunUntil(Epoch)
+	if s.Now() != want {
+		t.Fatalf("RunUntil(past) moved the clock to %v, want %v", s.Now(), want)
 	}
 }
 
 func TestClockAdvanceNegativePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Advance(-1) did not panic")
-		}
-	}()
-	var c Clock
-	c.Advance(-time.Second)
+	s := NewScheduler()
+	mustPanic(t, "After(-1s)", func() { s.After(-time.Second, func(time.Time) {}) })
 }
 
+// TestClockAdvanceTo: the clock stands at each event's instant while it
+// fires, and at RunUntil's end afterwards.
 func TestClockAdvanceTo(t *testing.T) {
-	var c Clock
+	s := NewScheduler()
 	target := Epoch.Add(48 * time.Hour)
-	c.AdvanceTo(target)
-	if !c.Now().Equal(target) {
-		t.Fatalf("AdvanceTo got %v, want %v", c.Now(), target)
+	var seen time.Time
+	s.At(target, func(time.Time) { seen = s.Now() })
+	end := target.Add(time.Hour)
+	s.RunUntil(end)
+	if seen != target {
+		t.Fatalf("clock inside the event read %v, want %v", seen, target)
+	}
+	if s.Now() != end {
+		t.Fatalf("after RunUntil clock reads %v, want %v", s.Now(), end)
 	}
 }
 
 func TestClockAdvanceToPastPanics(t *testing.T) {
-	var c Clock
-	c.Advance(time.Hour)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AdvanceTo(past) did not panic")
+	s := NewScheduler()
+	s.RunUntil(Epoch.Add(time.Hour))
+	mustPanic(t, "AtBatch(past)", func() { s.AtBatch(Epoch, &recordSink{s: s}, 0) })
+}
+
+// recordSink records each batch's now, and the scheduler's Now() inside
+// RunBatch.
+type recordSink struct {
+	s           *Scheduler
+	got, inside []time.Time
+}
+
+func (r *recordSink) RunBatch(now time.Time, _ []any) {
+	r.got = append(r.got, now)
+	r.inside = append(r.inside, r.s.Now())
+}
+
+// TestBoundaryConversion: the instant a caller hands in comes back out
+// unchanged. A callback's now and Now() inside it are == (Location
+// included) to the time.Time given to At or AtBatch, for instants inside
+// the calendar wheel's window, far past it (the overflow heap) and equal to
+// a RunUntil end; After(d) fires at Now().Add(d).
+func TestBoundaryConversion(t *testing.T) {
+	for name, mk := range map[string]func() *Scheduler{"calendar": NewScheduler, "heap": NewHeapScheduler} {
+		s := mk()
+		near := Epoch.Add(1500 * time.Millisecond)                           // inside the wheel window
+		far := time.Date(2014, time.February, 11, 17, 45, 12, 999, time.UTC) // overflow heap
+		end := Epoch.Add(36 * time.Hour)                                     // a RunUntil end
+		// At callbacks and the batch sink share one record.
+		var want []time.Time
+		rec := &recordSink{s: s}
+		for _, at := range []time.Time{near, end, far} { // firing order
+			want = append(want, at, at)
+			s.At(at, func(now time.Time) { rec.RunBatch(now, nil) })
+			s.AtBatch(at, rec, 0)
 		}
-	}()
-	c.AdvanceTo(Epoch)
+		var afterAt, base, nestedAt time.Time
+		s.After(90*time.Second, func(now time.Time) {
+			afterAt, base = now, s.Now()
+			s.After(7*time.Millisecond, func(now time.Time) { nestedAt = now })
+		})
+		s.RunUntil(end)
+		if s.Now() != end {
+			t.Fatalf("%s: after RunUntil(end) clock reads %v, want %v", name, s.Now(), end)
+		}
+		s.RunUntil(end.Add(time.Nanosecond))
+		s.Drain()
+		if afterAt != Epoch.Add(90*time.Second) || nestedAt != base.Add(7*time.Millisecond) {
+			t.Fatalf("%s: After(90s) fired at %v and After(7ms) inside it at %v, want %v and %v",
+				name, afterAt, nestedAt, Epoch.Add(90*time.Second), base.Add(7*time.Millisecond))
+		}
+		if len(rec.got) != len(want) {
+			t.Fatalf("%s: %d callbacks, want %d", name, len(rec.got), len(want))
+		}
+		for i := range want {
+			if rec.got[i] != want[i] || rec.inside[i] != want[i] {
+				t.Fatalf("%s: callback %d got now %v (loc %v) and Now() %v, want %v",
+					name, i, rec.got[i], rec.got[i].Location(), rec.inside[i], want[i])
+			}
+		}
+		if s.Now() != far {
+			t.Fatalf("%s: after Drain clock reads %v, want %v", name, s.Now(), far)
+		}
+	}
 }
 
 func TestSchedulerRunsInTimeOrder(t *testing.T) {
-	var c Clock
-	s := NewScheduler(&c)
+	s := NewScheduler()
 	var order []int
 	s.At(Epoch.Add(3*time.Hour), func(time.Time) { order = append(order, 3) })
 	s.At(Epoch.Add(1*time.Hour), func(time.Time) { order = append(order, 1) })
@@ -73,8 +147,7 @@ func TestSchedulerRunsInTimeOrder(t *testing.T) {
 }
 
 func TestSchedulerSameInstantFIFO(t *testing.T) {
-	var c Clock
-	s := NewScheduler(&c)
+	s := NewScheduler()
 	at := Epoch.Add(time.Hour)
 	var order []int
 	for i := 0; i < 10; i++ {
@@ -90,8 +163,7 @@ func TestSchedulerSameInstantFIFO(t *testing.T) {
 }
 
 func TestSchedulerRunUntilExcludesEnd(t *testing.T) {
-	var c Clock
-	s := NewScheduler(&c)
+	s := NewScheduler()
 	end := Epoch.Add(time.Hour)
 	ran := false
 	s.At(end, func(time.Time) { ran = true })
@@ -99,8 +171,8 @@ func TestSchedulerRunUntilExcludesEnd(t *testing.T) {
 	if ran {
 		t.Fatal("event at end boundary ran; RunUntil must be exclusive")
 	}
-	if !c.Now().Equal(end) {
-		t.Fatalf("clock at %v, want %v", c.Now(), end)
+	if s.Now() != end {
+		t.Fatalf("clock at %v, want %v", s.Now(), end)
 	}
 	if s.Pending() != 1 {
 		t.Fatalf("pending = %d, want 1", s.Pending())
@@ -108,8 +180,7 @@ func TestSchedulerRunUntilExcludesEnd(t *testing.T) {
 }
 
 func TestSchedulerEventsCanScheduleEvents(t *testing.T) {
-	var c Clock
-	s := NewScheduler(&c)
+	s := NewScheduler()
 	count := 0
 	var tick func(now time.Time)
 	tick = func(now time.Time) {
@@ -126,26 +197,42 @@ func TestSchedulerEventsCanScheduleEvents(t *testing.T) {
 }
 
 func TestSchedulerAtPastPanics(t *testing.T) {
-	var c Clock
-	c.Advance(time.Hour)
-	s := NewScheduler(&c)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("At(past) did not panic")
-		}
-	}()
-	s.At(Epoch, func(time.Time) {})
+	s := NewScheduler()
+	s.RunUntil(Epoch.Add(time.Hour))
+	mustPanic(t, "At(past)", func() { s.At(Epoch, func(time.Time) {}) })
 }
 
+// TestSchedulerEvery: a periodic timer is a callback that re-arms itself
+// with At as its first statement, so each tick is queued before anything
+// the current tick schedules at the same instant.
 func TestSchedulerEvery(t *testing.T) {
-	var c Clock
-	s := NewScheduler(&c)
-	count := 0
+	s := NewScheduler()
 	start := Epoch.Add(time.Hour)
-	s.Every(start, time.Hour, start.Add(5*time.Hour), func(time.Time) { count++ })
+	end := start.Add(5 * time.Hour)
+	var order []string
+	var tick func(now time.Time)
+	tick = func(now time.Time) {
+		next := now.Add(time.Hour)
+		if next.Before(end) {
+			s.At(next, tick)
+		}
+		order = append(order, "tick "+now.Sub(Epoch).String())
+		s.At(next, func(time.Time) { order = append(order, "work") })
+	}
+	s.At(start, tick)
+	if s.Pending() != 1 {
+		t.Fatalf("pending = %d, want 1: a periodic timer holds one queue slot", s.Pending())
+	}
 	s.Drain()
-	if count != 5 {
-		t.Fatalf("Every produced %d ticks, want 5", count)
+	want := []string{"tick 1h0m0s", "tick 2h0m0s", "work", "tick 3h0m0s", "work",
+		"tick 4h0m0s", "work", "tick 5h0m0s", "work", "work"}
+	if len(order) != len(want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("order = %v, want %v", order, want)
+		}
 	}
 }
 
@@ -163,12 +250,11 @@ func TestDayMonthHourTruncation(t *testing.T) {
 }
 
 func TestDrainAdvancesClock(t *testing.T) {
-	var c Clock
-	s := NewScheduler(&c)
+	s := NewScheduler()
 	last := Epoch.Add(77 * time.Hour)
 	s.At(last, func(time.Time) {})
 	s.Drain()
-	if !c.Now().Equal(last) {
-		t.Fatalf("after Drain clock reads %v, want %v", c.Now(), last)
+	if s.Now() != last {
+		t.Fatalf("after Drain clock reads %v, want %v", s.Now(), last)
 	}
 }

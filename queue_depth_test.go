@@ -8,11 +8,12 @@ import (
 )
 
 // TestSchedulerQueueDepthRegression pins the scheduler's pending-event
-// high-water mark for the golden baseline world. Lazy Every re-arming and
-// same-instant batch coalescing keep the queue proportional to genuinely
-// in-flight work — a change that pre-materializes periodic timelines or
-// stops coalescing deliveries explodes this number long before it hurts at
-// the million-host scale, so it fails here first.
+// high-water mark for the golden baseline world. Periodic timers that
+// re-arm themselves one tick at a time and same-instant batch coalescing
+// keep the queue proportional to genuinely in-flight work — a change that
+// pre-materializes periodic timelines or stops coalescing deliveries
+// explodes this number long before it hurts at the million-host scale, so
+// it fails here first.
 func TestSchedulerQueueDepthRegression(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation skipped in -short mode")
