@@ -20,9 +20,9 @@ func (c *countTap) ObserveTrain(_ *packet.Datagram, payloads [][]byte, _ []int64
 }
 
 // TestFabricDeliveryAllocBudget is the regression wall for the pooled packet
-// plane: once the train, event, and batch-item pools are warm, pushing a
-// packet through send→observe→schedule→coalesce→deliver→release must cost
-// under half an allocation per delivered datagram. The budget absorbs
+// plane: once the train and event pools are warm, pushing a packet through
+// send→observe→schedule→deliver→release must cost under half an allocation
+// per delivered datagram. The budget absorbs
 // amortized map and pool-slice growth; the steady state is zero, so any
 // per-send allocation (one escaped slice is exactly 1 per datagram) fails.
 func TestFabricDeliveryAllocBudget(t *testing.T) {
@@ -165,4 +165,29 @@ func TestFabricSendScratchDoesNotPinPayload(t *testing.T) {
 		t.Fatal("a send scratch retains the caller's payload buffer")
 	}
 	sched.Drain()
+}
+
+// BenchmarkTrainDelivery times the fabric's round trip for one datagram: a
+// warm one-payload SendUDP to a registered host, then the Drain that runs
+// its train's scheduler event and hands the payload to the host.
+func BenchmarkTrainDelivery(b *testing.B) {
+	sched := vtime.NewScheduler()
+	nw := New(sched, nil)
+	src := netaddr.MustParseAddr("10.0.0.1")
+	dst := netaddr.MustParseAddr("10.0.0.2")
+	delivered := 0
+	nw.Register(dst, HostFunc(func(_ *Network, _ *packet.Datagram, _ time.Time) { delivered++ }))
+	payload := make([]byte, 48) // one mode 3/4 NTP packet
+	nw.SendUDP(src, 5000, dst, 123, TTLLinux, payload)
+	sched.Drain() // warm the train and event pools
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		nw.SendUDP(src, 5000, dst, 123, TTLLinux, payload)
+		sched.Drain()
+	}
+	b.StopTimer()
+	if delivered != b.N+1 {
+		b.Fatalf("delivered %d datagrams, want %d", delivered, b.N+1)
+	}
 }

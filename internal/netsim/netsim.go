@@ -17,11 +17,11 @@
 // The fabric's unit of work is a train: one header and N payloads, the shape
 // of a fragmented reply such as a 100-packet monlist table. A train resolves
 // its path (spoof policy, hops, latency, link faults, host binding) once, is
-// shown to each tap in one ObserveTrain call, and occupies one scheduler
-// item, yet stays exactly the sequence of one-payload sends it replaces:
-// each payload is counted and handed to the destination host on its own, in
-// send order, and a tap's result is the same as if it had seen the payloads
-// one at a time.
+// shown to each tap in one ObserveTrain call, and is one scheduler event,
+// scheduled its path latency after the send, yet stays exactly the sequence
+// of one-payload sends it replaces: each payload is counted and handed to
+// the destination host on its own, in send order, and a tap's result is the
+// same as if it had seen the payloads one at a time.
 //
 // The tap contract: hdr is the delivered header (TTL already decremented,
 // Payload nil, Rep zero) and payload i carries reps[i], always at least 1.
@@ -345,10 +345,9 @@ func (n *Network) SendTrain(origin netaddr.Addr, hdr *packet.Datagram, payloads 
 		return false // expired in transit
 	}
 	host := n.hosts[dst]
-	now := n.Now()
-	arrive := now.Add(PathLatency(origin, dst))
+	latency := PathLatency(origin, dst)
 	if n.impair != nil {
-		n.sendImpaired(origin, hdr, payloads, hops, rep, size, host, now, arrive)
+		n.sendImpaired(origin, hdr, payloads, hops, rep, size, host, latency)
 		return true
 	}
 	if len(n.taps) > 0 {
@@ -357,7 +356,7 @@ func (n *Network) SendTrain(origin netaddr.Addr, hdr *packet.Datagram, payloads 
 			reps = append(reps, rep)
 		}
 		n.tapReps = reps
-		n.observe(hdr, hops, payloads, reps, now)
+		n.observe(hdr, hops, payloads, reps, n.Now())
 	}
 	if host == nil {
 		n.countDark(rep * k)
@@ -367,7 +366,7 @@ func (n *Network) SendTrain(origin netaddr.Addr, hdr *packet.Datagram, payloads 
 	for _, p := range payloads {
 		t.add(p)
 	}
-	n.sched.AtBatch(arrive, n, t)
+	n.sched.After(latency, t.fire)
 	return true
 }
 
@@ -379,11 +378,13 @@ func (n *Network) SendTrain(origin netaddr.Addr, hdr *packet.Datagram, payloads 
 // whether or not the destination has a host (nil host: dark). A dark
 // destination counts each survivor and its duplicates; for a bound one,
 // survivors on the base path ride one train, and a reordered payload and
-// every duplicate travel alone. Taps then see every survivor, each followed
-// by its duplicate, in one call.
-func (n *Network) sendImpaired(origin netaddr.Addr, hdr *packet.Datagram, payloads [][]byte, hops int, rep int64, size int, host Host, now, arrive time.Time) {
+// every duplicate travel alone. Every delay is a duration from now: the path
+// latency, plus a reorder detour, plus a duplicate's own lag. Taps then see
+// every survivor, each followed by its duplicate, in one call.
+func (n *Network) sendImpaired(origin netaddr.Addr, hdr *packet.Datagram, payloads [][]byte, hops int, rep int64, size int, host Host, latency time.Duration) {
 	st := n.impair
 	dst := hdr.IP.Dst
+	now := n.Now()
 	// Flap windows swallow the train whole: the sender saw it leave.
 	if st.linkDown(origin, dst, now) {
 		lost := rep * int64(len(payloads))
@@ -415,22 +416,22 @@ func (n *Network) sendImpaired(origin netaddr.Addr, hdr *packet.Datagram, payloa
 				n.m.Duplicated.Add(dups)
 			}
 		}
-		at := arrive
+		delay := latency
 		reordered := st.cfg.Reorder > 0 && st.src.Bool(st.cfg.Reorder)
 		if reordered {
-			at = at.Add(time.Duration(st.src.Int64N(int64(reorderDelay))) + time.Millisecond)
+			delay += time.Duration(st.src.Int64N(int64(reorderDelay))) + time.Millisecond
 			n.stats.Reordered += r
 			if n.m != nil {
 				n.m.Reordered.Add(r)
 			}
 		}
 		seen, reps = append(seen, p), append(reps, r)
-		var dupAt time.Time
+		var dupDelay time.Duration
 		if dups > 0 {
 			// Duplicates are real wire packets: taps see them right after
 			// the original, and they arrive on their own (slower) schedule.
 			seen, reps = append(seen, p), append(reps, dups)
-			dupAt = at.Add(time.Duration(st.src.Int64N(int64(100*time.Millisecond))) + time.Millisecond)
+			dupDelay = delay + time.Duration(st.src.Int64N(int64(100*time.Millisecond))) + time.Millisecond
 		}
 
 		if host == nil {
@@ -440,18 +441,18 @@ func (n *Network) sendImpaired(origin netaddr.Addr, hdr *packet.Datagram, payloa
 		if reordered {
 			t := n.newTrain(hdr, hops, r, len(p), host)
 			t.add(p)
-			n.sched.AtBatch(at, n, t)
+			n.sched.After(delay, t.fire)
 		} else {
 			if base == nil {
 				base = n.newTrain(hdr, hops, rep, size, host)
-				n.sched.AtBatch(arrive, n, base)
+				n.sched.After(latency, base.fire)
 			}
 			base.addRep(p, r)
 		}
 		if dups > 0 {
 			d := n.newTrain(hdr, hops, dups, len(p), host)
 			d.add(p)
-			n.sched.AtBatch(dupAt, n, d)
+			n.sched.After(dupDelay, d.fire)
 		}
 	}
 	if len(seen) > 0 {
@@ -494,43 +495,40 @@ func deliveredHeader(v, hdr *packet.Datagram, hops int) {
 	v.IP.TTL -= uint8(hops)
 }
 
-// RunBatch implements vtime.BatchSink: it delivers a batch of same-instant
-// trains. A train whose host left in flight is counted dark in one step; a
+// deliver runs a train at its arrival instant, as the train's scheduler
+// event. A train whose host left in flight is counted dark in one step; a
 // registered host gets one HandlePacket per payload, in send order. A train
 // goes to the host found at its send unless an address was bound or
 // unbound since, and a re-bind by a handler mid-train reaches the next
-// payload. Each train returns to the pool once delivered.
-func (n *Network) RunBatch(now time.Time, items []any) {
+// payload. The train returns to the pool once delivered.
+func (n *Network) deliver(t *train, now time.Time) {
 	v := &n.deliverView
-	for _, item := range items {
-		t := item.(*train)
-		dst := t.hdr.IP.Dst
-		gen := n.hostsGen
-		host := t.host
-		if t.gen != gen {
+	dst := t.hdr.IP.Dst
+	gen := n.hostsGen
+	host := t.host
+	if t.gen != gen {
+		host = n.hosts[dst]
+	}
+	for i := range t.ends {
+		if host == nil {
+			n.countDark(t.repSum(i))
+			break
+		}
+		*v = t.hdr
+		v.Payload = t.payload(i)
+		v.Rep = t.rep(i)
+		n.stats.Delivered += v.Rep
+		if n.m != nil {
+			n.m.Delivered.Add(v.Rep)
+		}
+		host.HandlePacket(n, v, now)
+		if n.hostsGen != gen {
+			gen = n.hostsGen
 			host = n.hosts[dst]
 		}
-		for i := range t.ends {
-			if host == nil {
-				n.countDark(t.repSum(i))
-				break
-			}
-			*v = t.hdr
-			v.Payload = t.payload(i)
-			v.Rep = t.rep(i)
-			n.stats.Delivered += v.Rep
-			if n.m != nil {
-				n.m.Delivered.Add(v.Rep)
-			}
-			host.HandlePacket(n, v, now)
-			if n.hostsGen != gen {
-				gen = n.hostsGen
-				host = n.hosts[dst]
-			}
-		}
-		n.freeTrain(t)
 	}
 	v.Payload = nil
+	n.freeTrain(t)
 }
 
 // SendUDP is a convenience wrapper building and sending a datagram whose IP

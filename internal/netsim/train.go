@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math/bits"
+	"time"
 
 	"ntpddos/internal/packet"
 )
@@ -20,6 +21,10 @@ type train struct {
 	// the fabric's hostsGen is still gen on arrival.
 	host Host
 	gen  uint64
+	// fire delivers the train; it is the train's scheduler callback. It is
+	// built once, with the train, and kept while the train is pooled, so
+	// scheduling a warm train makes no closure.
+	fire func(now time.Time)
 }
 
 // add appends one payload carrying the train's common Rep.
@@ -92,16 +97,24 @@ func (n *Network) newTrain(hdr *packet.Datagram, hops int, rep int64, size int, 
 	var t *train
 	c := trainClass(size)
 	if c >= trainClasses {
-		t = &train{buf: make([]byte, 0, size)}
+		t = n.allocTrain(size)
 	} else if free := n.trains[c]; len(free) > 0 {
 		t = free[len(free)-1]
 		n.trains[c] = free[:len(free)-1]
 	} else {
-		t = &train{buf: make([]byte, 0, 1<<(c+minTrainShift))}
+		t = n.allocTrain(1 << (c + minTrainShift))
 	}
 	deliveredHeader(&t.hdr, hdr, hops)
 	t.hdr.Rep = rep
 	t.host, t.gen = host, n.hostsGen
+	return t
+}
+
+// allocTrain makes a train whose buffer holds size bytes, with its fire
+// callback.
+func (n *Network) allocTrain(size int) *train {
+	t := &train{buf: make([]byte, 0, size)}
+	t.fire = func(now time.Time) { n.deliver(t, now) }
 	return t
 }
 

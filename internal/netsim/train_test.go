@@ -462,6 +462,41 @@ func TestTrainHandlerAppendDoesNotClobberNextPayload(t *testing.T) {
 	}
 }
 
+// TestSameInstantTrainsKeepScheduleOrder: two trains on one path arrive at
+// the same instant, each as its own scheduler event, so an event scheduled
+// for that instant between the two sends runs between the two deliveries.
+// Without it the trains run back to back, one pending event each.
+func TestSameInstantTrainsKeepScheduleOrder(t *testing.T) {
+	latency := PathLatency(trainOrigin, trainDst)
+	for _, between := range []bool{true, false} {
+		net, sched := newNet(nil)
+		var got []string
+		net.Register(trainDst, HostFunc(func(_ *Network, dg *packet.Datagram, now time.Time) {
+			got = append(got, fmt.Sprintf("%s@%v", dg.Payload, now.Sub(vtime.Epoch)))
+		}))
+		hdr := packet.NewDatagram(trainOrigin, 1, trainDst, 2, nil)
+		net.SendTrain(trainOrigin, hdr, [][]byte{[]byte("1a"), []byte("1b")})
+		want := []string{"1a", "1b", "2a"}
+		if between {
+			sched.At(sched.Now().Add(latency), func(now time.Time) {
+				got = append(got, fmt.Sprintf("at@%v", now.Sub(vtime.Epoch)))
+			})
+			want = []string{"1a", "1b", "at", "2a"}
+		}
+		net.SendTrain(trainOrigin, hdr, [][]byte{[]byte("2a")})
+		if p := sched.Pending(); p != len(want)-1 {
+			t.Fatalf("between=%v: %d events pending, want %d: one per train and the At", between, p, len(want)-1)
+		}
+		sched.Drain()
+		for i := range want {
+			want[i] += "@" + latency.String()
+		}
+		if strings.Join(got, ",") != strings.Join(want, ",") {
+			t.Fatalf("between=%v: ran %q, want %q", between, got, want)
+		}
+	}
+}
+
 // TestEmptyTrainSendsNothing pins the degenerate case: no payloads, no
 // datagrams, no counters, and a false result.
 func TestEmptyTrainSendsNothing(t *testing.T) {

@@ -83,6 +83,27 @@ func TestPacketCodecZeroAlloc(t *testing.T) {
 		}
 	})
 
+	// The kiss-o'-death codes the discipline reacts to decode to their
+	// constants.
+	t.Run("kiss-decode", func(t *testing.T) {
+		var wires [][]byte
+		for _, code := range []string{KissRATE, KissDENY, KissRSTR} {
+			kod := NewKissReply(0, code, now)
+			wires = append(wires, kod.AppendTo(nil))
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			for _, wire := range wires {
+				r, err := DecodeSyncReply(wire)
+				if err != nil || r.Kiss == "" {
+					t.Fatalf("kiss decoded as %+v, %v", r, err)
+				}
+				allocSinkU64 += uint64(len(r.Kiss))
+			}
+		}) / float64(len(wires)); n != 0 {
+			t.Errorf("kiss decode: %.1f allocs/op, want 0", n)
+		}
+	})
+
 	t.Run("mode7-encode", func(t *testing.T) {
 		entry := MonEntry{Addr: 0x0a000001, DAddr: 0x0a000002, Count: 42,
 			Mode: ModePrivate, Version: 2, Port: 123}

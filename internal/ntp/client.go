@@ -65,8 +65,17 @@ func KissRefID(code string) uint32 {
 
 // kissFromRefID recovers the printable kiss code from a stratum-0 reference
 // ID, or "" when the word is not a plausible code (which makes the packet
-// malformed rather than a KoD).
+// malformed rather than a KoD). The three codes the discipline knows come
+// back as their constants, so decoding them allocates nothing.
 func kissFromRefID(id uint32) string {
+	switch id {
+	case 'R'<<24 | 'A'<<16 | 'T'<<8 | 'E':
+		return KissRATE
+	case 'D'<<24 | 'E'<<16 | 'N'<<8 | 'Y':
+		return KissDENY
+	case 'R'<<24 | 'S'<<16 | 'T'<<8 | 'R':
+		return KissRSTR
+	}
 	var buf [4]byte
 	n := 0
 	for i := 0; i < 4; i++ {

@@ -142,11 +142,9 @@ func (p *Plane) Arm(fleet *timesync.Fleet, src *rng.Source) {
 		t.burst = time.Duration((300 + src.Float64()*300) * float64(time.Second))
 		switch t.model {
 		case ModelSpoof:
-			c.MarkInsecure()
 			t.offset = time.Duration((5 + src.Float64()*25) * float64(time.Second))
 			t.servers = servers[:maj]
 		case ModelKoD:
-			c.MarkInsecure()
 			t.servers = servers
 		case ModelDelay:
 			t.delay = time.Duration((0.8 + src.Float64()*0.8) * float64(time.Second))
@@ -165,6 +163,9 @@ func (p *Plane) Arm(fleet *timesync.Fleet, src *rng.Source) {
 				continue // nothing to spoof from; draws stay consistent
 			}
 			t.origin = p.cfg.Origins[src.IntN(len(p.cfg.Origins))]
+			// Only an off-path target is left without origin validation,
+			// so its forgeries land; a dropped one stays secure.
+			c.MarkInsecure()
 		}
 		p.targets = append(p.targets, t)
 		p.attacked.Add(c.Addr())
@@ -283,6 +284,19 @@ type interceptor struct {
 	p       *Plane
 	t       *target
 	armedAt time.Time
+	// held is the free list of the delay model's reply slots.
+	held []*heldReply
+}
+
+// heldReply is a reply the delay model holds back: its own copy of the
+// datagram and payload, since the fabric recycles the delivered ones as
+// soon as HandlePacket returns, and the callback that hands it to the
+// client. The callback is built once, with the slot, and the slot returns
+// to the interceptor's free list once the client has the reply.
+type heldReply struct {
+	dg   packet.Datagram
+	buf  []byte
+	fire func(late time.Time)
 }
 
 // HandlePacket implements netsim.Host.
@@ -296,13 +310,7 @@ func (ic *interceptor) HandlePacket(nw *netsim.Network, dg *packet.Datagram, now
 				if ic.p.cfg.Metrics != nil {
 					ic.p.cfg.Metrics.Delayed.Inc()
 				}
-				// Deep-copy before holding: the fabric recycles dg (and its
-				// payload buffer) as soon as this HandlePacket returns.
-				held := *dg
-				held.Payload = append([]byte(nil), dg.Payload...)
-				nw.Scheduler().After(ic.t.delay, func(late time.Time) {
-					c.HandlePacket(nw, &held, late)
-				})
+				ic.hold(nw, dg)
 				return
 			case ModelDrift:
 				shift := time.Duration(ic.t.drift * now.Sub(ic.armedAt).Seconds() * float64(time.Second))
@@ -322,6 +330,26 @@ func (ic *interceptor) HandlePacket(nw *netsim.Network, dg *packet.Datagram, now
 		}
 	}
 	c.HandlePacket(nw, dg, now)
+}
+
+// hold copies a reply into a free slot and schedules its release to the
+// client t.delay from now.
+func (ic *interceptor) hold(nw *netsim.Network, dg *packet.Datagram) {
+	var h *heldReply
+	if n := len(ic.held); n > 0 {
+		h = ic.held[n-1]
+		ic.held = ic.held[:n-1]
+	} else {
+		h = &heldReply{}
+		h.fire = func(late time.Time) {
+			ic.t.client.HandlePacket(nw, &h.dg, late)
+			ic.held = append(ic.held, h)
+		}
+	}
+	h.buf = append(h.buf[:0], dg.Payload...)
+	h.dg = *dg
+	h.dg.Payload = h.buf
+	nw.Scheduler().After(ic.t.delay, h.fire)
 }
 
 // rewrite re-encodes the mutated decoded header over the datagram's own

@@ -250,6 +250,32 @@ func TestInterceptorDelay(t *testing.T) {
 	}
 }
 
+// TestInterceptorDelayWarmAllocs: once the interceptor has a free slot,
+// holding a reply and handing it to the client later allocates nothing. The
+// scheduler is the reference heap, whose queue is one slice, so the count is
+// not the calendar wheel's first use of each bucket as the clock moves on.
+func TestInterceptorDelayWarmAllocs(t *testing.T) {
+	sched := vtime.NewHeapScheduler()
+	nw := netsim.New(sched, nil)
+	c := newClient(sched, nil)
+	tg := &target{client: c, model: ModelDelay, delay: 1234567 * time.Microsecond, servers: servers[:3]}
+	ic := &interceptor{p: New(Config{}), t: tg, armedAt: sched.Now()}
+	dg := reply(servers[0], sched.Now())
+	hold := func() {
+		ic.HandlePacket(nw, dg, sched.Now())
+		sched.Drain()
+	}
+	hold() // warm the slot and the scheduler's event pool
+	if n := testing.AllocsPerRun(100, hold); n != 0 {
+		t.Fatalf("a warm held reply makes %.1f allocations, want 0", n)
+	}
+	// AllocsPerRun makes one more run than it counts. The client polled
+	// nothing, so it rejects every reply that reaches it.
+	if d, r := ic.p.Summarize().Delayed, c.Stats().RejectedOrigin; d != 102 || r != d || len(ic.held) != 1 {
+		t.Fatalf("delayed %d, client rejected %d, %d free slots: want 102, 102 and 1", d, r, len(ic.held))
+	}
+}
+
 // TestInterceptorRewrites: drift shifts both server stamps by drift ×
 // time since arming; stratum claims stratum 1 with a GPS refid and shifts
 // both stamps by the target's offset; leap sets the leap indicator. Every
@@ -314,6 +340,36 @@ func TestInterceptorRewrites(t *testing.T) {
 				t.Fatalf("rewritten = %d after pass-through packets, want 1", ic.p.Summarize().Rewritten)
 			}
 		})
+	}
+}
+
+// TestArmWithoutOriginsKeepsClientsSecure: with no origin to spoof from, a
+// client drawn for an off-path model is left out of the ground truth and
+// keeps validating origins, so a reply that echoes no poll of its own is
+// rejected, not accepted blind.
+func TestArmWithoutOriginsKeepsClientsSecure(t *testing.T) {
+	sched, nw := world()
+	fleet := timesync.NewFleet()
+	for i := 0; i < 60; i++ {
+		fleet.Add(timesync.NewClient(timesync.Config{Addr: netaddr.Addr(0x0a000000 + uint32(i)), Servers: servers}, vtime.Epoch))
+	}
+	p := New(Config{Share: 1})
+	p.Arm(fleet, rng.New(7))
+	dropped := 0
+	for _, c := range fleet.Clients() {
+		if p.Attacked().Has(c.Addr()) {
+			continue
+		}
+		dropped++
+		c.HandlePacket(nw, reply(servers[0], sched.Now()), sched.Now())
+		if s := c.Stats(); s.RejectedOrigin != 1 || s.InsecureAccepts != 0 {
+			t.Fatalf("client %v outside Attacked() rejected %d and accepted %d unmatched replies, want 1 and 0",
+				c.Addr(), s.RejectedOrigin, s.InsecureAccepts)
+		}
+	}
+	if dropped == 0 || dropped == len(fleet.Clients()) {
+		t.Fatalf("%d of %d clients left out at share 1 with no origins: want the off-path draws alone",
+			dropped, len(fleet.Clients()))
 	}
 }
 

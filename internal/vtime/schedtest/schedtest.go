@@ -1,7 +1,8 @@
 // Package schedtest is the differential harness that locks the calendar-queue
 // scheduler to the reference binary heap. It interprets a byte program as a
-// sequence of scheduler operations — one-shot events, periodic timers, batch
-// deliveries, re-entrant scheduling from inside callbacks, interleaved
+// sequence of scheduler operations — one-shot events at an instant (At) or a
+// delay from now (After, the fabric's way of scheduling a train), periodic
+// timers, re-entrant scheduling from inside callbacks, interleaved
 // RunUntil/Drain — and records every observable action in a trace. Running
 // the same program against two scheduler constructors and comparing traces
 // asserts the implementations agree on the full (atNs, seq) total order,
@@ -15,14 +16,13 @@ package schedtest
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"ntpddos/internal/vtime"
 )
 
 // Trace is the observable behaviour of one scheduler run: one line per fired
-// event, delivered batch, and run-loop checkpoint, in execution order.
+// event and run-loop checkpoint, in execution order.
 type Trace []string
 
 // Diff returns the first index at which two traces disagree, or -1 when they
@@ -93,11 +93,11 @@ func (it *interp) delta() time.Duration {
 func (it *interp) step() {
 	switch it.next() % 8 {
 	case 0, 1, 2: // bias toward plain events: they carry the ordering load
-		it.scheduleFire(2)
+		it.scheduleFire(2, false)
 	case 3:
 		it.scheduleEvery()
 	case 4:
-		it.scheduleBatch()
+		it.scheduleFire(2, true)
 	case 5:
 		end := it.sched.Now().Add(it.delta())
 		ran := it.sched.RunUntil(end)
@@ -118,19 +118,25 @@ func (it *interp) step() {
 	}
 }
 
-// scheduleFire schedules a one-shot event whose callback may re-entrantly
-// schedule further events (down to the given depth), including at the very
-// instant that is currently firing.
-func (it *interp) scheduleFire(depth int) {
+// scheduleFire schedules a one-shot event a drawn delay from now: with After
+// when relative, else with At at Now() plus the delay. Its callback may
+// re-entrantly schedule further events the same way (down to the given
+// depth), including at the very instant that is currently firing.
+func (it *interp) scheduleFire(depth int, relative bool) {
 	id := it.nextID
 	it.nextID++
-	at := it.sched.Now().Add(it.delta())
-	it.sched.At(at, func(now time.Time) {
+	d := it.delta()
+	fire := func(now time.Time) {
 		it.emit("fire %d @%d", id, now.UnixNano())
 		if depth > 0 && it.next()%3 == 0 {
-			it.scheduleFire(depth - 1)
+			it.scheduleFire(depth-1, relative)
 		}
-	})
+	}
+	if relative {
+		it.sched.After(d, fire)
+	} else {
+		it.sched.At(it.sched.Now().Add(d), fire)
+	}
 }
 
 // scheduleEvery schedules a bounded periodic timer: a callback that re-arms
@@ -154,25 +160,4 @@ func (it *interp) scheduleEvery() {
 		it.emit("tick %d @%d", id, now.UnixNano())
 	}
 	it.sched.At(start, tick)
-}
-
-// scheduleBatch enqueues an item for coalesced delivery. The interpreter is
-// its own BatchSink, so consecutive same-instant items land in one RunBatch —
-// and any implementation that coalesces across an intervening non-batch event
-// (illegally reordering it) shows up as a trace diff.
-func (it *interp) scheduleBatch() {
-	id := it.nextID
-	it.nextID++
-	at := it.sched.Now().Add(it.delta())
-	it.sched.AtBatch(at, it, id)
-}
-
-// RunBatch implements vtime.BatchSink.
-func (it *interp) RunBatch(now time.Time, items []any) {
-	var b strings.Builder
-	fmt.Fprintf(&b, "batch @%d", now.UnixNano())
-	for _, x := range items {
-		fmt.Fprintf(&b, " %d", x.(int))
-	}
-	it.trace = append(it.trace, b.String())
 }

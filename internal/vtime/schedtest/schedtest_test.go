@@ -75,7 +75,7 @@ func FuzzSchedulerEquivalence(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{7, 0, 0, 3, 6})                   // same-instant burst, then drain
 	f.Add([]byte{3, 0, 0, 10, 3, 6})               // periodic timer
-	f.Add([]byte{4, 0, 0, 4, 0, 0, 0, 1, 0, 6})    // batch items with an interleaved event
+	f.Add([]byte{4, 0, 0, 0, 0, 0, 4, 0, 0, 6})    // same-instant After ties with an interleaved At
 	f.Add([]byte{0, 255, 32, 0, 0, 0, 5, 255, 32}) // overflow + rebase
 	f.Fuzz(func(t *testing.T, program []byte) {
 		if len(program) > 4096 {

@@ -11,8 +11,10 @@
 // phenomenon begins. It keeps the current instant and every event's instant
 // as one int64 of nanoseconds since Epoch. time.Time appears only at its API
 // boundary, converted once per crossing: where a caller hands an instant in
-// (At, AtBatch, RunUntil) and where one is handed back (Now, and the now of
-// each fired event's callback).
+// (At, RunUntil) and where one is handed back (Now, and the now of each fired
+// event's callback). After takes a duration from now and crosses nothing, so
+// a caller that knows a delay, such as the fabric's path latency, schedules
+// without time.Time arithmetic.
 //
 // Two queue implementations back the scheduler: the default calendar queue
 // (a bucketed timer wheel with an overflow heap, O(1) amortized insert and
@@ -36,18 +38,12 @@ import (
 var Epoch = time.Date(2013, time.September, 1, 0, 0, 0, 0, time.UTC)
 
 // event is a scheduled callback. Events are owned by the scheduler and
-// recycled through a free list: after an event fires, its struct (and, for
-// batches, its item slice) returns to the pool, so steady-state scheduling
-// allocates nothing.
+// recycled through a free list: after an event fires, its struct returns to
+// the pool, so steady-state scheduling allocates nothing.
 type event struct {
 	atNs int64  // the event's instant, nanoseconds since Epoch
 	seq  uint64 // tie-break so same-instant events run in schedule order
 	fn   func(now time.Time)
-
-	// Batch (AtBatch) state: sink non-nil marks a coalesced delivery event
-	// carrying items appended by the scheduler's open-batch table.
-	sink  BatchSink
-	items []any
 }
 
 // less orders events by (instant, schedule order) — the scheduler's total
@@ -69,13 +65,6 @@ type queue interface {
 	len() int
 }
 
-// BatchSink receives a coalesced batch of same-instant items scheduled with
-// AtBatch. Items are passed in append order; the slice is owned by the
-// scheduler and must not be retained after RunBatch returns.
-type BatchSink interface {
-	RunBatch(now time.Time, items []any)
-}
-
 // Scheduler is a discrete-event executor and the owner of virtual time.
 // Events scheduled for the same instant run in the order they were
 // scheduled. It is not safe for concurrent use; the simulation is
@@ -89,21 +78,10 @@ type Scheduler struct {
 	m   *Metrics
 
 	// peak tracks the high-water mark of Pending() — the queue-depth
-	// regression wall for self-re-arming timers and batched deliveries.
+	// regression wall for self-re-arming timers and in-flight deliveries.
 	peak int
 
-	// open maps an instant (ns since Epoch) to its open batch event. A
-	// batch stays open — accepting appends in O(1) with no new scheduler
-	// event — until it fires or until any non-batch event is scheduled at
-	// the same instant. Closing on same-instant scheduling is what keeps
-	// coalescing provably order-preserving: only events at the identical
-	// instant can interleave with the batch, so a later append must not
-	// jump ahead of them.
-	open map[int64]*event
-
-	// free lists for event structs and batch item slices.
-	pool     []*event
-	itemPool [][]any
+	pool []*event // free list of event structs
 }
 
 // Metrics is the scheduler's optional live instrumentation: queue depth,
@@ -144,7 +122,7 @@ func (s *Scheduler) SetMetrics(m *Metrics) {
 
 // NewScheduler returns a Scheduler at Epoch, backed by the calendar queue.
 func NewScheduler() *Scheduler {
-	return &Scheduler{q: newCalendarQueue(), open: make(map[int64]*event)}
+	return &Scheduler{q: newCalendarQueue()}
 }
 
 // NewHeapScheduler returns a Scheduler at Epoch, backed by the reference
@@ -152,7 +130,7 @@ func NewScheduler() *Scheduler {
 // differential-testing oracle. Behaviour is identical to NewScheduler; only
 // the asymptotics differ.
 func NewHeapScheduler() *Scheduler {
-	return &Scheduler{q: &heapQueue{}, open: make(map[int64]*event)}
+	return &Scheduler{q: &heapQueue{}}
 }
 
 // Now returns the current virtual instant.
@@ -168,42 +146,10 @@ func (s *Scheduler) alloc() *event {
 	return &event{}
 }
 
-// release clears an event's references and returns it to the free list.
+// release clears an event's callback and returns it to the free list.
 func (s *Scheduler) release(e *event) {
-	if e.items != nil {
-		items := e.items
-		for i := range items {
-			items[i] = nil
-		}
-		s.itemPool = append(s.itemPool, items[:0])
-	}
 	*e = event{}
 	s.pool = append(s.pool, e)
-}
-
-// push assigns the next sequence number and enqueues. Any non-batch push
-// closes an open batch at the same instant (see the open field).
-func (s *Scheduler) push(e *event) {
-	if e.sink == nil && len(s.open) > 0 {
-		delete(s.open, e.atNs)
-	}
-	s.seq++
-	e.seq = s.seq
-	s.q.push(e)
-	if n := s.q.len(); n > s.peak {
-		s.peak = n
-	}
-	if s.m != nil {
-		s.m.EventsScheduled.Inc()
-		s.m.QueueDepth.SetInt(int64(s.q.len()))
-	}
-}
-
-// past panics for an instant before now: a simulation that silently
-// reorders causality produces wrong measurements.
-func (s *Scheduler) past(atNs int64) {
-	panic(fmt.Sprintf("vtime: scheduling at %v, before now %v",
-		Epoch.Add(time.Duration(atNs)), s.Now()))
 }
 
 // At schedules fn to run at instant t. Scheduling in the past panics.
@@ -217,50 +163,30 @@ func (s *Scheduler) After(d time.Duration, fn func(now time.Time)) {
 	s.schedule(s.now+int64(d), fn)
 }
 
-// schedule enqueues fn at atNs, nanoseconds since Epoch.
+// schedule enqueues fn at atNs, nanoseconds since Epoch, behind every event
+// already scheduled for that instant. An instant before now panics: a
+// simulation that silently reorders causality produces wrong measurements.
 func (s *Scheduler) schedule(atNs int64, fn func(now time.Time)) {
 	if atNs < s.now {
-		s.past(atNs)
+		panic(fmt.Sprintf("vtime: scheduling at %v, before now %v",
+			Epoch.Add(time.Duration(atNs)), s.Now()))
 	}
 	e := s.alloc()
 	e.atNs = atNs
 	e.fn = fn
-	s.push(e)
+	s.seq++
+	e.seq = s.seq
+	s.q.push(e)
+	if n := s.q.len(); n > s.peak {
+		s.peak = n
+	}
+	if s.m != nil {
+		s.m.EventsScheduled.Inc()
+		s.m.QueueDepth.SetInt(int64(s.q.len()))
+	}
 }
 
-// AtBatch schedules item for delivery to sink at instant t. Consecutive
-// same-instant calls with the same sink coalesce into one scheduler event
-// whose RunBatch receives every item in append order; scheduling any other
-// event at the same instant closes the batch, so coalescing never reorders
-// execution relative to one-event-per-item scheduling.
-func (s *Scheduler) AtBatch(t time.Time, sink BatchSink, item any) {
-	atNs := int64(t.Sub(Epoch))
-	if atNs < s.now {
-		s.past(atNs)
-	}
-	if e, ok := s.open[atNs]; ok {
-		if e.sink == sink {
-			e.items = append(e.items, item)
-			return
-		}
-		// A different sink at the same instant: close the old batch so the
-		// new one's items stay behind it in schedule order.
-		delete(s.open, atNs)
-	}
-	e := s.alloc()
-	e.atNs = atNs
-	e.sink = sink
-	if n := len(s.itemPool); n > 0 {
-		e.items = s.itemPool[n-1]
-		s.itemPool = s.itemPool[:n-1]
-	}
-	e.items = append(e.items, item)
-	s.open[atNs] = e
-	s.push(e)
-}
-
-// Pending reports the number of events waiting to run. A coalesced batch
-// counts as one event regardless of its item count.
+// Pending reports the number of events waiting to run.
 func (s *Scheduler) Pending() int { return s.q.len() }
 
 // PeakPending reports the high-water mark of Pending() over the scheduler's
@@ -275,25 +201,14 @@ func (s *Scheduler) runEvent(e *event) {
 		s.m.QueueDepth.SetInt(int64(s.q.len()))
 		s.m.ClockSeconds.Set(time.Duration(s.now).Seconds())
 	}
-	now := s.Now()
-	if e.sink != nil {
-		// Close the batch before running: the sink may schedule new work at
-		// this same instant, which must open a fresh batch behind it.
-		if s.open[e.atNs] == e {
-			delete(s.open, e.atNs)
-		}
-		e.sink.RunBatch(now, e.items)
-		s.release(e)
-		return
-	}
 	fn := e.fn
 	s.release(e)
-	fn(now)
+	fn(s.Now())
 }
 
 // RunUntil executes all events scheduled strictly before end, moving the
 // clock to each event's instant, then moves the clock to end. It returns
-// the number of events executed; a coalesced batch counts once.
+// the number of events executed.
 func (s *Scheduler) RunUntil(end time.Time) int {
 	endNs := int64(end.Sub(Epoch))
 	ran := 0

@@ -62,42 +62,36 @@ func TestClockAdvanceTo(t *testing.T) {
 	}
 }
 
+// TestClockAdvanceToPastPanics: once the clock has moved, an instant one
+// nanosecond before it panics, whether handed to At or as a delay to After.
 func TestClockAdvanceToPastPanics(t *testing.T) {
-	s := NewScheduler()
-	s.RunUntil(Epoch.Add(time.Hour))
-	mustPanic(t, "AtBatch(past)", func() { s.AtBatch(Epoch, &recordSink{s: s}, 0) })
-}
-
-// recordSink records each batch's now, and the scheduler's Now() inside
-// RunBatch.
-type recordSink struct {
-	s           *Scheduler
-	got, inside []time.Time
-}
-
-func (r *recordSink) RunBatch(now time.Time, _ []any) {
-	r.got = append(r.got, now)
-	r.inside = append(r.inside, r.s.Now())
+	for name, mk := range map[string]func() *Scheduler{"calendar": NewScheduler, "heap": NewHeapScheduler} {
+		s := mk()
+		s.RunUntil(Epoch.Add(time.Hour))
+		mustPanic(t, name+" At(now-1ns)", func() { s.At(s.Now().Add(-1), func(time.Time) {}) })
+		mustPanic(t, name+" After(-1ns)", func() { s.After(-1, func(time.Time) {}) })
+	}
 }
 
 // TestBoundaryConversion: the instant a caller hands in comes back out
 // unchanged. A callback's now and Now() inside it are == (Location
-// included) to the time.Time given to At or AtBatch, for instants inside
-// the calendar wheel's window, far past it (the overflow heap) and equal to
-// a RunUntil end; After(d) fires at Now().Add(d).
+// included) to the time.Time given to At, or reached by After from Epoch,
+// for instants inside the calendar wheel's window, far past it (the
+// overflow heap) and equal to a RunUntil end; After(d) fires at
+// Now().Add(d), also when called inside a firing callback.
 func TestBoundaryConversion(t *testing.T) {
 	for name, mk := range map[string]func() *Scheduler{"calendar": NewScheduler, "heap": NewHeapScheduler} {
 		s := mk()
 		near := Epoch.Add(1500 * time.Millisecond)                           // inside the wheel window
 		far := time.Date(2014, time.February, 11, 17, 45, 12, 999, time.UTC) // overflow heap
 		end := Epoch.Add(36 * time.Hour)                                     // a RunUntil end
-		// At callbacks and the batch sink share one record.
+		// At and After callbacks share one record.
 		var want []time.Time
-		rec := &recordSink{s: s}
+		rec := &record{s: s}
 		for _, at := range []time.Time{near, end, far} { // firing order
 			want = append(want, at, at)
-			s.At(at, func(now time.Time) { rec.RunBatch(now, nil) })
-			s.AtBatch(at, rec, 0)
+			s.At(at, rec.fire)
+			s.After(at.Sub(Epoch), rec.fire)
 		}
 		var afterAt, base, nestedAt time.Time
 		s.After(90*time.Second, func(now time.Time) {
@@ -127,6 +121,17 @@ func TestBoundaryConversion(t *testing.T) {
 			t.Fatalf("%s: after Drain clock reads %v, want %v", name, s.Now(), far)
 		}
 	}
+}
+
+// record keeps each callback's now, and the scheduler's Now() inside it.
+type record struct {
+	s           *Scheduler
+	got, inside []time.Time
+}
+
+func (r *record) fire(now time.Time) {
+	r.got = append(r.got, now)
+	r.inside = append(r.inside, r.s.Now())
 }
 
 func TestSchedulerRunsInTimeOrder(t *testing.T) {
