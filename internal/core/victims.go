@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"time"
 
 	"ntpddos/internal/netaddr"
@@ -63,6 +64,19 @@ type VictimObservation struct {
 	Start time.Time
 }
 
+// EntrySpan estimates how long a table entry's client has been sending:
+// packet count × average inter-arrival. The product is taken in uint64
+// seconds and saturates at the largest time.Duration, so counters read from
+// a capture or a live daemon cannot wrap past about 292 years into a span
+// that ends after it starts.
+func EntrySpan(e ntp.MonEntry) time.Duration {
+	secs := uint64(e.Count) * uint64(e.AvgInterval)
+	if secs > math.MaxInt64/uint64(time.Second) {
+		return math.MaxInt64
+	}
+	return time.Duration(secs) * time.Second
+}
+
 // ExtractVictims classifies every entry of a rebuilt table and returns the
 // victim observations plus a census of the other classes.
 func ExtractVictims(view *TableView, amplifier, probeAddr netaddr.Addr, sampleTime time.Time) (victims []VictimObservation, scanners, nonVictims int) {
@@ -74,7 +88,7 @@ func ExtractVictims(view *TableView, amplifier, probeAddr netaddr.Addr, sampleTi
 			scanners++
 		case Victim:
 			end := sampleTime.Add(-time.Duration(e.LastSeen) * time.Second)
-			dur := time.Duration(e.Count) * time.Duration(e.AvgInterval) * time.Second
+			dur := EntrySpan(e)
 			victims = append(victims, VictimObservation{
 				Victim:     e.Addr,
 				Amplifier:  amplifier,

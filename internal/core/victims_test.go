@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -60,6 +61,35 @@ func TestExtractVictimsTiming(t *testing.T) {
 	}
 	if !v.Start.Equal(wantEnd.Add(-wantDur)) {
 		t.Fatalf("start = %v", v.Start)
+	}
+}
+
+// TestEntrySpanSaturates: a table read from a capture or a live daemon can
+// carry count × avgint past what int64 nanoseconds hold (about 292 years).
+// Such an entry is still a §4.2 victim; its span saturates, so its start
+// stays before the sample, while an ordinary span stays exact.
+func TestEntrySpanSaturates(t *testing.T) {
+	sample := vtime.Epoch.Add(1000 * time.Hour)
+	huge := ntp.MonEntry{Addr: 20, Mode: 7, Count: 2_600_000, AvgInterval: 3600}
+	if ClassifyEntry(huge, probeAddr) != Victim {
+		t.Fatal("the 2,600,000 × 3600 s entry is not a victim")
+	}
+	if got := EntrySpan(huge); got != math.MaxInt64 {
+		t.Fatalf("span = %v, want the largest Duration", got)
+	}
+	exact := ntp.MonEntry{Addr: 21, Mode: 7, Count: 1000, AvgInterval: 3600}
+	if got := EntrySpan(exact); got != 1000*time.Hour {
+		t.Fatalf("span = %v, want 1000h", got)
+	}
+	victims, _, _ := ExtractVictims(&TableView{Entries: []ntp.MonEntry{huge, exact}}, 99, probeAddr, sample)
+	if len(victims) != 2 {
+		t.Fatalf("got %d victims, want 2", len(victims))
+	}
+	if v := victims[0]; !v.Start.Before(sample) || v.Duration != math.MaxInt64 {
+		t.Fatalf("saturated entry starts at %v (sample %v), duration %v", v.Start, sample, v.Duration)
+	}
+	if v := victims[1]; !v.Start.Equal(sample.Add(-1000 * time.Hour)) {
+		t.Fatalf("1000 × 3600 s entry starts at %v, want %v", v.Start, sample.Add(-1000*time.Hour))
 	}
 }
 

@@ -189,6 +189,15 @@ const (
 	pulseLearnCap = 4
 )
 
+// The hot path's durations in seconds, each converted once by
+// Duration.Seconds.
+var (
+	rateHalfLifeSec = rateHalfLife.Seconds()
+	minPulseGapSec  = minPulseGap.Seconds()
+	maxPulseGapSec  = (pulseLearnCap * offsetGap).Seconds()
+	victimMaxGapSec = core.VictimMaxInterarrival.Seconds()
+)
+
 // Detector is the streaming detection plane. It implements netsim.Tap; the
 // monlist-table and scanner-sighting paths feed the same state.
 type Detector struct {
@@ -315,29 +324,47 @@ func classify(hdr *packet.Datagram, payload []byte) (lane Lane, dir streamDir, o
 	return 0, 0, false
 }
 
-// ObserveTrain implements netsim.Tap: each payload, with its Rep, takes the
-// per-datagram path in order, because the sampling phase and the prune
-// cadence advance packet by packet. The collector-outage test depends on
-// now alone, so it runs once per call.
+// trainState is what every response payload of one ObserveTrain call
+// shares: one victim (hdr.IP.Dst), one amplifier (hdr.IP.Src) and one now.
+type trainState struct {
+	dark             bool         // the collector-outage test
+	scanned, scanner bool         // the victim's scanner test, once made
+	st               *victimState // the victim, from the first unsuppressed response
+	nbytes           int64        // unsuppressed on-wire bytes, for the top-k adds
+}
+
+// ObserveTrain implements netsim.Tap. What the train's payloads share is
+// resolved once per call: the collector-outage test; the victim's scanner
+// test, made again only after a request payload marks a new scanner; its
+// state, whose rate decay and pulse learning the first response does alone
+// (every later one sees last == now, so no prune inside the call closes or
+// drops it); and the top-k adds, one per summary, because SpaceSaving's
+// Add(k, a) then Add(k, b) leaves the same summary as Add(k, a+b). The rest
+// takes the per-datagram path in order, because the sampling phase, the rate
+// impulses, the onset test and the prune cadence advance packet by packet.
 func (d *Detector) ObserveTrain(hdr *packet.Datagram, payloads [][]byte, reps []int64, now time.Time) {
-	dark := d.darkAt(now)
+	tr := trainState{dark: d.darkAt(now)}
 	for i, p := range payloads {
-		d.observe(hdr, p, reps[i], dark, now)
+		d.observe(hdr, p, reps[i], &tr, now)
+	}
+	if tr.nbytes > 0 {
+		d.victimTop.Add(uint64(hdr.IP.Dst), tr.nbytes)
+		d.ampTop.Add(uint64(hdr.IP.Src), tr.nbytes)
 	}
 }
 
 // observe classifies one datagram (hdr's addressing, carrying payload, rep
-// times) into a protocol lane; dark says whether the collector is in an
-// outage. NTP keeps its original mode 6/7 parse; DNS, SSDP, and chargen
-// reflections are recognized by service port plus a payload sniff.
-// Everything else is dropped after the port compares.
-func (d *Detector) observe(hdr *packet.Datagram, payload []byte, rep int64, dark bool, now time.Time) {
+// times) into a protocol lane; tr is its train's shared state. NTP keeps its
+// original mode 6/7 parse; DNS, SSDP, and chargen reflections are recognized
+// by service port plus a payload sniff. Everything else is dropped after the
+// port compares.
+func (d *Detector) observe(hdr *packet.Datagram, payload []byte, rep int64, tr *trainState, now time.Time) {
 	lane, dir, ok := classify(hdr, payload)
 	if !ok {
 		return
 	}
 	if d.cfg.Vantage.Degraded() {
-		if dark {
+		if tr.dark {
 			if d.m != nil {
 				d.m.OutageDropped.Add(rep)
 			}
@@ -357,10 +384,11 @@ func (d *Detector) observe(hdr *packet.Datagram, payload []byte, rep int64, dark
 	}
 	switch dir {
 	case dirResponse:
-		d.ingestResponse(lane, hdr.IP.Src, hdr.IP.Dst, hdr.UDP.DstPort,
-			int64(packet.OnWireBytesForUDPPayload(len(payload)))*rep, rep, now)
+		d.ingestResponse(tr, lane, hdr, int64(packet.OnWireBytesForUDPPayload(len(payload)))*rep, rep, now)
 	case dirRequest:
-		d.ingestRequest(lane, hdr.IP.Src, hdr.IP.TTL, rep)
+		if d.ingestRequest(lane, hdr.IP.Src, hdr.IP.TTL, rep) {
+			tr.scanned = false
+		}
 	}
 	d.maybePrune(now)
 }
@@ -368,35 +396,44 @@ func (d *Detector) observe(hdr *packet.Datagram, payload []byte, rep int64, dark
 // ingestRequest handles a trigger/probe. A Linux-band TTL exposes a real
 // prober (§7.2): record it as a scanner and suppress it from victim alarms.
 // Windows-band arrivals are the spoofed attack triggers; the claimed source
-// is the victim, which the response stream will confirm.
-func (d *Detector) ingestRequest(lane Lane, src netaddr.Addr, ttl uint8, rep int64) {
+// is the victim, which the response stream will confirm. It reports whether
+// it marked a new scanner.
+func (d *Detector) ingestRequest(lane Lane, src netaddr.Addr, ttl uint8, rep int64) bool {
 	d.requests += rep
 	d.lanes[lane].requests += rep
 	if d.m != nil {
 		d.m.Requests.Add(rep)
 	}
-	if ttl > linuxTTLBand {
-		return
-	}
+	return ttl <= linuxTTLBand && d.markScanner(src)
+}
+
+// markScanner records src as a prober: counted by the cardinality sketch and
+// suppressed from victim alarms. It reports whether src is new to the set.
+func (d *Detector) markScanner(src netaddr.Addr) bool {
 	d.scannerHLL.Add(uint64(src))
-	if !d.scanners.Has(src) {
-		d.scanners.Add(src)
-		if d.m != nil {
-			d.m.ScannersMarked.Inc()
-		}
+	if d.scanners.Has(src) {
+		return false
 	}
+	d.scanners.Add(src)
+	if d.m != nil {
+		d.m.ScannersMarked.Inc()
+	}
+	return true
 }
 
 // ingestResponse handles reflected amplifier → victim traffic, the
 // substance of every alarm and heavy-hitter ranking.
-func (d *Detector) ingestResponse(lane Lane, amp, victim netaddr.Addr, victimPort uint16, nbytes, rep int64, now time.Time) {
+func (d *Detector) ingestResponse(tr *trainState, lane Lane, hdr *packet.Datagram, nbytes, rep int64, now time.Time) {
 	d.responses += rep
 	d.lanes[lane].responses += rep
 	if d.m != nil {
 		d.m.Responses.Add(rep)
 		d.m.ReflectedBytes.Add(nbytes)
 	}
-	if d.scanners.Has(victim) {
+	if !tr.scanned {
+		tr.scanned, tr.scanner = true, d.scanners.Has(hdr.IP.Dst)
+	}
+	if tr.scanner {
 		// Backscatter to a known prober (the ONP scanner harvesting tables);
 		// counting it would make our own measurement the top "victim".
 		d.suppressed += rep
@@ -408,49 +445,26 @@ func (d *Detector) ingestResponse(lane Lane, amp, victim netaddr.Addr, victimPor
 	}
 	d.reflected += nbytes
 	d.lanes[lane].reflected += nbytes
-	d.victimTop.Add(uint64(victim), nbytes)
-	d.ampTop.Add(uint64(amp), nbytes)
+	tr.nbytes += nbytes
 
-	st, ok := d.victims[victim]
-	if !ok {
-		st = &victimState{first: now, last: now, port: victimPort}
-		d.victims[victim] = st
-		if d.m != nil {
-			d.m.Tracked.SetInt(int64(len(d.victims)))
-		}
+	st := tr.st
+	if st == nil {
+		st = d.victimAt(hdr.IP.Dst, hdr.UDP.DstPort, now)
+		tr.st = st
 	}
-	// EWMA rate: decay to now, then add this batch's impulse. In steady
-	// state at r packets/second the estimate converges to r.
-	hl := rateHalfLife.Seconds()
-	if dt := now.Sub(st.last).Seconds(); dt > 0 {
-		st.rate *= math.Exp2(-dt / hl)
-		// Pulse learning: traffic resuming after a long silence on an
-		// already-alarmed victim reveals a burst rotation period. Learn it
-		// (EWMA, first observation seeds) so the offset deadline can stretch
-		// to ride the wave. Bounded below by minPulseGap so sustained-flood
-		// batching never registers, above by pulseLearnCap×offsetGap so a
-		// genuinely separate later attack doesn't.
-		if st.alarmed && dt >= minPulseGap.Seconds() && dt <= (pulseLearnCap*offsetGap).Seconds() {
-			if st.gapN == 0 {
-				st.gapEWMA = dt
-			} else {
-				st.gapEWMA += 0.5 * (dt - st.gapEWMA)
-			}
-			st.gapN++
-		}
-	}
-	st.rate += float64(rep) * math.Ln2 / hl
+	// This batch's impulse on the EWMA rate. In steady state at r
+	// packets/second the estimate converges to r.
+	st.rate += float64(rep) * math.Ln2 / rateHalfLifeSec
 	st.count += rep
 	st.bytes += nbytes
-	st.last = now
-	st.port = victimPort
+	st.port = hdr.UDP.DstPort
 	st.laneRep[lane] += rep
 
 	if !st.active && d.qualifies(st, now) {
 		st.active = true
 		st.alarmed = true
 		d.alarms = append(d.alarms, Alarm{
-			Onset: true, Victim: victim, Port: st.port,
+			Onset: true, Victim: hdr.IP.Dst, Port: st.port,
 			Vector: st.dominantLane().String(), At: now,
 			Count: st.count, Rate: st.rate,
 			Confidence: d.confidence(st, now),
@@ -462,6 +476,40 @@ func (d *Detector) ingestResponse(lane Lane, amp, victim netaddr.Addr, victimPor
 	}
 }
 
+// victimAt finds or creates victim's state and brings it to now, before the
+// first of a train's impulses is added: the EWMA rate decays over the
+// silence since its last packet, and traffic resuming after a long silence
+// teaches the pulse tracker.
+func (d *Detector) victimAt(victim netaddr.Addr, port uint16, now time.Time) *victimState {
+	st, ok := d.victims[victim]
+	if !ok {
+		st = &victimState{first: now, last: now, port: port}
+		d.victims[victim] = st
+		if d.m != nil {
+			d.m.Tracked.SetInt(int64(len(d.victims)))
+		}
+	}
+	if dt := now.Sub(st.last).Seconds(); dt > 0 {
+		st.rate *= math.Exp2(-dt / rateHalfLifeSec)
+		// Pulse learning: traffic resuming after a long silence on an
+		// already-alarmed victim reveals a burst rotation period. Learn it
+		// (EWMA, first observation seeds) so the offset deadline can stretch
+		// to ride the wave. Bounded below by minPulseGap so sustained-flood
+		// batching never registers, above by pulseLearnCap×offsetGap so a
+		// genuinely separate later attack doesn't.
+		if st.alarmed && dt >= minPulseGapSec && dt <= maxPulseGapSec {
+			if st.gapN == 0 {
+				st.gapEWMA = dt
+			} else {
+				st.gapEWMA += 0.5 * (dt - st.gapEWMA)
+			}
+			st.gapN++
+		}
+	}
+	st.last = now
+	return st
+}
+
 // qualifies applies the §4.2 victim thresholds online: enough packets, and
 // both the lifetime average inter-arrival and the instantaneous EWMA rate
 // above one packet per core.VictimMaxInterarrival.
@@ -469,11 +517,10 @@ func (d *Detector) qualifies(st *victimState, now time.Time) bool {
 	if st.count < core.VictimMinCount {
 		return false
 	}
-	maxGap := core.VictimMaxInterarrival.Seconds()
-	if avg := now.Sub(st.first).Seconds() / float64(st.count-1); avg > maxGap {
+	if avg := now.Sub(st.first).Seconds() / float64(st.count-1); avg > victimMaxGapSec {
 		return false
 	}
-	return st.rate >= 1/maxGap
+	return st.rate >= 1/victimMaxGapSec
 }
 
 // maybePrune runs the bounded-memory sweep every pruneEvery ingests: active

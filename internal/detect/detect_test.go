@@ -134,6 +134,23 @@ func TestIngestMonEntry(t *testing.T) {
 	}
 }
 
+// TestIngestMonEntrySpanSaturates: a polled entry whose count × avgint
+// passes what int64 nanoseconds hold is backdated to a first-seen before
+// now, not wrapped past it; an ordinary entry keeps its exact first-seen.
+func TestIngestMonEntrySpanSaturates(t *testing.T) {
+	d := New(DefaultConfig())
+	now := vtime.Epoch.Add(24 * time.Hour)
+	huge, exact := netaddr.MustParseAddr("203.0.113.1"), netaddr.MustParseAddr("203.0.113.2")
+	d.IngestMonEntry(amp, ntp.MonEntry{Addr: huge, Port: 80, Mode: ntp.ModePrivate, Count: 2_600_000, AvgInterval: 3600}, now)
+	d.IngestMonEntry(amp, ntp.MonEntry{Addr: exact, Port: 80, Mode: ntp.ModePrivate, Count: 1000, AvgInterval: 3600}, now)
+	if first := d.victims[huge].first; !first.Before(now) {
+		t.Fatalf("2,600,000 × 3600 s entry first seen at %v, after now %v", first, now)
+	}
+	if first, want := d.victims[exact].first, now.Add(-1000*time.Hour); !first.Equal(want) {
+		t.Fatalf("1000 × 3600 s entry first seen at %v, want %v", first, want)
+	}
+}
+
 func TestSensorAndDarknetIngest(t *testing.T) {
 	d := New(DefaultConfig())
 	now := vtime.Epoch.Add(24 * time.Hour)

@@ -25,7 +25,7 @@ func (d *Detector) IngestMonEntry(amp netaddr.Addr, e ntp.MonEntry, now time.Tim
 	st, ok := d.victims[e.Addr]
 	if !ok {
 		st = &victimState{
-			first: now.Add(-time.Duration(e.Count) * time.Duration(e.AvgInterval) * time.Second),
+			first: now.Add(-core.EntrySpan(e)),
 			port:  e.Port,
 		}
 		d.victims[e.Addr] = st
@@ -58,12 +58,4 @@ func (d *Detector) IngestMonEntry(amp netaddr.Addr, e ntp.MonEntry, now time.Tim
 // source: dark-space probes unmask scanners with certainty (no legitimate
 // traffic enters a darknet), feeding the same suppression set and
 // cardinality estimate the tap path maintains.
-func (d *Detector) IngestScannerSighting(src netaddr.Addr) {
-	d.scannerHLL.Add(uint64(src))
-	if !d.scanners.Has(src) {
-		d.scanners.Add(src)
-		if d.m != nil {
-			d.m.ScannersMarked.Inc()
-		}
-	}
-}
+func (d *Detector) IngestScannerSighting(src netaddr.Addr) { d.markScanner(src) }

@@ -1,6 +1,9 @@
 package sketch
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"ntpddos/internal/rng"
@@ -136,4 +139,64 @@ func TestSpaceSavingCapacityValidation(t *testing.T) {
 		}
 	}()
 	NewSpaceSaving(0)
+}
+
+// TestSpaceSavingAddsCompose checks the property that lets a caller fuse
+// consecutive adds to one key: Add(k, a) then Add(k, b) leaves the same
+// summary as Add(k, a+b), down to every heap position and inherited error,
+// whether k is held, absent with room, or absent from a full table. The
+// (count, key) heap order is total, so the second add sifts the entry down
+// the same path the fused add takes. Small counts force count ties.
+func TestSpaceSavingAddsCompose(t *testing.T) {
+	src := rng.New(20140210)
+	var held, room, full int
+	for trial := 0; trial < 20_000; trial++ {
+		k := 1 + src.IntN(12)
+		universe := uint64(3 * k)
+		split, fused := NewSpaceSaving(k), NewSpaceSaving(k)
+		for n := src.IntN(4 * k); n > 0; n-- {
+			key, c := src.Uint64N(universe), 1+src.Int64N(6)
+			split.Add(key, c)
+			fused.Add(key, c)
+		}
+		key := src.Uint64N(universe + 4)
+		switch _, ok := split.entries[key]; {
+		case ok:
+			held++
+		case split.Len() < k:
+			room++
+		default:
+			full++
+		}
+		a, b := 1+src.Int64N(6), 1+src.Int64N(6)
+		split.Add(key, a)
+		split.Add(key, b)
+		fused.Add(key, a+b)
+		if got, want := dumpSummary(split), dumpSummary(fused); got != want {
+			t.Fatalf("trial %d: Add(%d, %d); Add(%d, %d) left\n%s\nAdd(%d, %d) left\n%s",
+				trial, key, a, key, b, got, key, a+b, want)
+		}
+	}
+	if held < 1000 || room < 1000 || full < 1000 {
+		t.Fatalf("cases under-covered: %d held, %d absent with room, %d absent from a full table", held, room, full)
+	}
+}
+
+// dumpSummary renders a summary's heap in position order and its entries
+// map in key order.
+func dumpSummary(s *SpaceSaving) string {
+	var b strings.Builder
+	for i, e := range s.heap {
+		fmt.Fprintf(&b, "heap[%d] key=%d count=%d err=%d idx=%d\n", i, e.key, e.count, e.err, e.heapIdx)
+	}
+	keys := make([]uint64, 0, len(s.entries))
+	for k := range s.entries {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
+		e := s.entries[k]
+		fmt.Fprintf(&b, "entries[%d] key=%d count=%d err=%d idx=%d\n", k, e.key, e.count, e.err, e.heapIdx)
+	}
+	return b.String()
 }
